@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GliderPlanError, LandContactError, OutOfDomainError
 from .flowfield import (InterpScheme, SYNTH_KINDS, effective_scheme,
                         load_flow_grid, sample, save_flow_grid, synth_field)
-from .kinematics import THREADS_ENV, VehicleSpec
+from .kinematics import VehicleSpec
 from .mission import (format_duration, export_waypoints, parse_mission,
                       render_svg, run_mission, summary_lines)
 
@@ -49,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="depth rendered in the SVG current layer")
     p_plan.add_argument("--svg-time", type=float, default=None,
                         help="time rendered in the SVG current layer")
-    p_plan.add_argument("--threads", type=int, default=None,
-                        help=f"profile evaluation threads "
-                             f"(default: ${THREADS_ENV} or CPU count)")
 
     p_sample = sub.add_parser("sample", help="sample a flow archive")
     p_sample.add_argument("flow", help="flow archive file")
@@ -97,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "xy_method", "zt_method"))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values to sweep")
-    p_sweep.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -109,15 +105,14 @@ def _cmd_plan(args) -> int:
     spec = parse_mission(args.mission)
     if args.no_smooth:
         spec = dataclasses.replace(spec, smooth=False)
-    grid = load_flow_grid(spec.flow_path)
-    result = run_mission(spec, grid=grid, workers=args.threads)
+    result = run_mission(spec)
 
     os.makedirs(args.out, exist_ok=True)
     wp_path = os.path.join(args.out, "waypoints.json")
     svg_path = os.path.join(args.out, "plan.svg")
     txt_path = os.path.join(args.out, "summary.txt")
     export_waypoints(result, wp_path)
-    render_svg(result, grid, svg_path, depth=args.svg_depth,
+    render_svg(result, spec.grid, svg_path, depth=args.svg_depth,
                at_time=args.svg_time)
     lines = summary_lines(result)
     with open(txt_path, "w", encoding="utf-8") as fh:
@@ -195,7 +190,6 @@ def _sweep_spec(spec, vary: str, value: str):
 
 def _cmd_sweep(args) -> int:
     spec = parse_mission(args.mission)
-    grid = load_flow_grid(spec.flow_path)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise GliderPlanError("--values is empty")
@@ -207,7 +201,7 @@ def _cmd_sweep(args) -> int:
     any_infeasible = False
     for value in values:
         case = _sweep_spec(spec, args.vary, value)
-        result = run_mission(case, grid=grid, workers=args.threads)
+        result = run_mission(case)
         final = result.final_path
         if final is None:
             any_infeasible = True

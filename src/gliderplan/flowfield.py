@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +87,9 @@ class FlowGrid:
     u and v have shape (len(t_steps), len(z_levels), len(y_coords),
     len(x_coords)).  Grid nodes equal to fill_sentinel (or NaN) mark
     invalid data; a horizontal cell whose column is filled at every
-    depth and time step counts as land.  Instances are treated as
-    immutable after construction.
+    depth and time step counts as land, and land_mask (ny, nx) marks
+    those columns.  Instances are treated as immutable after
+    construction.
     """
 
     x_coords: np.ndarray
@@ -108,24 +108,24 @@ class FlowGrid:
         self.fill_sentinel = float(self.fill_sentinel)
         shape = (self.t_steps.size, self.z_levels.size,
                  self.y_coords.size, self.x_coords.size)
+        filled = None
         for name in ("u", "v"):
-            comp = np.asarray(getattr(self, name), dtype=np.float64)
+            comp = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if comp.shape != shape:
                 raise FlowFormatError(
                     f"{name}: shape {comp.shape} does not match axes {shape}")
-            bad = ~np.isfinite(comp) & ~self._isfill(comp)
-            if bad.any():
+            isfill = self._isfill(comp)
+            if (~np.isfinite(comp) & ~isfill).any():
                 raise FlowFormatError(f"{name}: contains non-finite values")
+            filled = isfill if filled is None else filled | isfill
             setattr(self, name, comp)
-        # Hot-path caches: plain lists for bisect, packed doubles for
-        # scalar indexing (both are much faster than ndarray scalar access).
+        # lists for bisect in land_at; flat views for sample_batch
         self._xl = self.x_coords.tolist()
         self._yl = self.y_coords.tolist()
-        self._zl = self.z_levels.tolist()
-        self._tl = self.t_steps.tolist()
-        self._fu = array("d", self.u.ravel())
-        self._fv = array("d", self.v.ravel())
-        self._land_mask = None
+        self._flat_u = self.u.reshape(-1)
+        self._flat_v = self.v.reshape(-1)
+        self._flat_fill = filled.reshape(-1) if filled.any() else None
+        self.land_mask = filled.all(axis=(0, 1))
 
     def _isfill(self, a: np.ndarray) -> np.ndarray:
         if math.isnan(self.fill_sentinel):
@@ -135,14 +135,6 @@ class FlowGrid:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.u.shape
-
-    @property
-    def land_mask(self) -> np.ndarray:
-        """Boolean (ny, nx); True where the column is invalid at every z, t."""
-        if self._land_mask is None:
-            filled = self._isfill(self.u) | self._isfill(self.v)
-            self._land_mask = filled.all(axis=(0, 1))
-        return self._land_mask
 
     def horizontal_bounds(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max) of the gridded domain."""
@@ -176,15 +168,6 @@ def _nearest_index(coords: list, q: float) -> int:
     return i if (q - coords[i]) <= (coords[i + 1] - q) else i + 1
 
 
-def _cell_index(coords: list, q: float) -> int:
-    """Left knot of the cell containing q, clamped to [0, n-2]."""
-    i = bisect_right(coords, q) - 1
-    if i < 0:
-        return 0
-    n2 = len(coords) - 2
-    return n2 if i > n2 else i
-
-
 def effective_method(method: str, n_knots: int) -> str:
     """Degrade an interpolation method to what n_knots can support."""
     if n_knots == 1:
@@ -208,114 +191,200 @@ def effective_scheme(scheme: InterpScheme, grid: FlowGrid) -> InterpScheme:
     )
 
 
-def _hermite(x0: float, x1: float, y0: float, y1: float,
-             m0: float, m1: float, q: float) -> float:
-    h = x1 - x0
-    s = (q - x0) / h
-    s2 = s * s
-    s3 = s2 * s
-    return (y0 * (2.0 * s3 - 3.0 * s2 + 1.0) + y1 * (3.0 * s2 - 2.0 * s3)
-            + m0 * h * (s3 - 2.0 * s2 + s) + m1 * h * (s3 - s2))
+# Reason codes returned by sample_batch, one per point.
+SAMPLE_OK = 0
+SAMPLE_OUT_OF_DOMAIN = 1
+SAMPLE_LAND = 2
 
 
-def _cubic_axis_weights(coords: list, q: float) -> tuple[int, list[float]]:
-    """Node weights for a Catmull-Rom cubic along one axis.
+def _cell(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Left knot of the cell containing each q, clamped to [0, n-2]
+    (int32: half the index temporaries; no loadable grid overflows it)."""
+    i = np.searchsorted(coords, q, side="right").astype(np.int32) - 1
+    return np.minimum(np.maximum(i, 0), coords.size - 2)
 
-    Tangents are centered differences of the neighbouring knots, falling
-    back to one-sided slopes at the axis ends, which keeps the stencil
-    inside the grid and reproduces straight lines exactly.  Returns
-    (first node index, weights) over a window of two to four knots.
+
+def _axis_stencil(coords: np.ndarray, q: np.ndarray, method: str):
+    """Fixed-width stencil of one axis over N queries: (knots, weights,
+    akima), knots being W index arrays in ascending knot order.
+
+    Cubic spans knots i-1 .. i+2 and Akima j-2 .. j+3, clamped to the
+    axis; a clamped slot repeats a knot of the stencil and, for cubic,
+    carries weight zero.  For Akima, weights is None and akima holds
+    what _akima_stage needs.
     """
-    n = len(coords)
-    i = _cell_index(coords, q)
-    x0, x1 = coords[i], coords[i + 1]
+    n = coords.size
+    method = effective_method(method, n)
+    if method == "nearest":
+        if n == 1:
+            return [np.zeros(q.shape, dtype=np.int32)], [np.ones(q.shape)], None
+        c = _cell(coords, q)
+        # ties resolve to the lower knot
+        near = np.where(q - coords[c] <= coords[c + 1] - q, c, c + 1)
+        return [near], [np.ones(q.shape)], None
+    i = _cell(coords, q)
+    x0 = coords[i]
+    x1 = coords[i + 1]
     h = x1 - x0
     s = (q - x0) / h
+    if method in ("linear", "bilinear"):
+        return [i, i + 1], [1.0 - s, s], None
     s2 = s * s
     s3 = s2 * s
+    if method == "akima":
+        # i-2 .. i+3; i+1 never passes the last knot
+        knots = [np.maximum(i - 2, 0), np.maximum(i - 1, 0), i, i + 1,
+                 np.minimum(i + 2, n - 1), np.minimum(i + 3, n - 1)]
+        basis = (2.0 * s3 - 3.0 * s2 + 1.0, 3.0 * s2 - 2.0 * s3,
+                 s3 - 2.0 * s2 + s, s3 - s2)
+        dx = [coords[knots[k + 1]] - coords[knots[k]] for k in range(5)]
+        ghost = (i < 2, i < 1, i + 1 > n - 2, i + 2 > n - 2)
+        return knots, None, (h, basis, dx, ghost)
+    # Catmull-Rom: tangents are centered differences, one-sided at the
+    # axis ends, so the stencil stays inside the grid
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
     h01 = 3.0 * s2 - 2.0 * s3
     h10 = (s3 - 2.0 * s2 + s) * h
     h11 = (s3 - s2) * h
-
-    lo = i - 1 if i > 0 else i
-    hi = i + 2 if i + 2 <= n - 1 else i + 1
-    w = [0.0] * (hi - lo + 1)
-    w[i - lo] += h00
-    w[i + 1 - lo] += h01
-    # tangent at knot i
-    if i > 0:
-        a = 1.0 / (coords[i + 1] - coords[i - 1])
-        w[i - 1 - lo] -= h10 * a
-        w[i + 1 - lo] += h10 * a
-    else:
-        a = 1.0 / h
-        w[i - lo] -= h10 * a
-        w[i + 1 - lo] += h10 * a
-    # tangent at knot i + 1
-    if i + 2 <= n - 1:
-        a = 1.0 / (coords[i + 2] - coords[i])
-        w[i - lo] -= h11 * a
-        w[i + 2 - lo] += h11 * a
-    else:
-        a = 1.0 / h
-        w[i - lo] -= h11 * a
-        w[i + 1 - lo] += h11 * a
-    return lo, w
+    im1 = np.maximum(i - 1, 0)
+    ip2 = np.minimum(i + 2, n - 1)
+    left = i > 0
+    right = i + 2 <= n - 1
+    t1 = h10 * (1.0 / (x1 - coords[im1]))
+    t2 = h11 * (1.0 / (coords[ip2] - x0))
+    w01 = h01 + t1
+    return ([im1, i, i + 1, ip2],
+            [np.where(left, -t1, 0.0),
+             np.where(left, h00, h00 - t1) - t2,
+             np.where(right, w01, w01 + t2),
+             np.where(right, t2, 0.0)],
+            None)
 
 
-def _axis_weights(coords: list, q: float, method: str) -> tuple[int, list[float]]:
-    """Stencil (start index, node weights) for one axis; q pre-clamped."""
-    n = len(coords)
-    method = effective_method(method, n)
-    if method in ("nearest",):
-        return _nearest_index(coords, q), [1.0]
-    if method in ("linear", "bilinear"):
-        i = _cell_index(coords, q)
-        f = (q - coords[i]) / (coords[i + 1] - coords[i])
-        return i, [1.0 - f, f]
-    # cubic / bicubic
-    return _cubic_axis_weights(coords, q)
+def _weighted_sum(vals: np.ndarray, weights: list) -> np.ndarray:
+    """Contract the second-to-last axis of vals with per-point weights,
+    accumulating knot by knot."""
+    acc = vals[..., 0, :] * weights[0]
+    for k in range(1, len(weights)):
+        acc += vals[..., k, :] * weights[k]
+    return acc
 
 
-def _akima_node_slope(m_prev2: float, m_prev: float, m_cur: float,
-                      m_next: float) -> float:
-    w1 = abs(m_next - m_cur)
-    w2 = abs(m_prev - m_prev2)
+def _akima_node_slope(m_prev2, m_prev, m_cur, m_next):
+    w1 = np.abs(m_next - m_cur)
+    w2 = np.abs(m_prev - m_prev2)
     den = w1 + w2
-    if den == 0.0:
-        return 0.5 * (m_prev + m_cur)
-    return (w1 * m_prev + w2 * m_cur) / den
+    return np.where(den == 0.0, 0.5 * (m_prev + m_cur),
+                    (w1 * m_prev + w2 * m_cur) / den)
 
 
-def _akima_eval(xs: Sequence[float], ys: Sequence[float], q: float) -> float:
-    """Akima spline value at q for n >= 3 knots.
+def _akima_stage(vals: np.ndarray, akima) -> np.ndarray:
+    """Akima spline along the second-to-last axis of vals (six knots).
 
     Segment slopes beyond the data are extended with the standard
     quadratic rule (each ghost slope continues the trend of the two
     slopes inside it), and where both curvature weights vanish the node
-    slope falls back to the average of its two segment slopes.
+    slope falls back to the average of its two segment slopes.  Only the
+    five segments around the query cell enter, which is what makes the
+    six-knot window exact.
     """
-    n = len(xs)
-    j = _cell_index(xs, q)
+    h, (b00, b01, b10, b11), dx, (gm2, gm1, gp1, gp2) = akima
+    ys = [vals[..., k, :] for k in range(6)]
+    m = [(ys[k + 1] - ys[k]) / dx[k] for k in range(5)]  # segments j-2..j+2
+    m[1] = np.where(gm1, 2.0 * m[2] - m[3], m[1])
+    m[0] = np.where(gm2, 2.0 * m[1] - m[2], m[0])
+    m[3] = np.where(gp1, 2.0 * m[2] - m[1], m[3])
+    m[4] = np.where(gp2, 2.0 * m[3] - m[2], m[4])
+    t0 = _akima_node_slope(m[0], m[1], m[2], m[3])
+    t1 = _akima_node_slope(m[1], m[2], m[3], m[4])
+    return ys[2] * b00 + ys[3] * b01 + t0 * h * b10 + t1 * h * b11
 
-    def seg(k: int) -> float:
-        # segment slope with ghost extension outside [0, n-2]
-        if 0 <= k <= n - 2:
-            return (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-        if k < 0:
-            return 2.0 * seg(k + 1) - seg(k + 2)
-        return 2.0 * seg(k - 1) - seg(k - 2)
 
-    m_m2, m_m1, m_0, m_1, m_2 = (seg(j - 2), seg(j - 1), seg(j),
-                                 seg(j + 1), seg(j + 2))
-    t0 = _akima_node_slope(m_m2, m_m1, m_0, m_1)
-    t1 = _akima_node_slope(m_m1, m_0, m_1, m_2)
-    return _hermite(xs[j], xs[j + 1], ys[j], ys[j + 1], t0, t1, q)
+def _stage(vals: np.ndarray, stencil) -> np.ndarray:
+    _, weights, akima = stencil
+    if weights is None:
+        return _akima_stage(vals, akima)
+    return _weighted_sum(vals, weights)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def sample_batch(grid: FlowGrid, x, y, z, t,
+                 scheme: InterpScheme = DEFAULT_SCHEME):
+    """Sample the current at N space-time points at once.
+
+    Interpolates each component through the four-stage pipeline
+    (horizontal per layer, then depth, then time) with fixed-width
+    stencils, summing knot by knot in the scalar order, so a point's
+    value does not depend on the rest of the batch.  Depth and time
+    clamp to the grid range.  Instead of raising, each point gets a
+    reason code: SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN or SAMPLE_LAND (a fill
+    value in the stencil); u and v of other points mean nothing.
+
+    Returns:
+        (u, v, reason): arrays of shape (N,), m/s and int8.
+    """
+    x, y, z, t = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.float64).reshape(-1) for a in (x, y, z, t)))
+    xs, ys, zs, ts = grid.x_coords, grid.y_coords, grid.z_levels, grid.t_steps
+    inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
+    z = np.minimum(np.maximum(z, zs[0]), zs[-1])
+    t = np.minimum(np.maximum(t, ts[0]), ts[-1])
+    st_x = _axis_stencil(xs, x, scheme.xy_method)
+    st_y = _axis_stencil(ys, y, scheme.xy_method)
+    st_z = _axis_stencil(zs, z, scheme.z_method)
+    st_t = _axis_stencil(ts, t, scheme.t_method)
+
+    # flat (z, y, x) stencil node index within a time step, (Wz, Wy, Wx,
+    # N); gathering one time step at a time bounds wide stencils' memory
+    _, nz, ny, nx = grid.shape
+    zyx = np.stack(st_z[0])[:, None, :] * ny + np.stack(st_y[0])
+    zyx = zyx[:, :, None, :] * nx + np.stack(st_x[0])
+    idx = np.empty_like(zyx)
+    vals = np.empty((2,) + zyx.shape)
+    land = np.zeros(x.shape, dtype=bool)
+    layers = []
+    for it in st_t[0]:
+        np.add(zyx, it * (nz * ny * nx), out=idx)
+        np.take(grid._flat_u, idx, out=vals[0], mode="clip")
+        np.take(grid._flat_v, idx, out=vals[1], mode="clip")
+        if grid._flat_fill is not None:
+            land |= grid._flat_fill[idx].any(axis=(0, 1, 2))
+        layers.append(_stage(_stage(vals, st_x), st_y))
+    out = _stage(_stage(np.stack(layers, axis=1), st_z), st_t)
+    reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(np.int8)
+    reason[inside & land] = SAMPLE_LAND
+    return out[0], out[1], reason
+
+
+def sample(grid: FlowGrid, x: float, y: float, z: float, t: float,
+           scheme: InterpScheme = DEFAULT_SCHEME) -> CurrentVector:
+    """Sample the current at one space-time point (see sample_batch).
+
+    Horizontal queries outside the domain raise OutOfDomainError; if any
+    grid node in the support stencil is a fill value the sample raises
+    LandContactError.
+
+    Returns:
+        CurrentVector(u, v) in m/s.
+    """
+    u, v, reason = sample_batch(grid, x, y, z, t, scheme)
+    if reason[0] == SAMPLE_OUT_OF_DOMAIN:
+        raise OutOfDomainError(f"position ({x:g}, {y:g}) outside flow domain")
+    if reason[0] == SAMPLE_LAND:
+        raise LandContactError(f"fill value in stencil near ({x:g}, {y:g})")
+    return CurrentVector(float(u[0]), float(v[0]))
+
+
+def _slice_grid(x_coords, y_coords, z_levels, values) -> FlowGrid:
+    # NaN as the sentinel: every finite value is data, not land
+    values = np.asarray(values, dtype=np.float64).reshape(
+        1, len(z_levels), len(y_coords), len(x_coords))
+    return FlowGrid(x_coords, y_coords, z_levels, (0.0,), values,
+                    np.zeros_like(values), fill_sentinel=math.nan)
 
 
 def interp_1d(knots, values, q: float, method: str) -> float:
-    """Interpolate 1-D samples at q.
+    """Interpolate 1-D samples at q; the depth stage of sample_batch.
 
     method is one of nearest, linear, cubic (Catmull-Rom) or akima.
     Queries outside the knot range clamp to the boundary value, and the
@@ -328,25 +397,20 @@ def interp_1d(knots, values, q: float, method: str) -> float:
     ys = list(values)
     if len(xs) != len(ys) or not xs:
         raise ConfigError("knots and values must be non-empty, equal length")
-    n = len(xs)
-    if q <= xs[0]:
-        q = xs[0]
-    elif q >= xs[-1]:
-        q = xs[-1]
-    method = effective_method(method, n)
-    if method == "akima":
-        return _akima_eval(xs, ys, q)
-    i0, w = _axis_weights(xs, q, method)
-    return math.fsum(w[k] * ys[i0 + k] for k in range(len(w)))
+    grid = _slice_grid((0.0,), (0.0,), xs, ys)
+    u, _, _ = sample_batch(grid, 0.0, 0.0, q, 0.0,
+                           InterpScheme("nearest", method, "nearest"))
+    return float(u[0])
 
 
 def interp_xy(layer, x_coords, y_coords, x: float, y: float,
               method: str = "bilinear") -> float:
     """Interpolate a 2-D scalar slice (indexed [y][x]) at one position.
 
-    method is one of nearest, bilinear or bicubic.  Positions outside
-    the axes raise OutOfDomainError; fill values are not interpreted
-    here (land handling belongs to sample()).
+    The horizontal stage of sample_batch.  method is one of nearest,
+    bilinear or bicubic.  Positions outside the axes raise
+    OutOfDomainError; fill values are not interpreted here (land
+    handling belongs to sample()).
     """
     if method not in XY_METHODS:
         raise ConfigError(f"method must be one of {XY_METHODS}, got {method!r}")
@@ -356,115 +420,13 @@ def interp_xy(layer, x_coords, y_coords, x: float, y: float,
     if lay.shape != (len(ys), len(xs)):
         raise ConfigError(
             f"layer shape {lay.shape} does not match axes ({len(ys)}, {len(xs)})")
-    if not (xs[0] <= x <= xs[-1] and ys[0] <= y <= ys[-1]):
+    grid = _slice_grid(xs, ys, (0.0,), lay)
+    u, _, reason = sample_batch(grid, x, y, 0.0, 0.0,
+                                InterpScheme(method, "nearest", "nearest"))
+    if reason[0] == SAMPLE_OUT_OF_DOMAIN:
         raise OutOfDomainError(
             f"position ({x:g}, {y:g}) outside slice domain")
-    ix0, wx = _axis_weights(xs, x, method)
-    iy0, wy = _axis_weights(ys, y, method)
-    acc = 0.0
-    for jy, wyv in enumerate(wy):
-        row = 0.0
-        for jx, wxv in enumerate(wx):
-            row += wxv * lay[iy0 + jy, ix0 + jx]
-        acc += wyv * row
-    return acc
-
-
-def _zt_stencil(coords: list, q: float, method: str):
-    """(clamped q, mode, payload) for one clamped 1-D axis.
-
-    mode "w": payload is (start, weights).  mode "a": payload is the
-    knot window (lo, hi) feeding an Akima evaluation.
-    """
-    n = len(coords)
-    if q <= coords[0]:
-        q = coords[0]
-    elif q >= coords[-1]:
-        q = coords[-1]
-    method = effective_method(method, n)
-    if method == "akima":
-        j = _cell_index(coords, q)
-        lo = j - 2 if j - 2 > 0 else 0
-        hi = j + 3 if j + 3 < n - 1 else n - 1
-        return q, "a", (lo, hi)
-    return q, "w", _axis_weights(coords, q, method)
-
-
-def sample(grid: FlowGrid, x: float, y: float, z: float, t: float,
-           scheme: InterpScheme = DEFAULT_SCHEME) -> CurrentVector:
-    """Sample the current at one space-time point.
-
-    Interpolates each component through the four-stage pipeline
-    (horizontal per layer, then depth, then time).  Depth and time
-    clamp to the grid range; horizontal queries outside the domain
-    raise OutOfDomainError.  If any grid node in the support stencil
-    is a fill value the sample raises LandContactError.
-
-    Returns:
-        CurrentVector(u, v) in m/s.
-    """
-    xl, yl = grid._xl, grid._yl
-    if not (xl[0] <= x <= xl[-1] and yl[0] <= y <= yl[-1]):
-        raise OutOfDomainError(f"position ({x:g}, {y:g}) outside flow domain")
-    ix0, wx = _axis_weights(xl, x, scheme.xy_method)
-    iy0, wy = _axis_weights(yl, y, scheme.xy_method)
-    z, zmode, zpay = _zt_stencil(grid._zl, z, scheme.z_method)
-    t, tmode, tpay = _zt_stencil(grid._tl, t, scheme.t_method)
-
-    nx = len(xl)
-    ny = len(yl)
-    nz = len(grid._zl)
-    fill = grid.fill_sentinel
-    nwx = len(wx)
-    nwy = len(wy)
-    plane = ny * nx
-
-    if tmode == "w":
-        t_idx = range(tpay[0], tpay[0] + len(tpay[1]))
-    else:
-        t_idx = range(tpay[0], tpay[1] + 1)
-    if zmode == "w":
-        z_idx = range(zpay[0], zpay[0] + len(zpay[1]))
-    else:
-        z_idx = range(zpay[0], zpay[1] + 1)
-
-    out = []
-    for flat in (grid._fu, grid._fv):
-        t_vals = []
-        for it in t_idx:
-            z_vals = []
-            for iz in z_idx:
-                base = (it * nz + iz) * plane + iy0 * nx + ix0
-                acc = 0.0
-                for jy in range(nwy):
-                    row = base + jy * nx
-                    r = 0.0
-                    for jx in range(nwx):
-                        val = flat[row + jx]
-                        if val == fill or val != val:
-                            raise LandContactError(
-                                f"fill value in stencil near ({x:g}, {y:g})")
-                        r += wx[jx] * val
-                    acc += wy[jy] * r
-                z_vals.append(acc)
-            if zmode == "w":
-                zw = zpay[1]
-                zv = 0.0
-                for k in range(len(zw)):
-                    zv += zw[k] * z_vals[k]
-            else:
-                zv = _akima_eval(grid._zl[zpay[0]:zpay[1] + 1], z_vals, z)
-            t_vals.append(zv)
-        if tmode == "w":
-            tw = tpay[1]
-            tv = 0.0
-            for k in range(len(tw)):
-                tv += tw[k] * t_vals[k]
-        else:
-            tv = _akima_eval(grid._tl[tpay[0]:tpay[1] + 1], t_vals, t)
-        out.append(tv)
-    return CurrentVector(out[0], out[1])
-
+    return float(u[0])
 
 # ---------------------------------------------------------------------------
 # synthetic fields

@@ -9,18 +9,16 @@ compare times without special-casing impassable legs.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, LandContactError, OutOfDomainError
-from .flowfield import DEFAULT_SCHEME, FlowGrid, InterpScheme, sample
+import numpy as np
+
+from .errors import ConfigError
+from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
+                        sample, sample_batch)  # sample: for bench/spans.py
 
 INFEASIBLE = math.inf
-
-THREADS_ENV = "GLIDERPLAN_THREADS"
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,85 @@ def effective_speed(vehicle: VehicleSpec, current, direction) -> float | None:
     return v
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
+                 ze, t_start, scheme: InterpScheme, n_sub: int):
+    """travel_time over L legs (arrays (L,)), one sample_batch call per
+    sub-step.  Returns (seconds, ok); where ok is False the leg left the
+    domain, touched land or was infeasible, and its seconds mean nothing.
+    """
+    dx = xe - xs
+    dy = ye - ys
+    dz = ze - zs
+    length = np.sqrt(dx * dx + dy * dy + dz * dz)
+    inv = 1.0 / length
+    ux = dx * inv
+    uy = dy * inv
+    step = length / n_sub
+    speed2 = vehicle.speed_through_water ** 2
+    ok = length > 0.0
+    t = t_start
+    for i in range(n_sub):
+        f = i / n_sub
+        fm = (i + 0.5) / n_sub
+        cu, cv, reason = sample_batch(grid, xs + f * dx, ys + f * dy,
+                                      zs + fm * dz, t, scheme)
+        # effective_speed, one lane per leg
+        c_par = cu * ux + cv * uy
+        s2 = speed2 - (cu * cu + cv * cv - c_par * c_par)
+        v = c_par + np.sqrt(s2)
+        ok &= (reason == SAMPLE_OK) & (s2 >= 0.0) & (v > 0.0)
+        t = t + step / v
+    # a zero-length leg takes no time and samples nothing
+    zero = length == 0.0
+    return np.where(zero, 0.0, t - t_start), ok | zero
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def profile_times(p_start_2d, heads_2d, t_start: float, profiles,
+                  grid: FlowGrid, vehicle: VehicleSpec, h: float = 0.25,
+                  scheme: InterpScheme = DEFAULT_SCHEME,
+                  n_sub: int = 4) -> np.ndarray:
+    """(H, P) times of every head x profile run from one departure.
+
+    The H x P sawtooth runs advance together through the ceil(1/h) x
+    n_sub sub-steps, one sample_batch call per sub-step.  Every lane does
+    glider_travel_time's arithmetic in its order, so a run's time does
+    not depend on the rest of the batch.  Entries are seconds or
+    INFEASIBLE; an INFEASIBLE departure gives INFEASIBLE everywhere.
+    """
+    profiles = list(profiles)
+    heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
+    shape = (heads.shape[0], len(profiles))
+    if math.isinf(t_start):
+        return np.full(shape, INFEASIBLE)
+    if not (0.0 < h <= 1.0):
+        raise ConfigError(f"h must lie in (0, 1], got {h!r}")
+    if n_sub < 1:
+        raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
+    # lane k flies head k // P with profile k % P
+    x0, y0 = float(p_start_2d[0]), float(p_start_2d[1])
+    dx = np.repeat(heads[:, 0], shape[1]) - x0
+    dy = np.repeat(heads[:, 1], shape[1]) - y0
+    zc = np.tile([p.z_climb_to for p in profiles], shape[0])
+    zd = np.tile([p.z_dive_to for p in profiles], shape[0])
+    # 1/h is taken with a small backoff so float noise cannot add a segment
+    n_seg = math.ceil(1.0 / h - 1e-9)
+    t = np.full(dx.shape, float(t_start))
+    alive = np.ones(dx.shape, dtype=bool)
+    for i in range(n_seg):
+        f0 = i / n_seg
+        f1 = (i + 1) / n_seg
+        dt, ok = _slant_times(grid, vehicle, x0 + f0 * dx, y0 + f0 * dy, zc,
+                              x0 + f1 * dx, y0 + f1 * dy, zd, t, scheme,
+                              n_sub)
+        alive &= ok
+        if not alive.any():
+            break
+        t = t + dt
+    return np.where(alive, t - t_start, INFEASIBLE).reshape(shape)
+
+
 def travel_time(p_start, p_end, t_start: float, grid: FlowGrid,
                 vehicle: VehicleSpec, scheme: InterpScheme = DEFAULT_SCHEME,
                 n_sub: int = 4) -> float:
@@ -134,32 +211,10 @@ def travel_time(p_start, p_end, t_start: float, grid: FlowGrid,
         return INFEASIBLE
     if n_sub < 1:
         raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
-    x0, y0, z0 = p_start
-    dx = p_end[0] - x0
-    dy = p_end[1] - y0
-    dz = p_end[2] - z0
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if length == 0.0:
-        return 0.0
-    inv = 1.0 / length
-    ux = dx * inv
-    uy = dy * inv
-    uz = dz * inv
-    step = length / n_sub
-    t = t_start
-    for i in range(n_sub):
-        f = i / n_sub
-        fm = (i + 0.5) / n_sub
-        try:
-            cur = sample(grid, x0 + f * dx, y0 + f * dy, z0 + fm * dz, t,
-                         scheme)
-        except (OutOfDomainError, LandContactError):
-            return INFEASIBLE
-        v = effective_speed(vehicle, cur, (ux, uy, uz))
-        if v is None:
-            return INFEASIBLE
-        t += step / v
-    return t - t_start
+    dt, ok = _slant_times(grid, vehicle,
+                          *(np.array([float(c)]) for c in (*p_start, *p_end)),
+                          t_start, scheme, n_sub)
+    return float(dt[0]) if ok[0] else INFEASIBLE
 
 
 def glider_travel_time(p_start_2d, p_end_2d, profile: DiveProfile,
@@ -181,27 +236,8 @@ def glider_travel_time(p_start_2d, p_end_2d, profile: DiveProfile,
         t_start: departure clock time, seconds (INFEASIBLE passes through).
         h: fraction of the run covered by one segment, 0 < h <= 1.
     """
-    if math.isinf(t_start):
-        return INFEASIBLE
-    if not (0.0 < h <= 1.0):
-        raise ConfigError(f"h must lie in (0, 1], got {h!r}")
-    # 1/h is taken with a small backoff so float noise cannot add a segment
-    n_seg = math.ceil(1.0 / h - 1e-9)
-    x0, y0 = p_start_2d
-    dx = p_end_2d[0] - x0
-    dy = p_end_2d[1] - y0
-    t = t_start
-    for i in range(n_seg):
-        f0 = i / n_seg
-        f1 = (i + 1) / n_seg
-        dt = travel_time(
-            (x0 + f0 * dx, y0 + f0 * dy, profile.z_climb_to),
-            (x0 + f1 * dx, y0 + f1 * dy, profile.z_dive_to),
-            t, grid, vehicle, scheme, n_sub)
-        if math.isinf(dt):
-            return INFEASIBLE
-        t += dt
-    return t - t_start
+    return float(profile_times(p_start_2d, [p_end_2d], t_start, [profile],
+                               grid, vehicle, h, scheme, n_sub)[0, 0])
 
 
 def _levels(lo: float, hi: float, n: int, single_at_top: bool) -> list[float]:
@@ -238,91 +274,29 @@ def make_dive_profiles(spec: ProfileFamilySpec) -> list[DiveProfile]:
     return list(out)
 
 
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for profile-family evaluation.
-
-    Explicit argument wins, then the GLIDERPLAN_THREADS environment
-    variable, then the machine's CPU count.
-    """
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(
-                f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
-def _family_pool(size: int) -> ThreadPoolExecutor:
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None or _pool_size != size:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(max_workers=size)
-            _pool_size = size
-        return _pool
-
-
 def evaluate_profile_times(p_start_2d, p_end_2d, t_start: float,
                            profiles, grid: FlowGrid, vehicle: VehicleSpec,
                            h: float = 0.25,
                            scheme: InterpScheme = DEFAULT_SCHEME,
-                           n_sub: int = 4,
-                           workers: int | None = None) -> list[float]:
-    """Travel time of every profile in the family, in family order.
-
-    With workers > 1 the profiles are evaluated on a shared thread
-    pool; results are collected back in family order, so the output is
-    identical to a sequential evaluation.
-    """
-    k = resolve_workers(workers)
-
-    def one(profile: DiveProfile) -> float:
-        return glider_travel_time(p_start_2d, p_end_2d, profile, t_start,
-                                  grid, vehicle, h, scheme, n_sub)
-
-    if k <= 1 or len(profiles) <= 1:
-        return [one(p) for p in profiles]
-    pool = _family_pool(min(k, len(profiles)))
-    return list(pool.map(one, profiles))
+                           n_sub: int = 4) -> list[float]:
+    """Travel time of every profile in the family, in family order."""
+    return profile_times(p_start_2d, [p_end_2d], t_start, profiles, grid,
+                         vehicle, h, scheme, n_sub)[0].tolist()
 
 
-def optimal_profile_cost(p_start_2d, p_end_2d, t_start: float, profiles,
-                         grid: FlowGrid, vehicle: VehicleSpec,
-                         h: float = 0.25,
-                         scheme: InterpScheme = DEFAULT_SCHEME,
-                         n_sub: int = 4, mode: str = "fastest",
-                         slack_factor: float = 1.1,
-                         workers: int | None = None
-                         ) -> tuple[Optional[DiveProfile], float]:
-    """Pick the best dive profile for one horizontal leg.
-
-    mode "fastest" returns the minimum-time profile, preferring the
-    larger amplitude and then family order on ties.  mode
-    "max_amplitude" returns the largest-amplitude profile whose time is
-    within slack_factor of the fastest (falling back to the fastest
-    when none qualifies), preferring the faster profile on amplitude
-    ties.  Returns (profile, time); when every profile in the family is
-    infeasible the result is (None, INFEASIBLE).
-    """
+def check_cost_mode(mode: str, profiles) -> None:
+    """Reject an unknown cost mode or an empty profile family."""
     if mode not in ("fastest", "max_amplitude"):
         raise ConfigError(
             f'mode must be "fastest" or "max_amplitude", got {mode!r}')
-    profiles = list(profiles)
     if not profiles:
         raise ConfigError("profile family is empty")
-    times = evaluate_profile_times(p_start_2d, p_end_2d, t_start, profiles,
-                                   grid, vehicle, h, scheme, n_sub, workers)
 
+
+def choose_profile(profiles, times, mode: str = "fastest",
+                   slack_factor: float = 1.1
+                   ) -> tuple[Optional[DiveProfile], float]:
+    """Pick one profile from the family's times (see optimal_profile_cost)."""
     def fastest_key(i: int):
         return (times[i], -profiles[i].amplitude, i)
 
@@ -337,3 +311,27 @@ def optimal_profile_cost(p_start_2d, p_end_2d, t_start: float, profiles,
         return profiles[best], times[best]
     pick = min(within, key=lambda i: (-profiles[i].amplitude, times[i], i))
     return profiles[pick], times[pick]
+
+
+def optimal_profile_cost(p_start_2d, p_end_2d, t_start: float, profiles,
+                         grid: FlowGrid, vehicle: VehicleSpec,
+                         h: float = 0.25,
+                         scheme: InterpScheme = DEFAULT_SCHEME,
+                         n_sub: int = 4, mode: str = "fastest",
+                         slack_factor: float = 1.1
+                         ) -> tuple[Optional[DiveProfile], float]:
+    """Pick the best dive profile for one horizontal leg.
+
+    mode "fastest" returns the minimum-time profile, preferring the
+    larger amplitude and then family order on ties.  mode
+    "max_amplitude" returns the largest-amplitude profile whose time is
+    within slack_factor of the fastest (falling back to the fastest
+    when none qualifies), preferring the faster profile on amplitude
+    ties.  Returns (profile, time); when every profile in the family is
+    infeasible the result is (None, INFEASIBLE).
+    """
+    profiles = list(profiles)
+    check_cost_mode(mode, profiles)
+    times = evaluate_profile_times(p_start_2d, p_end_2d, t_start, profiles,
+                                   grid, vehicle, h, scheme, n_sub)
+    return choose_profile(profiles, times, mode, slack_factor)

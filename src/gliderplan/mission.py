@@ -14,13 +14,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .flowfield import (FlowGrid, InterpScheme, load_flow_grid, sample)
+from .flowfield import (SAMPLE_OK, FlowGrid, InterpScheme, load_flow_grid,
+                        sample, sample_batch)  # sample: for bench/spans.py
 from .kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
-                         make_dive_profiles, optimal_profile_cost,
-                         resolve_workers)
+                         make_dive_profiles, optimal_profile_cost)
 from .search import (BlockedRegions, LegReport, PlannedPath, Rect,
                      build_graph, connect_terminals, make_edge_cost,
                      path_report, segment_clear, tve_dijkstra)
@@ -86,6 +86,18 @@ class MissionSpec:
     smooth: bool
     start_latlon: tuple | None = None
     goal_latlon: tuple | None = None
+    # the archive parse_mission loaded, so no caller loads it again
+    grid: FlowGrid | None = field(default=None, compare=False, repr=False)
+
+
+def _number(val, key: str, where: str, kind=float):
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{where}{key}: must be a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}{key}: must be a finite number")
+    if kind is int and val != int(val):
+        raise ConfigError(f"{where}{key}: must be an integer")
+    return kind(val)
 
 
 def _need(obj: dict, key: str, kind, where: str):
@@ -93,15 +105,15 @@ def _need(obj: dict, key: str, kind, where: str):
         raise ConfigError(f"{where}{key}: missing required key")
     val = obj[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{where}{key}: must be a number")
-        return float(val)
+        return _number(val, key, where)
     if not isinstance(val, kind):
         raise ConfigError(f"{where}{key}: unexpected type {type(val).__name__}")
     return val
 
 
 def _opt(obj: dict, key: str, default, where: str):
+    """obj[key] or the default; a number must be finite, and an integer
+    default makes the key integer-valued."""
     if key not in obj:
         return default
     val = obj[key]
@@ -110,9 +122,7 @@ def _opt(obj: dict, key: str, default, where: str):
             raise ConfigError(f"{where}{key}: must be true or false")
         return val
     if isinstance(default, (int, float)):
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{where}{key}: must be a number")
-        return type(default)(val)
+        return _number(val, key, where, type(default))
     return val
 
 
@@ -247,10 +257,10 @@ def parse_mission(path) -> MissionSpec:
                                  "profile_family."),
             z_max=_need(fam, "z_max", float, "profile_family."),
             z_min_range=_need(fam, "z_min_range", float, "profile_family."),
-            n_climb_to_levels=int(_opt(fam, "n_climb_to_levels", 1,
-                                       "profile_family.")),
-            n_dive_to_levels=int(_opt(fam, "n_dive_to_levels", 1,
-                                      "profile_family.")))
+            n_climb_to_levels=_opt(fam, "n_climb_to_levels", 1,
+                                   "profile_family."),
+            n_dive_to_levels=_opt(fam, "n_dive_to_levels", 1,
+                                  "profile_family."))
     except ConfigError as exc:
         raise ConfigError(f"profile_family: {exc}") from exc
     if family.z_max > float(grid.z_levels[-1]):
@@ -274,7 +284,9 @@ def parse_mission(path) -> MissionSpec:
                 or not all(isinstance(p, list) and len(p) == 2 for p in poly)):
             raise ConfigError(
                 f"restricted_areas[{i}]: must be an array of >= 3 [x, y] pairs")
-        polys.append(tuple((float(p[0]), float(p[1])) for p in poly))
+        polys.append(tuple(
+            tuple(_number(c, f"restricted_areas[{i}]", "") for c in p)
+            for p in poly))
 
     start_time = _opt(raw, "start_time", float(grid.t_steps[0]), "")
     if start_time < float(grid.t_steps[0]):
@@ -299,7 +311,8 @@ def parse_mission(path) -> MissionSpec:
         h=float(h), n_sub=int(n_sub), scheme=scheme, profile_family=family,
         cost_mode=cost_mode, slack_factor=float(slack_factor),
         restricted_areas=tuple(polys), projection_origin=origin,
-        smooth=bool(smooth), start_latlon=start_ll, goal_latlon=goal_ll)
+        smooth=bool(smooth), start_latlon=start_ll, goal_latlon=goal_ll,
+        grid=grid)
 
 
 @dataclass
@@ -324,35 +337,47 @@ class MissionResult:
         return self.smoothed if self.smoothed is not None else self.planned
 
 
-def run_mission(spec: MissionSpec, grid: FlowGrid | None = None,
-                workers: int | None = None) -> MissionResult:
+def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
+                ) -> MissionResult:
     """Plan a mission end to end.
 
     Builds the lattice, inserts the terminals, runs the time-varying
     search with optimal-profile edge costs, smooths the route (unless
     disabled), and gathers per-leg current diagnostics plus the two
     straight-line baselines (direct leg through the field, and plain
-    distance over speed).  An unreachable goal yields status
-    "infeasible" with the baselines still filled in.
+    distance over speed; the direct leg is screened like every edge).
+    An unreachable goal yields status "infeasible" with the baselines
+    still filled in.  The grid defaults to the one parse_mission loaded.
     """
     t_wall = time.perf_counter()
     if grid is None:
+        grid = spec.grid
+    if grid is None:
         grid = load_flow_grid(spec.flow_path)
-    wk = resolve_workers(workers)
     blocked = BlockedRegions(grid=grid, polygons=spec.restricted_areas)
     graph = build_graph(spec.region, spec.grid_spacing, spec.neighbor_set,
                         blocked)
     start_idx, goal_idx = connect_terminals(graph, spec.start_xy, spec.goal_xy)
     profiles = make_dive_profiles(spec.profile_family)
     cost = make_edge_cost(grid, spec.vehicle, profiles, spec.h, spec.scheme,
-                          spec.n_sub, spec.cost_mode, spec.slack_factor, wk)
+                          spec.n_sub, spec.cost_mode, spec.slack_factor,
+                          graph=graph)
 
     planned = tve_dijkstra(graph, start_idx, goal_idx, spec.start_time, cost)
 
-    straight_profile, straight_time = optimal_profile_cost(
-        spec.start_xy, spec.goal_xy, spec.start_time, profiles, grid,
-        spec.vehicle, spec.h, spec.scheme, spec.n_sub, spec.cost_mode,
-        spec.slack_factor, wk)
+    # legs that bypass the lattice must pass the same blocked-geometry
+    # screen the graph applied to its edges
+    step = spec.grid_spacing / 4.0
+
+    def clear(a, b) -> bool:
+        return segment_clear(blocked, a[0], a[1], b[0], b[1], step)
+
+    straight_profile, straight_time = None, math.inf
+    if clear(spec.start_xy, spec.goal_xy):
+        straight_profile, straight_time = optimal_profile_cost(
+            spec.start_xy, spec.goal_xy, spec.start_time, profiles, grid,
+            spec.vehicle, spec.h, spec.scheme, spec.n_sub, spec.cost_mode,
+            spec.slack_factor)
     dist = math.hypot(spec.goal_xy[0] - spec.start_xy[0],
                       spec.goal_xy[1] - spec.start_xy[1])
     no_current = dist / spec.vehicle.speed_through_water
@@ -364,28 +389,18 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None,
     if planned is not None:
         status = "ok"
         if spec.smooth and len(planned.waypoints) > 2:
-            # merged legs bypass the lattice, so they must pass the same
-            # blocked-geometry screen the graph applied to its edges
-            step = spec.grid_spacing / 4.0
-
             def smooth_cost(a, b, t):
-                if not segment_clear(blocked, a[0], a[1], b[0], b[1], step):
+                if not clear(a, b):
                     return None, math.inf
                 return cost(a, b, t)
 
             wp_s, tt_s, trace = smooth_path(planned.waypoints,
                                             spec.start_time, smooth_cost)
-            profs = []
-            t_cur = spec.start_time
-            for i in range(len(wp_s) - 1):
-                prof, dt = cost(wp_s[i], wp_s[i + 1], t_cur)
-                profs.append(prof)
-                t_cur += dt
             length = sum(
                 math.hypot(wp_s[i + 1][0] - wp_s[i][0],
                            wp_s[i + 1][1] - wp_s[i][1])
                 for i in range(len(wp_s) - 1))
-            smoothed = PlannedPath(wp_s, tt_s, profs,
+            smoothed = PlannedPath(wp_s, tt_s, trace.profiles,
                                    total_time=tt_s[-1] - spec.start_time,
                                    total_length=length,
                                    fifo_violations=planned.fifo_violations)
@@ -601,24 +616,25 @@ def render_svg(result: MissionResult, grid: FlowGrid, path,
         parts.append(f'<polygon points="{pts}" fill="#d98c8c" '
                      f'fill-opacity="0.5" stroke="#a33" stroke-width="1"/>')
 
-    # sub-sampled current arrows
+    # sub-sampled current arrows, sampled in one batch
     n_arrows = 22
     step_x = max(1, grid.x_coords.size // n_arrows)
     step_y = max(1, grid.y_coords.size // n_arrows)
+    nodes = [(float(grid.x_coords[jx]), float(grid.y_coords[jy]))
+             for jy in range(0, grid.y_coords.size, step_y)
+             for jx in range(0, grid.x_coords.size, step_x)]
+    nodes = [(cx, cy) for cx, cy in nodes if reg.contains(cx, cy)]
     arrows = []
     max_mag = 0.0
-    for jy in range(0, grid.y_coords.size, step_y):
-        for jx in range(0, grid.x_coords.size, step_x):
-            cx, cy = float(grid.x_coords[jx]), float(grid.y_coords[jy])
-            if not reg.contains(cx, cy):
-                continue
-            try:
-                cur = sample(grid, cx, cy, depth, at_time, spec.scheme)
-            except Exception:
-                continue
-            mag = cur.magnitude
-            if mag > 0.0:
-                arrows.append((cx, cy, cur.u, cur.v, mag))
+    if nodes:
+        cxs, cys = zip(*nodes)
+        us, vs, reason = sample_batch(grid, cxs, cys, depth, at_time,
+                                      spec.scheme)
+        for cx, cy, cu, cv, why in zip(cxs, cys, us.tolist(), vs.tolist(),
+                                       reason.tolist()):
+            mag = math.hypot(cu, cv)
+            if why == SAMPLE_OK and mag > 0.0:
+                arrows.append((cx, cy, cu, cv, mag))
                 max_mag = max(max_mag, mag)
     if arrows and max_mag > 0.0:
         unit = min(step_x * (grid.x_coords[1] - grid.x_coords[0])

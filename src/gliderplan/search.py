@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, LandContactError, OutOfDomainError
 from .flowfield import DEFAULT_SCHEME, FlowGrid, InterpScheme, sample
-from .kinematics import (DiveProfile, VehicleSpec, optimal_profile_cost,
-                         resolve_workers)
+from .kinematics import (DiveProfile, VehicleSpec, check_cost_mode,
+                         choose_profile, optimal_profile_cost, profile_times)
 
 # (from_xy, to_xy, departure_s) -> (profile or None, seconds or INFEASIBLE).
 # Implementations must return INFEASIBLE for an INFEASIBLE departure.
@@ -253,20 +253,41 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                    h: float = 0.25, scheme: InterpScheme = DEFAULT_SCHEME,
                    n_sub: int = 4, mode: str = "fastest",
                    slack_factor: float = 1.1,
-                   workers: int | None = None) -> EdgeCostFn:
+                   graph: SearchGraph | None = None) -> EdgeCostFn:
     """Edge cost backed by optimal-profile glider travel times.
 
-    The worker count is resolved once (argument, then environment,
-    then CPU count) so every edge evaluation uses the same setting.
+    With a graph (terminals already connected), a request for vertex
+    a's first out-edge at departure T -- where the search starts when
+    it settles a -- times all of a's out-edges x all profiles in one
+    batch, and a's other out-edges at T are served from it; only the
+    latest batch is kept.  Other requests (smoothing, the straight-line
+    baseline) are timed one leg at a time, which costs less than a
+    fan-out.  Both paths give bit-identical times.
     """
     profiles = list(profiles)
-    wk = resolve_workers(workers)
+    check_cost_mode(mode, profiles)
+    index: dict = {}  # vertex position -> first vertex there
+    for i, xy in enumerate(graph.vertex_xy if graph is not None else ()):
+        index.setdefault(xy, i)
+    batch_key, batch = None, {}
 
     def cost(a_xy, b_xy, depart: float):
-        prof, dt = optimal_profile_cost(
-            a_xy, b_xy, depart, profiles, grid, vehicle, h, scheme, n_sub,
-            mode, slack_factor, wk)
-        return prof, dt
+        nonlocal batch_key, batch
+        if batch_key == (a_xy, depart) and b_xy in batch:
+            return batch[b_xy]
+        a = index.get(a_xy)
+        heads = ([] if a is None else
+                 [graph.vertex_xy[b] for b, _ in graph.adjacency[a]])
+        if heads and b_xy == heads[0]:
+            times = profile_times(a_xy, heads, depart, profiles, grid,
+                                  vehicle, h, scheme, n_sub).tolist()
+            batch_key = (a_xy, depart)
+            batch = {head: choose_profile(profiles, row, mode, slack_factor)
+                     for head, row in zip(heads, times)}
+            return batch[b_xy]
+        return optimal_profile_cost(a_xy, b_xy, depart, profiles, grid,
+                                    vehicle, h, scheme, n_sub, mode,
+                                    slack_factor)
 
     return cost
 
@@ -381,7 +402,7 @@ def path_report(path: PlannedPath, grid: FlowGrid, vehicle: VehicleSpec,
         depart = path.arrival_times[i]
         try:
             cur = sample(grid, x0, y0, z, depart, scheme)
-        except Exception:
+        except (OutOfDomainError, LandContactError):
             out.append(LegReport(i, x0, y0, z, depart, math.nan, math.nan,
                                  math.nan, math.nan, False, False, False))
             continue

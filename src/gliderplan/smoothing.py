@@ -16,7 +16,7 @@ merge, which keeps the pass idempotent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .search import EdgeCostFn
 
@@ -40,16 +40,23 @@ class SmoothingTrace:
     merges_rejected_slower_goal: int = 0
     goal_arrival_literal: float = math.nan
     goal_arrival_rechained: float = math.nan
+    profiles: list = field(default_factory=list)
+
+
+def _rechain(waypoints, t_start: float, edge_cost: EdgeCostFn
+             ) -> tuple[list[float], list]:
+    arrivals, profiles = [t_start], []
+    for i in range(1, len(waypoints)):
+        prof, dt = edge_cost(waypoints[i - 1], waypoints[i], arrivals[-1])
+        arrivals.append(arrivals[-1] + dt)
+        profiles.append(prof)
+    return arrivals, profiles
 
 
 def recompute_arrivals(waypoints, t_start: float,
                        edge_cost: EdgeCostFn) -> list[float]:
     """Chain arrival times along a waypoint list; infinity propagates."""
-    arrivals = [t_start]
-    for i in range(1, len(waypoints)):
-        _, dt = edge_cost(waypoints[i - 1], waypoints[i], arrivals[-1])
-        arrivals.append(arrivals[-1] + dt)
-    return arrivals
+    return _rechain(waypoints, t_start, edge_cost)[0]
 
 
 def _leg_time(edge_cost: EdgeCostFn, a, b, depart: float) -> float:
@@ -112,13 +119,14 @@ def smooth_path(waypoints, t_start: float, edge_cost: EdgeCostFn
                 ) -> tuple[list, list[float], SmoothingTrace]:
     """Merge redundant waypoints without hurting the goal arrival.
 
-    Returns (smoothed waypoints, their arrival times, trace).  The
-    endpoints always survive, the waypoint count never grows, the goal
-    arrival never worsens beyond tolerance, and re-smoothing the output
-    changes nothing.  A path of two waypoints is returned unchanged
-    (the trace still reports one iteration).  Entirely infeasible legs
-    propagate infinite arrivals; merges are still attempted and may
-    recover a feasible route when a direct leg exists.
+    Returns (smoothed waypoints, their arrival times, trace); the trace
+    also holds each final leg's profile.  The endpoints always survive,
+    the waypoint count never grows, the goal arrival never worsens
+    beyond tolerance, and re-smoothing the output changes nothing.  A
+    path of two waypoints is returned unchanged (the trace still
+    reports one iteration).  Entirely infeasible legs propagate
+    infinite arrivals; merges are still attempted and may recover a
+    feasible route when a direct leg exists.
     """
     wp = [tuple(w) for w in waypoints]
     if len(wp) < 2:
@@ -135,6 +143,6 @@ def smooth_path(waypoints, t_start: float, edge_cost: EdgeCostFn
             break
     trace.iterations = max(1, passes)
     trace.goal_arrival_literal = tt[-1]
-    trace.goal_arrival_rechained = recompute_arrivals(wp, t_start,
-                                                      edge_cost)[-1]
+    rechained, trace.profiles = _rechain(wp, t_start, edge_cost)
+    trace.goal_arrival_rechained = rechained[-1]
     return wp, tt, trace

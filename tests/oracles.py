@@ -2,10 +2,12 @@
 
 Each oracle recomputes a quantity the library also computes, but with a
 different algorithmic structure (vectorized instead of windowed,
-exhaustive instead of label-setting) so shared bugs are unlikely.
+exhaustive instead of label-setting, one scalar point at a time instead
+of batched) so shared bugs are unlikely.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -147,3 +149,252 @@ def bilinear_reference(layer, xs, ys, x, y):
         + lay[j, i + 1] * fx * (1 - fy)
         + lay[j + 1, i] * (1 - fx) * fy
         + lay[j + 1, i + 1] * fx * fy)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference sampler and leg timers: the one-point loops the planner
+# used before sampling and leg timing were batched.  The batched kernels
+# must reproduce them (see test_batch.py).
+
+def _nearest_index(coords, q):
+    n = len(coords)
+    if n == 1:
+        return 0
+    i = bisect_right(coords, q) - 1
+    if i < 0:
+        return 0
+    if i >= n - 1:
+        return n - 1
+    return i if (q - coords[i]) <= (coords[i + 1] - q) else i + 1
+
+
+def _cell_index(coords, q):
+    i = bisect_right(coords, q) - 1
+    if i < 0:
+        return 0
+    n2 = len(coords) - 2
+    return n2 if i > n2 else i
+
+
+def _effective_method(method, n_knots):
+    if n_knots == 1:
+        return "nearest"
+    if n_knots == 2 and method in ("cubic", "akima", "bicubic"):
+        return "linear" if method != "bicubic" else "bilinear"
+    return method
+
+
+def _hermite(x0, x1, y0, y1, m0, m1, q):
+    h = x1 - x0
+    s = (q - x0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (y0 * (2.0 * s3 - 3.0 * s2 + 1.0) + y1 * (3.0 * s2 - 2.0 * s3)
+            + m0 * h * (s3 - 2.0 * s2 + s) + m1 * h * (s3 - s2))
+
+
+def _cubic_axis_weights(coords, q):
+    """Catmull-Rom node weights over a window of two to four knots."""
+    n = len(coords)
+    i = _cell_index(coords, q)
+    x0, x1 = coords[i], coords[i + 1]
+    h = x1 - x0
+    s = (q - x0) / h
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h01 = 3.0 * s2 - 2.0 * s3
+    h10 = (s3 - 2.0 * s2 + s) * h
+    h11 = (s3 - s2) * h
+    lo = i - 1 if i > 0 else i
+    hi = i + 2 if i + 2 <= n - 1 else i + 1
+    w = [0.0] * (hi - lo + 1)
+    w[i - lo] += h00
+    w[i + 1 - lo] += h01
+    if i > 0:
+        a = 1.0 / (coords[i + 1] - coords[i - 1])
+        w[i - 1 - lo] -= h10 * a
+        w[i + 1 - lo] += h10 * a
+    else:
+        a = 1.0 / h
+        w[i - lo] -= h10 * a
+        w[i + 1 - lo] += h10 * a
+    if i + 2 <= n - 1:
+        a = 1.0 / (coords[i + 2] - coords[i])
+        w[i - lo] -= h11 * a
+        w[i + 2 - lo] += h11 * a
+    else:
+        a = 1.0 / h
+        w[i - lo] -= h11 * a
+        w[i + 1 - lo] += h11 * a
+    return lo, w
+
+
+def _axis_weights(coords, q, method):
+    method = _effective_method(method, len(coords))
+    if method == "nearest":
+        return _nearest_index(coords, q), [1.0]
+    if method in ("linear", "bilinear"):
+        i = _cell_index(coords, q)
+        f = (q - coords[i]) / (coords[i + 1] - coords[i])
+        return i, [1.0 - f, f]
+    return _cubic_axis_weights(coords, q)
+
+
+def _akima_node_slope(m_prev2, m_prev, m_cur, m_next):
+    w1 = abs(m_next - m_cur)
+    w2 = abs(m_prev - m_prev2)
+    den = w1 + w2
+    if den == 0.0:
+        return 0.5 * (m_prev + m_cur)
+    return (w1 * m_prev + w2 * m_cur) / den
+
+
+def _akima_eval(xs, ys, q):
+    """Akima spline at q with recursive ghost slopes (n >= 3 knots)."""
+    n = len(xs)
+    j = _cell_index(xs, q)
+
+    def seg(k):
+        if 0 <= k <= n - 2:
+            return (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+        if k < 0:
+            return 2.0 * seg(k + 1) - seg(k + 2)
+        return 2.0 * seg(k - 1) - seg(k - 2)
+
+    m_m2, m_m1, m_0, m_1, m_2 = (seg(j - 2), seg(j - 1), seg(j),
+                                 seg(j + 1), seg(j + 2))
+    t0 = _akima_node_slope(m_m2, m_m1, m_0, m_1)
+    t1 = _akima_node_slope(m_m1, m_0, m_1, m_2)
+    return _hermite(xs[j], xs[j + 1], ys[j], ys[j + 1], t0, t1, q)
+
+
+def _zt_stencil(coords, q, method):
+    n = len(coords)
+    if q <= coords[0]:
+        q = coords[0]
+    elif q >= coords[-1]:
+        q = coords[-1]
+    method = _effective_method(method, n)
+    if method == "akima":
+        j = _cell_index(coords, q)
+        lo = j - 2 if j - 2 > 0 else 0
+        hi = j + 3 if j + 3 < n - 1 else n - 1
+        return q, "a", (lo, hi)
+    return q, "w", _axis_weights(coords, q, method)
+
+
+def sample_reference(grid, x, y, z, t, scheme):
+    """One-point stencil loops: raises OutOfDomainError/LandContactError."""
+    from gliderplan.errors import LandContactError, OutOfDomainError
+
+    xl, yl = grid.x_coords.tolist(), grid.y_coords.tolist()
+    zl, tl = grid.z_levels.tolist(), grid.t_steps.tolist()
+    if not (xl[0] <= x <= xl[-1] and yl[0] <= y <= yl[-1]):
+        raise OutOfDomainError(f"position ({x:g}, {y:g}) outside flow domain")
+    ix0, wx = _axis_weights(xl, x, scheme.xy_method)
+    iy0, wy = _axis_weights(yl, y, scheme.xy_method)
+    z, zmode, zpay = _zt_stencil(zl, z, scheme.z_method)
+    t, tmode, tpay = _zt_stencil(tl, t, scheme.t_method)
+    nx, ny, nz = len(xl), len(yl), len(zl)
+    fill = grid.fill_sentinel
+    plane = ny * nx
+    if tmode == "w":
+        t_idx = range(tpay[0], tpay[0] + len(tpay[1]))
+    else:
+        t_idx = range(tpay[0], tpay[1] + 1)
+    if zmode == "w":
+        z_idx = range(zpay[0], zpay[0] + len(zpay[1]))
+    else:
+        z_idx = range(zpay[0], zpay[1] + 1)
+    out = []
+    for flat in (grid.u.ravel().tolist(), grid.v.ravel().tolist()):
+        t_vals = []
+        for it in t_idx:
+            z_vals = []
+            for iz in z_idx:
+                base = (it * nz + iz) * plane + iy0 * nx + ix0
+                acc = 0.0
+                for jy in range(len(wy)):
+                    row = base + jy * nx
+                    r = 0.0
+                    for jx in range(len(wx)):
+                        val = flat[row + jx]
+                        if val == fill or val != val:
+                            raise LandContactError(
+                                f"fill value in stencil near ({x:g}, {y:g})")
+                        r += wx[jx] * val
+                    acc += wy[jy] * r
+                z_vals.append(acc)
+            if zmode == "w":
+                zv = 0.0
+                for k, w in enumerate(zpay[1]):
+                    zv += w * z_vals[k]
+            else:
+                zv = _akima_eval(zl[zpay[0]:zpay[1] + 1], z_vals, z)
+            t_vals.append(zv)
+        if tmode == "w":
+            tv = 0.0
+            for k, w in enumerate(tpay[1]):
+                tv += w * t_vals[k]
+        else:
+            tv = _akima_eval(tl[tpay[0]:tpay[1] + 1], t_vals, t)
+        out.append(tv)
+    return out[0], out[1]
+
+
+def travel_time_reference(p_start, p_end, t_start, grid, vehicle, scheme,
+                          n_sub):
+    """Slant-leg time with one scalar sample per sub-segment, or inf."""
+    from gliderplan.errors import LandContactError, OutOfDomainError
+    from gliderplan.kinematics import effective_speed
+
+    if math.isinf(t_start):
+        return math.inf
+    x0, y0, z0 = p_start
+    dx = p_end[0] - x0
+    dy = p_end[1] - y0
+    dz = p_end[2] - z0
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if length == 0.0:
+        return 0.0
+    inv = 1.0 / length
+    direction = (dx * inv, dy * inv, dz * inv)
+    step = length / n_sub
+    t = t_start
+    for i in range(n_sub):
+        f = i / n_sub
+        fm = (i + 0.5) / n_sub
+        try:
+            cur = sample_reference(grid, x0 + f * dx, y0 + f * dy,
+                                   z0 + fm * dz, t, scheme)
+        except (OutOfDomainError, LandContactError):
+            return math.inf
+        v = effective_speed(vehicle, cur, direction)
+        if v is None:
+            return math.inf
+        t += step / v
+    return t - t_start
+
+
+def glider_travel_time_reference(p_start_2d, p_end_2d, profile, t_start,
+                                 grid, vehicle, h, scheme, n_sub):
+    """Sawtooth run as ceil(1/h) chained scalar slant legs, or inf."""
+    if math.isinf(t_start):
+        return math.inf
+    n_seg = math.ceil(1.0 / h - 1e-9)
+    x0, y0 = p_start_2d
+    dx = p_end_2d[0] - x0
+    dy = p_end_2d[1] - y0
+    t = t_start
+    for i in range(n_seg):
+        f0 = i / n_seg
+        f1 = (i + 1) / n_seg
+        dt = travel_time_reference(
+            (x0 + f0 * dx, y0 + f0 * dy, profile.z_climb_to),
+            (x0 + f1 * dx, y0 + f1 * dy, profile.z_dive_to),
+            t, grid, vehicle, scheme, n_sub)
+        if math.isinf(dt):
+            return math.inf
+        t += dt
+    return t - t_start

@@ -236,7 +236,7 @@ def test_6_travel_time_strictly_decreases_with_vehicle_speed(tmp_path):
     elapsed = []
     for speed in (0.25, 0.30, 0.35):
         case = dataclasses.replace(spec, vehicle=VehicleSpec(speed))
-        result = run_mission(case, workers=1)
+        result = run_mission(case)
         assert result.status == "ok"
         final = result.final_path
         elapsed.append(final.arrival_times[-1] - case.start_time)
@@ -267,7 +267,7 @@ def test_7_hundred_thousand_edge_mission_plans_under_a_minute(tmp_path):
 
     spec = parse_mission(mission)
     assert len(make_dive_profiles(spec.profile_family)) == 12
-    result = run_mission(spec, grid=grid, workers=1)
+    result = run_mission(spec, grid=grid)
     assert result.n_edges >= 100_000
     assert result.status == "ok"
     assert result.planned.fifo_violations == 0
@@ -275,13 +275,13 @@ def test_7_hundred_thousand_edge_mission_plans_under_a_minute(tmp_path):
 
 
 def test_8_plan_is_byte_identical_with_parallel_evaluation(tmp_path, capsys):
+    # every settled vertex times its out-edges x profiles as parallel
+    # lanes of one batch; two runs must still agree to the byte
     mission = write_gyre_mission(tmp_path)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    code_a = cli_main(["plan", str(mission), "--out", str(out_a),
-                       "--threads", "4"])
-    code_b = cli_main(["plan", str(mission), "--out", str(out_b),
-                       "--threads", "4"])
+    code_a = cli_main(["plan", str(mission), "--out", str(out_a)])
+    code_b = cli_main(["plan", str(mission), "--out", str(out_b)])
     capsys.readouterr()
     assert code_a == EXIT_OK and code_b == EXIT_OK
     wp_a = (out_a / "waypoints.json").read_bytes()

@@ -255,13 +255,67 @@ class TestPlan:
         assert code == EXIT_ERROR
         assert "missing required key" in err
 
-    def test_thread_count_is_immaterial(self, capsys, tmp_path, mission_file):
+    @pytest.mark.parametrize("overrides,key", [
+        ({"grid_spacing": math.nan}, "grid_spacing"),
+        ({"slack_factor": math.nan}, "slack_factor"),
+        ({"h": math.inf}, "h"),
+        ({"start": {"x": math.nan, "y": 25000.0}}, "start.x"),
+        ({"n_sub": 2.7}, "n_sub"),
+        ({"neighbor_set": 16.5}, "neighbor_set"),
+        ({"profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0,
+                             "z_max": 100.0, "z_min_range": 40.0,
+                             "n_climb_to_levels": 1.5}},
+         "profile_family.n_climb_to_levels"),
+        ({"profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0,
+                             "z_max": 100.0, "z_min_range": 40.0,
+                             "n_dive_to_levels": 2.5}},
+         "profile_family.n_dive_to_levels"),
+    ])
+    def test_bad_value_exits_1_naming_the_key(self, capsys, tmp_path,
+                                              overrides, key):
+        path = write_mission(tmp_path, make_uniform_grid(
+            0.1, 0.0, extent=50000.0, depth=200.0), overrides)
+        code, out, err = run_cli(capsys, "plan", str(path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and f"{key}: must be" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("plan", "--out", "{out}"),
+        ("sweep", "--vary", "vehicle_speed", "--values", "0.3,0.4"),
+    ])
+    def test_archive_is_loaded_once(self, capsys, tmp_path, mission_file,
+                                    monkeypatch, argv):
+        import gliderplan.cli as cli_mod
+        import gliderplan.mission as mission_mod
+        real = load_flow_grid
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return real(path)
+
+        for mod in (cli_mod, mission_mod):
+            monkeypatch.setattr(mod, "load_flow_grid", counting_load)
+        cmd, *rest = (a.format(out=tmp_path / "out") for a in argv)
+        assert run_cli(capsys, cmd, str(mission_file), *rest)[0] == EXIT_OK
+        assert len(loads) == 1
+
+    def test_thread_count_is_immaterial(self, capsys, tmp_path, mission_file,
+                                        monkeypatch):
+        # planning is single-threaded: the old thread-count variable is
+        # ignored and the --threads flag is gone
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert run_cli(capsys, "plan", str(mission_file), "--out", str(a),
-                       "--threads", "1")[0] == EXIT_OK
+        monkeypatch.setenv("GLIDERPLAN_THREADS", "1")
+        assert run_cli(capsys, "plan", str(mission_file), "--out",
+                       str(a))[0] == EXIT_OK
+        monkeypatch.setenv("GLIDERPLAN_THREADS", "4")
+        assert run_cli(capsys, "plan", str(mission_file), "--out",
+                       str(b))[0] == EXIT_OK
         assert run_cli(capsys, "plan", str(mission_file), "--out", str(b),
-                       "--threads", "4")[0] == EXIT_OK
+                       "--threads", "4")[0] == EXIT_ERROR
         assert ((a / "waypoints.json").read_bytes()
                 == (b / "waypoints.json").read_bytes())
         assert (a / "plan.svg").read_bytes() == (b / "plan.svg").read_bytes()

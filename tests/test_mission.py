@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gliderplan.mission as mission_mod
 from gliderplan.errors import ConfigError
 from gliderplan.flowfield import save_flow_grid
 from gliderplan.mission import (export_waypoints, format_duration,
@@ -359,12 +360,12 @@ LAND_TERMINALS = {
 }
 
 
-def plan_fast(tmp_path, overrides=None, grid=None, workers=1):
+def plan_fast(tmp_path, overrides=None, grid=None):
     merged = dict(FAST_KNOBS)
     if overrides:
         merged.update(overrides)
     spec = parse_mission(write_mission(tmp_path, merged, grid=grid))
-    return spec, run_mission(spec, workers=workers)
+    return spec, run_mission(spec)
 
 
 class TestRunMission:
@@ -398,6 +399,26 @@ class TestRunMission:
         final = result.final_path
         elapsed = final.arrival_times[-1] - spec.start_time
         assert elapsed >= result.straight_line_time - 1e-6
+
+    def test_blocked_straight_line_baseline_is_infeasible(self, tmp_path):
+        # a 50 km direct leg in still water straight through a
+        # 20 km x 35 km keep-out square
+        block = [[40000.0, 32500.0], [60000.0, 32500.0],
+                 [60000.0, 67500.0], [40000.0, 67500.0]]
+        _, result = plan_fast(tmp_path, {
+            "start": {"x": 25000.0, "y": 50000.0},
+            "goal": {"x": 75000.0, "y": 50000.0},
+            "restricted_areas": [block]}, grid=make_uniform_grid())
+        assert result.status == "ok"
+        assert result.final_path.total_length > 50000.0
+        assert math.isinf(result.straight_line_time)
+        assert result.straight_line_profile is None
+        assert "straight_line_s: inf" in summary_lines(result)
+        path = tmp_path / "wp.json"
+        export_waypoints(result, path)
+        totals = json.loads(path.read_text())["totals"]
+        assert totals["straight_line_s"] is None
+        assert totals["straight_line"] == "INFEASIBLE"
 
     def test_smoothing_runs_and_helps(self, tmp_path):
         spec, result = plan_fast(tmp_path)
@@ -442,11 +463,21 @@ class TestRunMission:
         for x, y in detour.final_path.waypoints:
             assert not (40000.0 < x < 60000.0 and 30000.0 < y < 70000.0)
 
-    def test_worker_count_does_not_change_result(self, tmp_path):
-        _, one = plan_fast(tmp_path, workers=1)
-        _, four = plan_fast(tmp_path, workers=4)
-        assert one.final_path.waypoints == four.final_path.waypoints
-        assert one.final_path.arrival_times == four.final_path.arrival_times
+    def test_batched_edge_cost_does_not_change_result(self, tmp_path,
+                                                      monkeypatch):
+        _, batched = plan_fast(tmp_path)
+        make = mission_mod.make_edge_cost
+
+        def one_leg_at_a_time(*args, graph=None, **kwargs):
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(mission_mod, "make_edge_cost", one_leg_at_a_time)
+        _, single = plan_fast(tmp_path)
+        for path in ("planned", "final_path"):
+            a, b = getattr(batched, path), getattr(single, path)
+            assert a.waypoints == b.waypoints
+            assert a.arrival_times == b.arrival_times
+            assert a.profiles == b.profiles
 
 
 class TestSummaryLines:
@@ -539,7 +570,7 @@ class TestExportWaypoints:
         export_waypoints(result, b)
         assert a.read_bytes() == b.read_bytes()
         # a fresh planning run of the same mission exports identically
-        rerun = run_mission(spec, workers=1)
+        rerun = run_mission(spec)
         c = tmp_path / "c.json"
         export_waypoints(rerun, c)
         assert a.read_bytes() == c.read_bytes()

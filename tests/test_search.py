@@ -285,7 +285,7 @@ class TestDijkstraTimeVarying:
         start, goal = connect_terminals(graph, (6_000.0, 6_000.0),
                                         (54_000.0, 54_000.0))
         cost = make_edge_cost(gyre_grid, V03, (DiveProfile(0.0, 60.0),),
-                              h=0.5, n_sub=2, workers=1)
+                              h=0.5, n_sub=2, graph=graph)
         path = tve_dijkstra(graph, start, goal, 0.0, cost)
         assert path is not None
         assert path.arrival_times[0] == 0.0
@@ -347,7 +347,7 @@ class TestDijkstraTimeVarying:
         start, goal = connect_terminals(graph, (5_000.0, 25_000.0),
                                         (45_000.0, 25_000.0))
         cost = make_edge_cost(grid, V03, (DiveProfile(0.0, 60.0,),),
-                              h=1.0, n_sub=1, workers=1)
+                              h=1.0, n_sub=1, graph=graph)
         assert tve_dijkstra(graph, start, goal, 0.0, cost) is None
 
     def test_infeasible_departure_time(self, still_grid):
@@ -356,7 +356,7 @@ class TestDijkstraTimeVarying:
         start, goal = connect_terminals(graph, (1_000.0, 1_000.0),
                                         (19_000.0, 19_000.0))
         cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),),
-                              workers=1)
+                              graph=graph)
         assert tve_dijkstra(graph, start, goal, math.inf, cost) is None
 
 

@@ -2,8 +2,8 @@
 """End-to-end demo on a synthetic double-gyre field.
 
 Synthesizes a time-perturbed gyre archive, writes a mission file, plans
-it, and drops waypoints.json, plan.svg, and summary.txt into the output
-directory.  Run it from anywhere:
+it with `gliderplan plan`, which drops waypoints.json, plan.svg, and
+summary.txt into the output directory.  Run it from anywhere:
 
     python3 scripts/demo_gyre_mission.py --out demo-out
 """
@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
+from gliderplan.cli import main as cli_main
 from gliderplan.flowfield import save_flow_grid, synth_field
-from gliderplan.mission import (export_waypoints, parse_mission, render_svg,
-                                run_mission, summary_lines)
 
 
 def build_field(path, amplitude):
@@ -29,7 +28,6 @@ def build_field(path, amplitude):
         np.linspace(0.0, 43_200.0, 7),
         params={"amplitude": amplitude, "epsilon": 0.3, "period": 43_200.0})
     save_flow_grid(grid, path)
-    return grid
 
 
 def build_mission(path, flow_name):
@@ -61,26 +59,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
-    flow_path = os.path.join(args.out, "gyre.json")
     mission_path = os.path.join(args.out, "mission.json")
-    grid = build_field(flow_path, args.amplitude)
+    build_field(os.path.join(args.out, "gyre.json"), args.amplitude)
     build_mission(mission_path, "gyre.json")
-
-    spec = parse_mission(mission_path)
-    result = run_mission(spec, grid=grid)
-
-    export_waypoints(result, os.path.join(args.out, "waypoints.json"))
-    render_svg(result, grid, os.path.join(args.out, "plan.svg"))
-    lines = summary_lines(result)
-    with open(os.path.join(args.out, "summary.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-    for line in lines:
-        print(line)
-    print(f"outputs: {args.out}/waypoints.json, plan.svg, summary.txt")
-    return 0 if result.status == "ok" else 2
+    return cli_main(["plan", mission_path, "--out", args.out])
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ flag, unreadable file, or invalid configuration.  Output is stable
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import logging
 import os
 import sys
@@ -25,13 +25,17 @@ import numpy as np
 from .errors import GliderPlanError, LandContactError, OutOfDomainError
 from .flowfield import (InterpScheme, SYNTH_KINDS, effective_scheme,
                         load_flow_grid, sample, save_flow_grid, synth_field)
-from .kinematics import VehicleSpec
 from .mission import (format_duration, export_waypoints, parse_mission,
                       render_svg, run_mission, summary_lines)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+
+# the mission keys each `sweep --vary` choice sets
+SWEEP_KEYS = {"vehicle_speed": ("vehicle.speed_through_water",),
+              "grid_spacing": ("grid_spacing",), "xy_method": ("scheme.xy",),
+              "zt_method": ("scheme.z", "scheme.t")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,9 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-plan over a swept parameter")
     p_sweep.add_argument("mission", help="mission JSON file")
-    p_sweep.add_argument("--vary", required=True,
-                         choices=("vehicle_speed", "grid_spacing",
-                                  "xy_method", "zt_method"))
+    p_sweep.add_argument("--vary", required=True, choices=tuple(SWEEP_KEYS))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values to sweep")
     return parser
@@ -102,9 +104,8 @@ def _axis(span: float, n: int):
 
 
 def _cmd_plan(args) -> int:
-    spec = parse_mission(args.mission)
-    if args.no_smooth:
-        spec = dataclasses.replace(spec, smooth=False)
+    spec = parse_mission(args.mission,
+                         {"smooth": False} if args.no_smooth else None)
     result = run_mission(spec)
 
     os.makedirs(args.out, exist_ok=True)
@@ -173,34 +174,32 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _sweep_spec(spec, vary: str, value: str):
-    if vary == "vehicle_speed":
-        return dataclasses.replace(
-            spec, vehicle=VehicleSpec(speed_through_water=float(value)))
-    if vary == "grid_spacing":
-        return dataclasses.replace(spec, grid_spacing=float(value))
-    if vary == "xy_method":
-        return dataclasses.replace(
-            spec, scheme=dataclasses.replace(spec.scheme, xy_method=value))
-    # zt_method sets both one-dimensional stages
-    return dataclasses.replace(
-        spec, scheme=dataclasses.replace(spec.scheme, z_method=value,
-                                         t_method=value))
+def _flag_value(text: str):
+    """A flag's text as a mission-file value: its JSON reading, if any."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_mission(args.mission)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise GliderPlanError("--values is empty")
     header = (f"{'value':>12}  {'status':>10}  {'travel_time':>12}  "
               f"{'travel_s':>14}  {'length_km':>10}  {'wp_raw':>6}  "
               f"{'wp_smooth':>9}  {'comp_s':>7}")
+    # every value is read like a mission-file value before any planning;
+    # the first case loads the archive and the others share it
+    cases = []
+    for value in values:
+        keys = dict.fromkeys(SWEEP_KEYS[args.vary], _flag_value(value))
+        cases.append(parse_mission(args.mission, keys,
+                                   cases[0].grid if cases else None))
     print(f"vary: {args.vary}")
     print(header)
     any_infeasible = False
-    for value in values:
-        case = _sweep_spec(spec, args.vary, value)
+    for value, case in zip(values, cases):
         result = run_mission(case)
         final = result.final_path
         if final is None:

@@ -55,15 +55,11 @@ class InterpScheme:
     t_method: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.xy_method not in XY_METHODS:
-            raise ConfigError(
-                f"xy_method must be one of {XY_METHODS}, got {self.xy_method!r}")
-        if self.z_method not in ZT_METHODS:
-            raise ConfigError(
-                f"z_method must be one of {ZT_METHODS}, got {self.z_method!r}")
-        if self.t_method not in ZT_METHODS:
-            raise ConfigError(
-                f"t_method must be one of {ZT_METHODS}, got {self.t_method!r}")
+        for name, methods in (("xy_method", XY_METHODS),
+                              ("z_method", ZT_METHODS), ("t_method", ZT_METHODS)):
+            if getattr(self, name) not in methods:
+                raise ConfigError(f"{name}: must be one of {methods}, "
+                                  f"got {getattr(self, name)!r}")
 
 
 DEFAULT_SCHEME = InterpScheme()

@@ -29,9 +29,10 @@ class VehicleSpec:
 
     def __post_init__(self) -> None:
         s = self.speed_through_water
-        if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
+        # 100 m/s is far above any glider and keeps speed^2 finite
+        if not (isinstance(s, (int, float)) and 0 < s <= 100):
             raise ConfigError(
-                f"speed_through_water must be positive and finite, got {s!r}")
+                f"speed_through_water: must lie in (0, 100] m/s, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,21 @@ class ProfileFamilySpec:
     n_dive_to_levels: int = 1
 
     def __post_init__(self) -> None:
+        # each message leads with the field at fault
         if not (self.z_min <= self.z_climb_to_max <= self.z_max):
             raise ConfigError(
-                "profile family requires z_min <= z_climb_to_max <= z_max, "
+                "z_climb_to_max: must lie between z_min and z_max, "
                 f"got {self.z_min!r} / {self.z_climb_to_max!r} / {self.z_max!r}")
         if not self.z_min_range > 0:
             raise ConfigError(
-                f"z_min_range must be positive, got {self.z_min_range!r}")
+                f"z_min_range: must be positive, got {self.z_min_range!r}")
         if self.z_min_range > self.z_max - self.z_min:
             raise ConfigError(
-                f"z_min_range ({self.z_min_range!r}) exceeds the available "
+                f"z_min_range: {self.z_min_range!r} exceeds the available "
                 f"depth band ({self.z_max - self.z_min!r})")
-        if self.n_climb_to_levels < 1 or self.n_dive_to_levels < 1:
-            raise ConfigError("level counts must be at least 1")
+        for name in ("n_climb_to_levels", "n_dive_to_levels"):
+            if not 1 <= getattr(self, name) <= 100:  # <= 10^4 profiles
+                raise ConfigError(f"{name}: must lie in [1, 100]")
 
 
 def effective_speed(vehicle: VehicleSpec, current, direction) -> float | None:

@@ -13,11 +13,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os.path
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .flowfield import (SAMPLE_OK, FlowGrid, InterpScheme, load_flow_grid,
+from .flowfield import (SAMPLE_OK, XY_METHODS, ZT_METHODS, FlowGrid,
+                        InterpScheme, load_flow_grid,
                         sample, sample_batch)  # sample: for bench/spans.py
 from .kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                          make_dive_profiles, optimal_profile_cost)
@@ -63,6 +66,13 @@ def format_duration(seconds: float) -> str:
     return f"{days:02d}:{hours:02d}:{minutes:02d}:{secs:02d}"
 
 
+class LatLon(NamedTuple):
+    """A geographic position in degrees."""
+
+    lat: float
+    lon: float
+
+
 @dataclass(frozen=True)
 class MissionSpec:
     """A fully validated mission: inputs resolved, defaults applied."""
@@ -82,7 +92,7 @@ class MissionSpec:
     cost_mode: str
     slack_factor: float
     restricted_areas: tuple
-    projection_origin: tuple | None
+    projection_origin: LatLon | None
     smooth: bool
     start_latlon: tuple | None = None
     goal_latlon: tuple | None = None
@@ -90,229 +100,231 @@ class MissionSpec:
     grid: FlowGrid | None = field(default=None, compare=False, repr=False)
 
 
-def _number(val, key: str, where: str, kind=float):
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One mission-file key.  kind is "float", "int", "bool", "str",
+    "object", "position" or "polygons".  A missing key takes `default`:
+    REQUIRED is an error, None leaves it unset (or to the flow grid), and
+    any other default is read like a written value.  `allowed` lists the
+    only values accepted; `check` is a (test, message) pair.  An object
+    passes its `keys`' values to `build`; each value lands in the field
+    named `attr`, else `name`."""
+
+    name: str
+    kind: str
+    default: object = REQUIRED
+    allowed: tuple = ()
+    check: tuple | None = None
+    keys: tuple = ()
+    build: Callable | None = None
+    attr: str = ""
+
+
+def _floats(*names: str) -> tuple:
+    return tuple(Key(name, "float") for name in names)
+
+
+# Every key a mission file may hold; MissionSpec has a field for each.
+MISSION_KEYS = (
+    Key("flow", "str", attr="flow_path"),
+    Key("start", "position", attr="start_xy"),
+    Key("goal", "position", attr="goal_xy"),
+    Key("start_time", "float", None),
+    Key("vehicle", "object", {}, build=VehicleSpec,
+        keys=(Key("speed_through_water", "float", 0.3),)),
+    Key("region", "object", None, build=Rect, keys=_floats(*Rect._fields)),
+    Key("grid_spacing", "float", None, check=(lambda v: v > 0,
+                                              "must be positive")),
+    Key("neighbor_set", "int", 16, (8, 16)),
+    # h and n_sub set the sub-steps per leg, at most ceil(1/h) * n_sub
+    Key("h", "float", 0.25, check=(lambda v: 0.01 <= v <= 1,
+                                   "must lie in [0.01, 1]")),
+    Key("n_sub", "int", 4, check=(lambda v: 1 <= v <= 100,
+                                  "must lie in [1, 100]")),
+    Key("scheme", "object", {}, build=InterpScheme, keys=(
+        Key("xy", "str", "bilinear", XY_METHODS, attr="xy_method"),
+        Key("z", "str", "linear", ZT_METHODS, attr="z_method"),
+        Key("t", "str", "linear", ZT_METHODS, attr="t_method"))),
+    Key("profile_family", "object", build=ProfileFamilySpec, keys=_floats(
+        "z_min", "z_climb_to_max", "z_max", "z_min_range") + (
+        Key("n_climb_to_levels", "int", 1), Key("n_dive_to_levels", "int", 1))),
+    Key("cost_mode", "str", "fastest", ("fastest", "max_amplitude")),
+    Key("slack_factor", "float", 1.1, check=(lambda v: v >= 1,
+                                             "must be at least 1.0")),
+    Key("restricted_areas", "polygons", []),
+    Key("projection_origin", "object", None, build=LatLon, keys=(
+        Key("lat", "float", check=(lambda v: abs(v) < 89,
+                                   "must lie strictly between -89 and 89")),
+        Key("lon", "float"))),
+    Key("smooth", "bool", True),
+)
+
+
+def _number(val, path: str, integer: bool = False):
     if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{where}{key}: must be a number")
+        raise ConfigError(f"{path}: must be a number")
     if not math.isfinite(val):
-        raise ConfigError(f"{where}{key}: must be a finite number")
-    if kind is int and val != int(val):
-        raise ConfigError(f"{where}{key}: must be an integer")
-    return kind(val)
+        raise ConfigError(f"{path}: must be a finite number")
+    if integer and val != int(val):
+        raise ConfigError(f"{path}: must be an integer")
+    return int(val) if integer else float(val)
 
 
-def _need(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}{key}: missing required key")
-    val = obj[key]
-    if kind is float:
-        return _number(val, key, where)
-    if not isinstance(val, kind):
-        raise ConfigError(f"{where}{key}: unexpected type {type(val).__name__}")
+def _polygons(val, path: str) -> tuple:
+    if not isinstance(val, list):
+        raise ConfigError(f"{path}: must be an array of polygons")
+    polys = []
+    for i, poly in enumerate(val):
+        where = f"{path}[{i}]"
+        if (not isinstance(poly, list) or len(poly) < 3
+                or not all(isinstance(p, list) and len(p) == 2 for p in poly)):
+            raise ConfigError(f"{where}: must be an array of >= 3 [x, y] pairs")
+        polys.append(tuple(tuple(_number(c, where) for c in p) for p in poly))
+    return tuple(polys)
+
+
+def _position_keys(obj: dict, path: str) -> tuple:
+    cartesian = "x" in obj or "y" in obj
+    geographic = "lat" in obj or "lon" in obj
+    if cartesian and geographic:
+        raise ConfigError(f"{path}: give either x/y or lat/lon, not both")
+    if not (cartesian or geographic):
+        raise ConfigError(f"{path}: needs either x/y or lat/lon")
+    return _floats("x", "y") if cartesian else _floats("lat", "lon")
+
+
+def _read(key: Key, val, path: str):
+    """A mission value checked against its key; objects come back built."""
+    if key.kind in ("float", "int"):
+        val = _number(val, path, key.kind == "int")
+    elif key.kind == "bool" and not isinstance(val, bool):
+        raise ConfigError(f"{path}: must be true or false")
+    elif key.kind == "str" and not isinstance(val, str):
+        raise ConfigError(f"{path}: must be a string")
+    elif key.kind == "polygons":
+        val = _polygons(val, path)
+    elif key.kind in ("object", "position"):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{path}: must be an object")
+        keys = _position_keys(val, path) if key.kind == "position" else key.keys
+        val = _read_keys(keys, val, path + ".")
+        if key.build is not None:
+            try:
+                val = key.build(**val)
+            except ConfigError as exc:
+                # the built type names its own field
+                raise ConfigError(f"{path}.{exc}") from exc
+    if key.allowed and val not in key.allowed:
+        words = [json.dumps(a) for a in key.allowed]
+        raise ConfigError(
+            f"{path}: must be {', '.join(words[:-1])} or {words[-1]}")
+    if key.check is not None and not key.check[0](val):
+        raise ConfigError(f"{path}: {key.check[1]}")
     return val
 
 
-def _opt(obj: dict, key: str, default, where: str):
-    """obj[key] or the default; a number must be finite, and an integer
-    default makes the key integer-valued."""
-    if key not in obj:
-        return default
-    val = obj[key]
-    if isinstance(default, bool):
-        if not isinstance(val, bool):
-            raise ConfigError(f"{where}{key}: must be true or false")
-        return val
-    if isinstance(default, (int, float)):
-        return _number(val, key, where, type(default))
-    return val
+def _read_keys(keys: tuple, obj: dict, where: str) -> dict:
+    """{field: value} for keys read from obj; any other key is an error."""
+    unknown = sorted(set(obj) - {key.name for key in keys})
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}: unknown key")
+    out = {}
+    for key in keys:
+        path = where + key.name
+        val = obj.get(key.name, key.default)
+        if val is REQUIRED:
+            raise ConfigError(f"{path}: missing required key")
+        # a None default leaves the field unset; a written null is read
+        out[key.attr or key.name] = (
+            None if val is None and key.name not in obj
+            else _read(key, val, path))
+    return out
 
 
-def _parse_position(obj, name: str, origin) -> tuple[tuple, tuple | None]:
-    """Returns ((x, y), (lat, lon) or None)."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name}: must be an object")
-    if "x" in obj or "y" in obj:
-        x = _need(obj, "x", float, f"{name}.")
-        y = _need(obj, "y", float, f"{name}.")
-        latlon = None
-        if origin is not None:
-            latlon = unproject(x, y, origin[0], origin[1])
-        return (x, y), latlon
-    if "lat" in obj or "lon" in obj:
-        lat = _need(obj, "lat", float, f"{name}.")
-        lon = _need(obj, "lon", float, f"{name}.")
-        if origin is None:
-            raise ConfigError(
-                f"projection_origin: required when {name} is geographic")
-        return project(lat, lon, origin[0], origin[1]), (lat, lon)
-    raise ConfigError(f"{name}: needs either x/y or lat/lon")
-
-
-def parse_mission(path) -> MissionSpec:
+def parse_mission(path, values: dict | None = None,
+                  grid: FlowGrid | None = None) -> MissionSpec:
     """Load and validate a mission file.
 
-    Applies defaults (0.3 m/s vehicle, h = 0.25, 16-neighborhood,
-    bilinear/linear/linear sampling, fastest cost mode), resolves the
-    flow path relative to the mission file, and cross-checks the
-    mission against the flow grid's axes.  Every failure raises
-    ConfigError naming the offending key.
+    Every key, at any level, is read through MISSION_KEYS and its
+    defaults; the flow path is resolved relative to the mission file,
+    and the mission is cross-checked against the flow grid's axes.
+    `values` maps dotted key paths ("scheme.xy") to values read as if
+    the file held them; `grid` is the archive, if the caller has it.
+    Every failure raises ConfigError naming the offending key.
     """
-    import os.path
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"mission file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"mission file: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(doc, dict):
         raise ConfigError("mission file: top level must be an object")
+    for dotted, value in (values or {}).items():
+        *parents, leaf = dotted.split(".")
+        node = doc
+        for name in parents:
+            found = node.setdefault(name, {})
+            node = found if isinstance(found, dict) else {}  # read rejects it
+        node[leaf] = value
 
-    flow_rel = _need(raw, "flow", str, "")
-    flow_path = os.path.normpath(
-        os.path.join(os.path.dirname(os.path.abspath(path)), flow_rel))
-    try:
-        grid = load_flow_grid(flow_path)
-    except OSError as exc:
-        raise ConfigError(f"flow: cannot read {flow_path} ({exc})") from exc
+    f = _read_keys(MISSION_KEYS, doc, "")
+    flow = f["flow_path"] = os.path.normpath(os.path.join(
+        os.path.dirname(os.path.abspath(path)), f["flow_path"]))
+    if grid is None:
+        try:
+            grid = load_flow_grid(flow)
+        except OSError as exc:
+            raise ConfigError(f"flow: cannot read {flow} ({exc})") from exc
 
-    origin = None
-    if "projection_origin" in raw:
-        po = raw["projection_origin"]
-        if not isinstance(po, dict):
-            raise ConfigError("projection_origin: must be an object")
-        lat0 = _need(po, "lat", float, "projection_origin.")
-        lon0 = _need(po, "lon", float, "projection_origin.")
-        if abs(lat0) >= 89.0:
-            raise ConfigError(
-                "projection_origin.lat: must lie strictly between -89 and 89")
-        origin = (lat0, lon0)
-
-    start_xy, start_ll = _parse_position(_need(raw, "start", dict, ""),
-                                         "start", origin)
-    goal_xy, goal_ll = _parse_position(_need(raw, "goal", dict, ""),
-                                       "goal", origin)
-    if start_xy == goal_xy:
-        raise ConfigError("goal: must differ from start")
-
-    veh = raw.get("vehicle", {})
-    if not isinstance(veh, dict):
-        raise ConfigError("vehicle: must be an object")
-    try:
-        vehicle = VehicleSpec(speed_through_water=_opt(
-            veh, "speed_through_water", 0.3, "vehicle."))
-    except ConfigError as exc:
-        raise ConfigError(f"vehicle.speed_through_water: {exc}") from exc
-
+    # cross-field checks: they need the grid or several keys at once
     gx0, gy0, gx1, gy1 = grid.horizontal_bounds()
-    if "region" in raw:
-        reg = raw["region"]
-        if not isinstance(reg, dict):
-            raise ConfigError("region: must be an object")
-        region = Rect(_need(reg, "x_min", float, "region."),
-                      _need(reg, "y_min", float, "region."),
-                      _need(reg, "x_max", float, "region."),
-                      _need(reg, "y_max", float, "region."))
-        if not (region.x_max > region.x_min and region.y_max > region.y_min):
-            raise ConfigError("region: x_max/y_max must exceed x_min/y_min")
-    else:
-        region = Rect(gx0, gy0, gx1, gy1)
-
-    for name, (px, py) in (("start", start_xy), ("goal", goal_xy)):
+    region = f["region"]
+    if region is None:
+        region = f["region"] = Rect(gx0, gy0, gx1, gy1)
+    elif not (region.x_max > region.x_min and region.y_max > region.y_min):
+        raise ConfigError("region: x_max/y_max must exceed x_min/y_min")
+    origin = f["projection_origin"]
+    for name in ("start", "goal"):
+        pos = f[name + "_xy"]  # as read: x/y or lat/lon
+        if "x" in pos:
+            xy = (pos["x"], pos["y"])
+            latlon = None if origin is None else unproject(*xy, *origin)
+        elif origin is None:
+            raise ConfigError(
+                f"projection_origin: required when {name} is geographic")
+        else:
+            latlon = (pos["lat"], pos["lon"])
+            xy = project(*latlon, *origin)
+        f[name + "_xy"], f[name + "_latlon"] = xy, latlon
+        px, py = xy
         if not region.contains(px, py):
             raise ConfigError(f"{name}: ({px:g}, {py:g}) outside the region")
         if not (gx0 <= px <= gx1 and gy0 <= py <= gy1):
             raise ConfigError(f"{name}: ({px:g}, {py:g}) outside the flow domain")
+    if f["start_xy"] == f["goal_xy"]:
+        raise ConfigError("goal: must differ from start")
+    if f["grid_spacing"] is None:
+        f["grid_spacing"] = float(min(region.x_max - region.x_min,
+                                      region.y_max - region.y_min) / 20.0)
 
-    span = min(region.x_max - region.x_min, region.y_max - region.y_min)
-    grid_spacing = _opt(raw, "grid_spacing", span / 20.0, "")
-    if grid_spacing <= 0:
-        raise ConfigError("grid_spacing: must be positive")
-    neighbor_set = _opt(raw, "neighbor_set", 16, "")
-    if neighbor_set not in (8, 16):
-        raise ConfigError("neighbor_set: must be 8 or 16")
-    h = _opt(raw, "h", 0.25, "")
-    if not (0.0 < h <= 1.0):
-        raise ConfigError("h: must lie in (0, 1]")
-    n_sub = _opt(raw, "n_sub", 4, "")
-    if n_sub < 1:
-        raise ConfigError("n_sub: must be at least 1")
-
-    sch = raw.get("scheme", {})
-    if not isinstance(sch, dict):
-        raise ConfigError("scheme: must be an object")
-    try:
-        scheme = InterpScheme(
-            xy_method=_opt(sch, "xy", "bilinear", "scheme."),
-            z_method=_opt(sch, "z", "linear", "scheme."),
-            t_method=_opt(sch, "t", "linear", "scheme."))
-    except ConfigError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
-
-    fam = _need(raw, "profile_family", dict, "")
-    try:
-        family = ProfileFamilySpec(
-            z_min=_need(fam, "z_min", float, "profile_family."),
-            z_climb_to_max=_need(fam, "z_climb_to_max", float,
-                                 "profile_family."),
-            z_max=_need(fam, "z_max", float, "profile_family."),
-            z_min_range=_need(fam, "z_min_range", float, "profile_family."),
-            n_climb_to_levels=_opt(fam, "n_climb_to_levels", 1,
-                                   "profile_family."),
-            n_dive_to_levels=_opt(fam, "n_dive_to_levels", 1,
-                                  "profile_family."))
-    except ConfigError as exc:
-        raise ConfigError(f"profile_family: {exc}") from exc
-    if family.z_max > float(grid.z_levels[-1]):
+    deepest = float(grid.z_levels[-1])
+    if f["profile_family"].z_max > deepest:
         raise ConfigError(
-            f"profile_family.z_max: {family.z_max:g} exceeds the deepest "
-            f"flow level {float(grid.z_levels[-1]):g}")
+            f"profile_family.z_max: {f['profile_family'].z_max:g} exceeds "
+            f"the deepest flow level {deepest:g}")
 
-    cost_mode = _opt(raw, "cost_mode", "fastest", "")
-    if cost_mode not in ("fastest", "max_amplitude"):
-        raise ConfigError('cost_mode: must be "fastest" or "max_amplitude"')
-    slack_factor = _opt(raw, "slack_factor", 1.1, "")
-    if slack_factor < 1.0:
-        raise ConfigError("slack_factor: must be at least 1.0")
-
-    areas = raw.get("restricted_areas", [])
-    if not isinstance(areas, list):
-        raise ConfigError("restricted_areas: must be an array of polygons")
-    polys = []
-    for i, poly in enumerate(areas):
-        if (not isinstance(poly, list) or len(poly) < 3
-                or not all(isinstance(p, list) and len(p) == 2 for p in poly)):
-            raise ConfigError(
-                f"restricted_areas[{i}]: must be an array of >= 3 [x, y] pairs")
-        polys.append(tuple(
-            tuple(_number(c, f"restricted_areas[{i}]", "") for c in p)
-            for p in poly))
-
-    start_time = _opt(raw, "start_time", float(grid.t_steps[0]), "")
-    if start_time < float(grid.t_steps[0]):
+    t0 = float(grid.t_steps[0])
+    if f["start_time"] is None:
+        f["start_time"] = t0
+    elif f["start_time"] < t0:
         log.warning("start_time %g precedes the first flow step %g; clamped",
-                    start_time, float(grid.t_steps[0]))
-        start_time = float(grid.t_steps[0])
-
-    smooth = _opt(raw, "smooth", True, "")
-
-    known = {"flow", "start", "goal", "start_time", "vehicle", "region",
-             "grid_spacing", "neighbor_set", "h", "n_sub", "scheme",
-             "profile_family", "cost_mode", "slack_factor",
-             "restricted_areas", "projection_origin", "smooth"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown key")
-
-    return MissionSpec(
-        flow_path=flow_path, start_xy=start_xy, goal_xy=goal_xy,
-        start_time=start_time, vehicle=vehicle, region=region,
-        grid_spacing=float(grid_spacing), neighbor_set=int(neighbor_set),
-        h=float(h), n_sub=int(n_sub), scheme=scheme, profile_family=family,
-        cost_mode=cost_mode, slack_factor=float(slack_factor),
-        restricted_areas=tuple(polys), projection_origin=origin,
-        smooth=bool(smooth), start_latlon=start_ll, goal_latlon=goal_ll,
-        grid=grid)
+                    f["start_time"], t0)
+        f["start_time"] = t0
+    return MissionSpec(**f, grid=grid)
 
 
 @dataclass
@@ -350,10 +362,7 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
     still filled in.  The grid defaults to the one parse_mission loaded.
     """
     t_wall = time.perf_counter()
-    if grid is None:
-        grid = spec.grid
-    if grid is None:
-        grid = load_flow_grid(spec.flow_path)
+    grid = grid or spec.grid or load_flow_grid(spec.flow_path)
     blocked = BlockedRegions(grid=grid, polygons=spec.restricted_areas)
     graph = build_graph(spec.region, spec.grid_spacing, spec.neighbor_set,
                         blocked)
@@ -478,36 +487,18 @@ def export_waypoints(result: MissionResult, path) -> None:
             rec["lon"] = _round6(lon)
         return rec
 
-    mission_echo = {
-        "flow": spec.flow_path,
-        "start": pos_fields(*spec.start_xy),
-        "goal": pos_fields(*spec.goal_xy),
-        "start_time": spec.start_time,
-        "vehicle": {"speed_through_water": spec.vehicle.speed_through_water},
-        "region": {"x_min": spec.region.x_min, "y_min": spec.region.y_min,
-                   "x_max": spec.region.x_max, "y_max": spec.region.y_max},
-        "grid_spacing": spec.grid_spacing,
-        "neighbor_set": spec.neighbor_set,
-        "h": spec.h,
-        "n_sub": spec.n_sub,
-        "scheme": {"xy": spec.scheme.xy_method, "z": spec.scheme.z_method,
-                   "t": spec.scheme.t_method},
-        "profile_family": {
-            "z_min": spec.profile_family.z_min,
-            "z_climb_to_max": spec.profile_family.z_climb_to_max,
-            "z_max": spec.profile_family.z_max,
-            "z_min_range": spec.profile_family.z_min_range,
-            "n_climb_to_levels": spec.profile_family.n_climb_to_levels,
-            "n_dive_to_levels": spec.profile_family.n_dive_to_levels,
-        },
-        "cost_mode": spec.cost_mode,
-        "slack_factor": spec.slack_factor,
-        "restricted_areas": [[list(p) for p in poly]
-                             for poly in spec.restricted_areas],
-        "projection_origin": (None if origin is None
-                              else {"lat": origin[0], "lon": origin[1]}),
-        "smooth": spec.smooth,
-    }
+    def echo(keys, obj) -> dict:
+        out = {}
+        for key in keys:
+            val = getattr(obj, key.attr or key.name)
+            if key.kind == "object" and val is not None:
+                val = echo(key.keys, val)
+            elif key.kind == "position":
+                val = pos_fields(*val)
+            elif key.kind == "polygons":
+                val = [[list(p) for p in poly] for poly in val]
+            out[key.name] = val
+        return out
 
     final = result.final_path
     records = []
@@ -543,8 +534,8 @@ def export_waypoints(result: MissionResult, path) -> None:
         "straight_line_no_current": format_duration(result.no_current_time),
     })
 
-    doc = {"version": 1, "mission": mission_echo, "totals": totals,
-           "waypoints": records}
+    doc = {"version": 1, "mission": echo(MISSION_KEYS, spec),
+           "totals": totals, "waypoints": records}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -35,6 +35,11 @@ NEIGHBOR_OFFSETS_16 = NEIGHBOR_OFFSETS_8 + (
     (2, 1), (-2, 1), (2, -1), (-2, -1),
 )
 
+# Lattice size budget in directed edges, checked before anything is
+# allocated; build_graph holds about 80 B per edge, so this is ~160 MB,
+# some 17x the 112,560 edges of a 7,225-vertex 16-neighbor lattice.
+MAX_LATTICE_EDGES = 2_000_000
+
 
 class Rect(NamedTuple):
     """Axis-aligned rectangle in meters."""
@@ -141,9 +146,14 @@ def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
     blocked = blocked or BlockedRegions()
     offsets = NEIGHBOR_OFFSETS_8 if neighbor_set == 8 else NEIGHBOR_OFFSETS_16
     # +1e-9 relative slack so a region sized as an exact multiple of the
-    # spacing keeps its far edge of vertices
-    nx = int((region.x_max - region.x_min) / spacing * (1 + 1e-9)) + 1
-    ny = int((region.y_max - region.y_min) / spacing * (1 + 1e-9)) + 1
+    # spacing keeps its far edge of vertices; the cap keeps int() finite
+    fx = (region.x_max - region.x_min) / spacing * (1 + 1e-9)
+    fy = (region.y_max - region.y_min) / spacing * (1 + 1e-9)
+    nx = int(min(fx, MAX_LATTICE_EDGES)) + 1
+    ny = int(min(fy, MAX_LATTICE_EDGES)) + 1
+    if nx * ny * len(offsets) > MAX_LATTICE_EDGES:
+        raise ConfigError(f"grid_spacing: {spacing:g} m makes more lattice "
+                          f"edges than the {MAX_LATTICE_EDGES:,} allowed")
 
     index = [[-1] * nx for _ in range(ny)]
     vertex_xy: list[tuple[float, float]] = []

@@ -281,6 +281,27 @@ class TestPlan:
         assert out == ""
         assert err.startswith("error: ") and f"{key}: must be" in err
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0,
+                             "z_max": 100.0, "z_min_range": 40.0,
+                             "n_dive_levels": 3}},
+         "profile_family.n_dive_levels: unknown key"),
+        ({"scheme": {"xy": "bilinear", "zz": "linear"}},
+         "scheme.zz: unknown key"),
+        ({"projection_origin": {"lat": 44.0, "lon": -63.0},
+          "start": {"x": 10000.0, "y": 25000.0, "lat": 44.1}},
+         "start: give either x/y or lat/lon, not both"),
+    ])
+    def test_ignored_key_exits_1_naming_the_key(self, capsys, tmp_path,
+                                                overrides, message):
+        path = write_mission(tmp_path, make_uniform_grid(
+            0.1, 0.0, extent=50000.0, depth=200.0), overrides)
+        code, out, err = run_cli(capsys, "plan", str(path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("argv", [
         ("plan", "--out", "{out}"),
         ("sweep", "--vary", "vehicle_speed", "--values", "0.3,0.4"),
@@ -378,6 +399,34 @@ class TestSweep:
         assert rows[0][1] == "ok"
         assert rows[1][1] == "infeasible"
         assert rows[1][2] == "-"
+
+    @pytest.mark.parametrize("vary,values,key", [
+        ("grid_spacing", "abc", "grid_spacing: must be a number"),
+        ("grid_spacing", "nan", "grid_spacing: must be a number"),
+        ("grid_spacing", "NaN", "grid_spacing: must be a finite number"),
+        ("grid_spacing", "-5", "grid_spacing: must be positive"),
+        ("vehicle_speed", "abc",
+         "vehicle.speed_through_water: must be a number"),
+        ("vehicle_speed", "0.3,0", "vehicle.speed_through_water: must lie"),
+        ("xy_method", "quintic", "scheme.xy: must be"),
+        ("zt_method", "linear,5", "scheme.z: must be a string"),
+    ])
+    def test_bad_value_exits_1_before_planning(self, capsys, mission_file,
+                                               vary, values, key):
+        # each value is read as the mission file's own would be, and all
+        # of them before the first plan, so no table row is printed
+        code, out, err = run_cli(capsys, "sweep", str(mission_file),
+                                 "--vary", vary, "--values", values)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {key}")
+
+    def test_lattice_too_large_fails_fast(self, capsys, mission_file):
+        # 0.001 m over 50 km would be ~4e16 edges: refused by estimate
+        code, _, err = run_cli(capsys, "sweep", str(mission_file),
+                               "--vary", "grid_spacing", "--values", "0.001")
+        assert code == EXIT_ERROR
+        assert err.startswith("error: grid_spacing: ")
 
     def test_empty_values(self, capsys, mission_file):
         code, _, err = run_cli(capsys, "sweep", str(mission_file),

@@ -81,10 +81,26 @@ class TestAkimaAgainstReference:
         ys = data.draw(st.lists(values_for, min_size=len(knots),
                                 max_size=len(knots)))
         q = data.draw(st.floats(knots[0], knots[-1]))
+        self.check(knots, ys, q)
+
+    @staticmethod
+    def check(knots, ys, q):
         ref = akima_reference(knots, ys, q)
         got = interp_1d(knots, ys, q, "akima")
-        scale = max(1.0, abs(ref))
+        # rounding scales with the data, not with the interpolated value:
+        # a spline through a 3e4 jump can pass through 1.0
+        scale = max(1.0, max(abs(y) for y in ys))
         assert abs(got - ref) <= 1e-9 * scale
+
+    def test_small_value_between_large_jumps(self):
+        # 1.68e-9 apart at ref ~1.0, which a tolerance scaled by the
+        # interpolated value alone rejected
+        knots = list(np.cumsum([0.0, 1.0, 20.588512243989513,
+                                49.50850293007497, 49.7251366040547,
+                                49.82818592063221, 0.05, 17.558085183455034]))
+        self.check([float(k) for k in knots],
+                   [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 33585.0, 1.0],
+                   188.2584228822064)
 
 
 class TestKnotReproduction:

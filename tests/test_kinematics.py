@@ -110,6 +110,9 @@ class TestEffectiveSpeed:
            ang=st.floats(0.0, 2.0 * math.pi),
            rot=st.floats(0.0, 2.0 * math.pi),
            dz=st.floats(-0.8, 0.8))
+    # the cross current equals the speed before rotation and is within
+    # an ulp of it after, where the two calls differ by 5.3e-9
+    @example(cu=0.25, cv=0.3, ang=0.0, rot=1.0, dz=0.0)
     def test_co_rotation_invariance(self, cu, cv, ang, rot, dz):
         # rotating current and heading together must not change the speed
         hr = math.sqrt(max(0.0, 1.0 - dz * dz))
@@ -119,10 +122,20 @@ class TestEffectiveSpeed:
         cu2, cv2 = cu * cr - cv * sr, cu * sr + cv * cr
         hx2, hy2 = hx * cr - hy * sr, hx * sr + hy * cr
         b = effective_speed(V03, (cu2, cv2), (hx2, hy2, dz))
-        if a is None or b is None:
-            assert a is None and b is None or True
+        # each call lies within its own rounding bound of the exact speed
+        tol = (self.speed_tolerance(cu, cv, hx, hy)
+               + self.speed_tolerance(cu2, cv2, hx2, hy2))
+        if a is None and b is None:
             return
-        assert a == pytest.approx(b, abs=1e-9)
+        if a is None or b is None:
+            # rounding may put the calls on either side of the feasibility
+            # boundary (v = c_par with no cross-current margin left, or
+            # v = 0), but the feasible one lies within tol of it
+            v, c_par = ((b, cu2 * hx2 + cv2 * hy2) if a is None
+                        else (a, cu * hx + cv * hy))
+            assert v <= tol or v - c_par <= tol
+            return
+        assert a == pytest.approx(b, abs=tol)
 
 
 class TestTravelTime:

@@ -1,5 +1,6 @@
 """Mission parsing, orchestration, and export tests."""
 
+import copy
 import json
 import logging
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gliderplan.mission as mission_mod
-from gliderplan.errors import ConfigError
+from gliderplan.errors import ConfigError, GliderPlanError
 from gliderplan.flowfield import save_flow_grid
 from gliderplan.mission import (export_waypoints, format_duration,
                                 parse_mission, project, render_svg,
@@ -343,6 +344,158 @@ class TestParseMissionErrors:
     def test_non_boolean_smooth(self, tmp_path):
         self.check(tmp_path, {"smooth": "yes"},
                    "smooth: must be true or false")
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"vehicle": {"speed": 0.5}}, "vehicle.speed: unknown key"),
+        ({"region": {"x_min": 0.0, "y_min": 0.0, "x_max": 90000.0,
+                     "y_max": 90000.0, "z_max": 5.0}},
+         "region.z_max: unknown key"),
+        ({"projection_origin": {"lat": 44.0, "lon": -63.0, "alt": 0.0}},
+         "projection_origin.alt: unknown key"),
+        ({"scheme": {"xy": "bicubic", "zz": "akima"}},
+         "scheme.zz: unknown key"),
+        ({"profile_family": dict(BASE_MISSION["profile_family"],
+                                 n_dive_levels=3)},
+         "profile_family.n_dive_levels: unknown key"),
+        ({"goal": {"x": 90000.0, "y": 50000.0, "depth": 5.0}},
+         "goal.depth: unknown key"),
+    ])
+    def test_unknown_nested_key(self, tmp_path, overrides, match):
+        self.check(tmp_path, overrides, match)
+
+    def test_position_with_both_frames(self, tmp_path):
+        self.check(tmp_path, {"projection_origin": {"lat": 44.0, "lon": -63.0},
+                              "start": {"x": 10000.0, "y": 50000.0,
+                                        "lat": 44.1}},
+                   "start: give either x/y or lat/lon, not both")
+
+    @pytest.mark.parametrize("key", ["region", "smooth", "scheme",
+                                     "restricted_areas", "projection_origin"])
+    def test_null_is_not_an_absent_key(self, tmp_path, key):
+        path = write_mission(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[key] = None
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key}: must be"):
+            parse_mission(path)
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"h": 0.005}, "h: must lie in"),
+        ({"n_sub": 101}, "n_sub: must lie in"),
+        ({"profile_family": dict(BASE_MISSION["profile_family"],
+                                 n_climb_to_levels=10**9)},
+         "profile_family.n_climb_to_levels: must lie in"),
+    ])
+    def test_work_per_leg_is_bounded(self, tmp_path, overrides, match):
+        self.check(tmp_path, overrides, match)
+
+    def test_values_are_read_like_the_file(self, tmp_path):
+        path = write_mission(tmp_path)
+        spec = parse_mission(path, {"scheme.xy": "bicubic", "smooth": False,
+                                    "vehicle.speed_through_water": 1})
+        assert spec.scheme.xy_method == "bicubic"
+        assert spec.smooth is False
+        assert spec.vehicle.speed_through_water == 1.0
+        with pytest.raises(ConfigError, match="scheme.z: must be"):
+            parse_mission(path, {"scheme.z": "quintic"})
+
+
+# every mission key, on a 3 x 3 lattice over a 50 km uniform field
+FULL_MISSION = {
+    "flow": "flow.json",
+    "start": {"x": 10000.0, "y": 10000.0},
+    "goal": {"x": 40000.0, "y": 40000.0},
+    "start_time": 600.0,
+    "vehicle": {"speed_through_water": 0.3},
+    "region": {"x_min": 0.0, "y_min": 0.0, "x_max": 50000.0,
+               "y_max": 50000.0},
+    "grid_spacing": 25000.0,
+    "neighbor_set": 8,
+    "h": 1.0,
+    "n_sub": 1,
+    "scheme": {"xy": "bilinear", "z": "linear", "t": "linear"},
+    "profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0, "z_max": 100.0,
+                       "z_min_range": 40.0, "n_climb_to_levels": 1,
+                       "n_dive_to_levels": 2},
+    "cost_mode": "fastest",
+    "slack_factor": 1.1,
+    "restricted_areas": [[[20000.0, 30000.0], [30000.0, 30000.0],
+                          [25000.0, 35000.0]]],
+    "projection_origin": {"lat": 44.0, "lon": -63.0},
+    "smooth": True,
+}
+
+# wrong types, non-finite, negative, zero, tiny and huge values
+ODD_VALUES = (None, "text", True, [], {}, [1.0, 2.0], math.nan, math.inf,
+              -math.inf, -1.0, 0, 2.5, 1e-300, 1e300, -1e300, 10**9)
+
+
+def _key_paths(node, prefix=()):
+    """Every key path in a mission document, list items by index."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _key_paths(val, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutation")
+    write_flow(path, make_uniform_grid(0.1, 0.05, extent=50000.0))
+    return path
+
+
+class TestMissionMutation:
+    def test_full_mission_plans(self, mutation_dir):
+        path = mutation_dir / "full.json"
+        path.write_text(json.dumps(FULL_MISSION), encoding="utf-8")
+        result = run_mission(parse_mission(path))
+        assert result.status == "ok"
+        out = mutation_dir / "full-waypoints.json"
+        export_waypoints(result, out)
+        echo = json.loads(out.read_text(encoding="utf-8"))["mission"]
+        assert set(echo) == set(FULL_MISSION)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_mission_fails_only_with_planner_errors(self, mutation_dir,
+                                                            data):
+        doc = copy.deepcopy(FULL_MISSION)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            op = data.draw(st.sampled_from(
+                ("drop", "set", "unknown", "mixed")))
+            paths = list(_key_paths(doc))
+            if op == "mixed":
+                # a cartesian terminal that also names a latitude
+                end = _at(doc, ()).get(data.draw(st.sampled_from(
+                    ("start", "goal"))))
+                if isinstance(end, dict):
+                    end["lat"] = 44.1
+            elif op == "unknown":
+                objects = [()] + [p for p in paths
+                                  if isinstance(_at(doc, p), dict)]
+                _at(doc, data.draw(st.sampled_from(objects)))["zz"] = 1
+            elif paths:
+                path = data.draw(st.sampled_from(paths), label="path")
+                parent = _at(doc, path[:-1])
+                if op == "drop":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(
+                        data.draw(st.sampled_from(ODD_VALUES)))
+        mission = mutation_dir / "mission.json"
+        mission.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            run_mission(parse_mission(mission))
+        except GliderPlanError:
+            pass
 
 
 FAST_KNOBS = {

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import gliderplan.search as search_mod
 from gliderplan.errors import ConfigError
 from gliderplan.kinematics import DiveProfile, VehicleSpec
 from gliderplan.search import (NEIGHBOR_OFFSETS_8, NEIGHBOR_OFFSETS_16,
@@ -113,6 +114,30 @@ class TestBuildGraph:
     def test_bad_neighbor_set_rejected(self):
         with pytest.raises(ConfigError):
             build_graph(Rect(0.0, 0.0, 1.0, 1.0), 0.5, 12)
+
+    @pytest.mark.parametrize("neighbor_set,offsets", [
+        (8, NEIGHBOR_OFFSETS_8), (16, NEIGHBOR_OFFSETS_16)])
+    def test_lattice_budget_is_checked_by_estimate(self, monkeypatch,
+                                                   neighbor_set, offsets):
+        # a 5 x 4 lattice estimates 5 * 4 * len(offsets) directed edges;
+        # the budget is lowered around that estimate, so nothing large
+        # is ever built
+        region = Rect(0.0, 0.0, 40_000.0, 30_000.0)
+        estimate = 5 * 4 * len(offsets)
+        monkeypatch.setattr(search_mod, "MAX_LATTICE_EDGES", estimate)
+        graph = build_graph(region, 10_000.0, neighbor_set)
+        assert graph.n_vertices == 20
+        monkeypatch.setattr(search_mod, "MAX_LATTICE_EDGES", estimate - 1)
+        with pytest.raises(ConfigError, match="grid_spacing"):
+            build_graph(region, 10_000.0, neighbor_set)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-324])
+    def test_huge_lattice_rejected_before_allocation(self, spacing):
+        # 1e-3 m over 100 km would be ~1e17 edges; 5e-324 overflows the
+        # column count to infinity
+        with pytest.raises(ConfigError,
+                           match="grid_spacing: .* lattice edges"):
+            build_graph(Rect(0.0, 0.0, 100_000.0, 100_000.0), spacing, 16)
 
 
 class TestBlockedRegions:

@@ -132,8 +132,7 @@ def _cmd_sample(args) -> int:
     if len(parts) != 3:
         raise GliderPlanError(
             f"--scheme needs three comma-separated methods, got {args.scheme!r}")
-    scheme = InterpScheme(xy_method=parts[0], z_method=parts[1],
-                          t_method=parts[2])
+    scheme = InterpScheme(*parts)
     grid = load_flow_grid(args.flow)
     try:
         cur = sample(grid, args.x, args.y, args.z, args.t, scheme)

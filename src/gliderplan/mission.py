@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .flowfield import (SAMPLE_OK, XY_METHODS, ZT_METHODS, FlowGrid,
-                        InterpScheme, load_flow_grid,
+from .flowfield import (SAMPLE_OK, FlowGrid, InterpScheme, load_flow_grid,
                         sample, sample_batch)  # sample: for bench/spans.py
 from .kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                          make_dive_profiles, optimal_profile_cost)
@@ -144,9 +143,9 @@ MISSION_KEYS = (
     Key("n_sub", "int", 4, check=(lambda v: 1 <= v <= 100,
                                   "must lie in [1, 100]")),
     Key("scheme", "object", {}, build=InterpScheme, keys=(
-        Key("xy", "str", "bilinear", XY_METHODS, attr="xy_method"),
-        Key("z", "str", "linear", ZT_METHODS, attr="z_method"),
-        Key("t", "str", "linear", ZT_METHODS, attr="t_method"))),
+        Key("xy", "str", "bilinear", attr="xy_method"),
+        Key("z", "str", "linear", attr="z_method"),
+        Key("t", "str", "linear", attr="t_method"))),
     Key("profile_family", "object", build=ProfileFamilySpec, keys=_floats(
         "z_min", "z_climb_to_max", "z_max", "z_min_range") + (
         Key("n_climb_to_levels", "int", 1), Key("n_dive_to_levels", "int", 1))),
@@ -214,8 +213,10 @@ def _read(key: Key, val, path: str):
             try:
                 val = key.build(**val)
             except ConfigError as exc:
-                # the built type names its own field
-                raise ConfigError(f"{path}.{exc}") from exc
+                # the built type leads with its field: name the file's key
+                attr, _, msg = str(exc).partition(": ")
+                name = {k.attr: k.name for k in key.keys}.get(attr, attr)
+                raise ConfigError(f"{path}.{name}: {msg}") from exc
     if key.allowed and val not in key.allowed:
         words = [json.dumps(a) for a in key.allowed]
         raise ConfigError(

@@ -428,6 +428,17 @@ class TestSweep:
         assert code == EXIT_ERROR
         assert err.startswith("error: grid_spacing: ")
 
+    def test_lattice_budget_is_checked_when_its_case_plans(self, capsys,
+                                                           mission_file):
+        # the budget needs the lattice, so only the key checks run before
+        # the first plan: the rows before the refused spacing are printed
+        code, out, err = run_cli(capsys, "sweep", str(mission_file),
+                                 "--vary", "grid_spacing",
+                                 "--values", "10000,0.001")
+        assert code == EXIT_ERROR
+        assert [r[1] for r in self.data_rows(out)] == ["ok"]
+        assert err.startswith("error: grid_spacing: ")
+
     def test_empty_values(self, capsys, mission_file):
         code, _, err = run_cli(capsys, "sweep", str(mission_file),
                                "--vary", "vehicle_speed", "--values", " , ")

@@ -5,6 +5,7 @@ reference (tests/oracles.py) and against values frozen from it.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -87,9 +88,15 @@ class TestAkimaAgainstReference:
     def check(knots, ys, q):
         ref = akima_reference(knots, ys, q)
         got = interp_1d(knots, ys, q, "akima")
-        # rounding scales with the data, not with the interpolated value:
-        # a spline through a 3e4 jump can pass through 1.0
-        scale = max(1.0, max(abs(y) for y in ys))
+        # rounding scales with the knots the value is made from, not with
+        # the value alone: a spline beside a 3e4 jump can pass through 1.0.
+        # Cell i's Akima stencil is knots i-2 .. i+3; a q on a knot
+        # borders two cells and takes both stencils.
+        last = len(knots) - 2
+        lo = min(max(bisect_left(knots, q) - 1, 0), last)
+        hi = min(max(bisect_right(knots, q) - 1, 0), last)
+        stencil = ys[max(lo - 2, 0):hi + 4]
+        scale = max([1.0, abs(ref)] + [abs(y) for y in stencil])
         assert abs(got - ref) <= 1e-9 * scale
 
     def test_small_value_between_large_jumps(self):

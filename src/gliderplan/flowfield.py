@@ -132,6 +132,12 @@ class FlowGrid:
     def shape(self) -> tuple[int, int, int, int]:
         return self.u.shape
 
+    def max_speed(self) -> float:
+        """Largest current speed |c| over the data nodes, m/s."""
+        data = True if self._flat_fill is None else ~self._flat_fill
+        return float(np.max(np.hypot(self._flat_u, self._flat_v),
+                            where=data, initial=0.0))
+
     def horizontal_bounds(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max) of the gridded domain."""
         return (self._xl[0], self._yl[0], self._xl[-1], self._yl[-1])

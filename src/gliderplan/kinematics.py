@@ -145,48 +145,50 @@ def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def profile_times(p_start_2d, heads_2d, t_start: float, profiles,
-                  grid: FlowGrid, vehicle: VehicleSpec, h: float = 0.25,
+def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
+                  vehicle: VehicleSpec, h: float = 0.25,
                   scheme: InterpScheme = DEFAULT_SCHEME,
                   n_sub: int = 4) -> np.ndarray:
-    """(H, P) times of every head x profile run from one departure.
+    """(H, P) times of every head x profile run, head k from tail k.
 
-    The H x P sawtooth runs advance together through the ceil(1/h) x
-    n_sub sub-steps, one sample_batch call per sub-step.  Every lane does
-    glider_travel_time's arithmetic in its order, so a run's time does
-    not depend on the rest of the batch.  Entries are seconds or
-    INFEASIBLE; an INFEASIBLE departure gives INFEASIBLE everywhere.
+    tails_2d is (H, 2) or one shared (x, y); t_start is (H,) or one
+    shared departure.  The H x P sawtooth runs advance together through
+    the ceil(1/h) x n_sub sub-steps, one sample_batch call per sub-step.
+    Every lane does glider_travel_time's arithmetic in its order, so a
+    run's time does not depend on the rest of the batch.  Entries are
+    seconds or INFEASIBLE, as is every run of an INFEASIBLE departure.
     """
     profiles = list(profiles)
     heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
+    tails = np.broadcast_to(np.reshape(tails_2d, (-1, 2)), heads.shape)
+    departs = np.broadcast_to(np.reshape(t_start, -1), heads.shape[:1])
     shape = (heads.shape[0], len(profiles))
-    if math.isinf(t_start):
-        return np.full(shape, INFEASIBLE)
     if not (0.0 < h <= 1.0):
         raise ConfigError(f"h must lie in (0, 1], got {h!r}")
     if n_sub < 1:
         raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
     # lane k flies head k // P with profile k % P
-    x0, y0 = float(p_start_2d[0]), float(p_start_2d[1])
+    x0 = np.repeat(tails[:, 0], shape[1])
+    y0 = np.repeat(tails[:, 1], shape[1])
     dx = np.repeat(heads[:, 0], shape[1]) - x0
     dy = np.repeat(heads[:, 1], shape[1]) - y0
     zc = np.tile([p.z_climb_to for p in profiles], shape[0])
     zd = np.tile([p.z_dive_to for p in profiles], shape[0])
     # 1/h is taken with a small backoff so float noise cannot add a segment
     n_seg = math.ceil(1.0 / h - 1e-9)
-    t = np.full(dx.shape, float(t_start))
-    alive = np.ones(dx.shape, dtype=bool)
+    t = t0 = np.repeat(departs, shape[1])
+    alive = np.isfinite(t0)
     for i in range(n_seg):
+        if not alive.any():
+            break
         f0 = i / n_seg
         f1 = (i + 1) / n_seg
         dt, ok = _slant_times(grid, vehicle, x0 + f0 * dx, y0 + f0 * dy, zc,
                               x0 + f1 * dx, y0 + f1 * dy, zd, t, scheme,
                               n_sub)
         alive &= ok
-        if not alive.any():
-            break
         t = t + dt
-    return np.where(alive, t - t_start, INFEASIBLE).reshape(shape)
+    return np.where(alive, t - t0, INFEASIBLE).reshape(shape)
 
 
 def travel_time(p_start, p_end, t_start: float, grid: FlowGrid,
@@ -277,16 +279,6 @@ def make_dive_profiles(spec: ProfileFamilySpec) -> list[DiveProfile]:
     return list(out)
 
 
-def evaluate_profile_times(p_start_2d, p_end_2d, t_start: float,
-                           profiles, grid: FlowGrid, vehicle: VehicleSpec,
-                           h: float = 0.25,
-                           scheme: InterpScheme = DEFAULT_SCHEME,
-                           n_sub: int = 4) -> list[float]:
-    """Travel time of every profile in the family, in family order."""
-    return profile_times(p_start_2d, [p_end_2d], t_start, profiles, grid,
-                         vehicle, h, scheme, n_sub)[0].tolist()
-
-
 def check_cost_mode(mode: str, profiles) -> None:
     """Reject an unknown cost mode or an empty profile family."""
     if mode not in ("fastest", "max_amplitude"):
@@ -297,23 +289,26 @@ def check_cost_mode(mode: str, profiles) -> None:
 
 
 def choose_profile(profiles, times, mode: str = "fastest",
-                   slack_factor: float = 1.1
-                   ) -> tuple[Optional[DiveProfile], float]:
-    """Pick one profile from the family's times (see optimal_profile_cost)."""
-    def fastest_key(i: int):
-        return (times[i], -profiles[i].amplitude, i)
+                   slack_factor: float = 1.1):
+    """Pick one profile per row of an (R, P) block of family times.
 
-    best = min(range(len(profiles)), key=fastest_key)
-    if math.isinf(times[best]):
-        return None, INFEASIBLE
-    if mode == "fastest":
-        return profiles[best], times[best]
-    limit = slack_factor * times[best]
-    within = [i for i in range(len(profiles)) if times[i] <= limit]
-    if not within:
-        return profiles[best], times[best]
-    pick = min(within, key=lambda i: (-profiles[i].amplitude, times[i], i))
-    return profiles[pick], times[pick]
+    The rules are optimal_profile_cost's.  Returns (index, seconds),
+    arrays of shape (R,); a row whose fastest time is INFEASIBLE gets
+    index -1 and INFEASIBLE.  Only comparisons decide, so picks are exact.
+    """
+    times = np.asarray(times, dtype=np.float64).reshape(-1, len(profiles))
+    order = np.broadcast_to(np.arange(len(profiles)), times.shape)
+    neg_amp = np.broadcast_to([-p.amplitude for p in profiles], times.shape)
+    rows = np.arange(times.shape[0])
+    pick = np.lexsort((order, neg_amp, times))[:, 0]
+    fastest = times[rows, pick]
+    if mode == "max_amplitude":
+        within = times <= (slack_factor * fastest)[:, None]
+        alt = np.lexsort((order, times, neg_amp, ~within))[:, 0]
+        pick = np.where(within[rows, alt], alt, pick)
+    feasible = np.isfinite(fastest)
+    return (np.where(feasible, pick, -1),
+            np.where(feasible, times[rows, pick], INFEASIBLE))
 
 
 def optimal_profile_cost(p_start_2d, p_end_2d, t_start: float, profiles,
@@ -335,6 +330,8 @@ def optimal_profile_cost(p_start_2d, p_end_2d, t_start: float, profiles,
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
-    times = evaluate_profile_times(p_start_2d, p_end_2d, t_start, profiles,
-                                   grid, vehicle, h, scheme, n_sub)
-    return choose_profile(profiles, times, mode, slack_factor)
+    pick, secs = choose_profile(
+        profiles, profile_times(p_start_2d, [p_end_2d], t_start, profiles,
+                                grid, vehicle, h, scheme, n_sub),
+        mode, slack_factor)
+    return (profiles[pick[0]] if pick[0] >= 0 else None), float(secs[0])

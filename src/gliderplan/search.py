@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .errors import ConfigError, LandContactError, OutOfDomainError
 from .flowfield import DEFAULT_SCHEME, FlowGrid, InterpScheme, sample
 from .kinematics import (DiveProfile, VehicleSpec, check_cost_mode,
-                         choose_profile, optimal_profile_cost, profile_times)
+                         choose_profile, profile_times)
+from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
 
 # (from_xy, to_xy, departure_s) -> (profile or None, seconds or INFEASIBLE).
 # Implementations must return INFEASIBLE for an INFEASIBLE departure.
@@ -36,9 +39,13 @@ NEIGHBOR_OFFSETS_16 = NEIGHBOR_OFFSETS_8 + (
 )
 
 # Lattice size budget in directed edges, checked before anything is
-# allocated; build_graph holds about 80 B per edge, so this is ~160 MB,
-# some 17x the 112,560 edges of a 7,225-vertex 16-neighbor lattice.
+# allocated: tracemalloc on a 112,560-edge lattice measured 76 B per edge
+# in build_graph and 58 B more in a full search's leg table (~270 MB).
 MAX_LATTICE_EDGES = 2_000_000
+
+# Lanes (legs x profiles) per prefetching kernel call, at 0.75 KB
+# (bilinear) to 1.8 KB (bicubic/Akima) of kernel temporaries per lane.
+MAX_BATCH_LANES = 16_384
 
 
 class Rect(NamedTuple):
@@ -266,39 +273,71 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                    graph: SearchGraph | None = None) -> EdgeCostFn:
     """Edge cost backed by optimal-profile glider travel times.
 
-    With a graph (terminals already connected), a request for vertex
-    a's first out-edge at departure T -- where the search starts when
-    it settles a -- times all of a's out-edges x all profiles in one
-    batch, and a's other out-edges at T are served from it; only the
-    latest batch is kept.  Other requests (smoothing, the straight-line
-    baseline) are timed one leg at a time, which costs less than a
-    fan-out.  Both paths give bit-identical times.
+    Every leg it times stays in a table keyed by (tail, departure) that
+    holds each head's profile index and time.  A miss times the one
+    leg, or -- with a graph, for a vertex's first out-edge, where a
+    one-at-a-time search starts -- the vertex's whole fan-out (out-edges
+    x profiles) in one kernel call.  With a graph the cost also has
+    prefetch(a, depart, frontier) for tve_dijkstra: unless the table
+    holds a's fan-out at depart, it times it with the fan-outs of the
+    frontier's (vertex, departure) pairs leaving before depart + spacing
+    / (speed + max node |c|), the least time a lattice edge can take,
+    up to MAX_BATCH_LANES lanes per call (a's own fan-out always goes).
+    Batching never changes a time.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
     index: dict = {}  # vertex position -> first vertex there
     for i, xy in enumerate(graph.vertex_xy if graph is not None else ()):
         index.setdefault(xy, i)
-    batch_key, batch = None, {}
+    table: dict = {}  # (tail, departure) -> (heads, profile indices, s)
+
+    def fan_out(a: int) -> list:
+        return [graph.vertex_xy[b] for b, _ in graph.adjacency[a]]
+
+    def time_legs(keys: list, fans: list) -> None:
+        counts = [len(fan) for fan in fans]
+        pick, secs = choose_profile(profiles, profile_times(
+            np.repeat([tail for tail, _ in keys], counts, axis=0),
+            [xy for fan in fans for xy in fan],
+            np.repeat([depart for _, depart in keys], counts), profiles,
+            grid, vehicle, h, scheme, n_sub), mode, slack_factor)
+        ends = np.cumsum(counts)
+        for key, fan, lo, hi in zip(keys, fans, ends - counts, ends):
+            heads, p, t = table.get(key, ([], pick[:0], secs[:0]))
+            table[key] = (heads + fan, np.concatenate((p, pick[lo:hi])),
+                          np.concatenate((t, secs[lo:hi])))
 
     def cost(a_xy, b_xy, depart: float):
-        nonlocal batch_key, batch
-        if batch_key == (a_xy, depart) and b_xy in batch:
-            return batch[b_xy]
-        a = index.get(a_xy)
-        heads = ([] if a is None else
-                 [graph.vertex_xy[b] for b, _ in graph.adjacency[a]])
-        if heads and b_xy == heads[0]:
-            times = profile_times(a_xy, heads, depart, profiles, grid,
-                                  vehicle, h, scheme, n_sub).tolist()
-            batch_key = (a_xy, depart)
-            batch = {head: choose_profile(profiles, row, mode, slack_factor)
-                     for head, row in zip(heads, times)}
-            return batch[b_xy]
-        return optimal_profile_cost(a_xy, b_xy, depart, profiles, grid,
-                                    vehicle, h, scheme, n_sub, mode,
-                                    slack_factor)
+        row = table.get((a_xy, depart))
+        if row is None or b_xy not in row[0]:
+            fan = fan_out(index[a_xy]) if a_xy in index else []
+            time_legs([(a_xy, depart)], [fan if fan[:1] == [b_xy] else [b_xy]])
+            row = table[(a_xy, depart)]
+        k = row[0].index(b_xy)
+        pick = int(row[1][k])
+        return (profiles[pick] if pick >= 0 else None), float(row[2][k])
 
+    if graph is None:
+        return cost
+    horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
+
+    def prefetch(a: int, depart: float, frontier) -> None:
+        if (graph.vertex_xy[a], depart) in table:
+            return
+        batch, lanes = [], 0
+        for v, t in [(a, depart), *frontier]:
+            key = (graph.vertex_xy[v], t)
+            if key in table or batch and t >= depart + horizon:
+                continue
+            fan = fan_out(v)
+            lanes += len(fan) * len(profiles)
+            if batch and lanes > MAX_BATCH_LANES:
+                break
+            batch.append((key, fan))
+        time_legs(*zip(*batch))
+
+    cost.prefetch = prefetch
     return cost
 
 
@@ -307,12 +346,16 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     """Earliest-arrival search from start to goal departing at t_start.
 
     Label-setting Dijkstra where each edge is timed at the departure
-    time of its tail vertex.  Vertices settle in arrival order with
-    ties broken toward the lower vertex index.  The result is the
-    time-optimal route whenever edge times are FIFO; relaxations that
-    would improve an already-settled vertex are counted as FIFO
+    time of its tail vertex.  Vertices settle one at a time in arrival
+    order with ties broken toward the lower vertex index.  The result
+    is the time-optimal route whenever edge times are FIFO; relaxations
+    that would improve an already-settled vertex are counted as FIFO
     violations and reported on the returned path.  Returns None when
     the goal is unreachable.
+
+    A cost with a prefetch method (make_edge_cost with a graph) is
+    offered the live heap entries but the goal before each settle; a
+    fan-out timed at a departure that is no final label is never read.
     """
     n = graph.n_vertices
     if not (0 <= start < n and 0 <= goal < n):
@@ -324,6 +367,7 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     fifo_violations = 0
     labels[start] = t_start
     heap: list[tuple[float, int]] = [(t_start, start)]
+    prefetch = getattr(edge_cost, "prefetch", lambda *offer: None)
     while heap:
         arrival, a = heappop(heap)
         if settled[a]:
@@ -331,6 +375,8 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
         settled[a] = 1
         if a == goal:
             break
+        prefetch(a, arrival, ((v, t) for t, v in heap
+                              if t == labels[v] and v != goal))
         a_xy = graph.vertex_xy[a]
         for b, _length in graph.adjacency[a]:
             prof, dt = edge_cost(a_xy, graph.vertex_xy[b], arrival)

@@ -53,6 +53,22 @@ def make_land_grid(extent=50_000.0, n=6):
                     grid.t_steps, u, v, fill_sentinel=grid.fill_sentinel)
 
 
+def random_grid(rng, nx, ny, nz, nt, scale=1.0, land=True):
+    """Irregular axes, random currents, one land column and one stray
+    fill node (so stencils can touch fill without being land)."""
+    x = np.cumsum(rng.uniform(500.0, 2_000.0, nx))
+    y = np.cumsum(rng.uniform(500.0, 2_000.0, ny))
+    z = np.cumsum(rng.uniform(5.0, 40.0, nz)) - 5.0
+    t = np.cumsum(rng.uniform(600.0, 3_600.0, nt))
+    u = rng.uniform(-scale, scale, (nt, nz, ny, nx))
+    v = rng.uniform(-scale, scale, (nt, nz, ny, nx))
+    if land and nx > 3 and ny > 3:
+        u[:, :, ny // 2, nx // 2] = -9999.0
+        v[:, :, ny // 2, nx // 2] = -9999.0
+        u[0, 0, 1, nx - 2] = -9999.0
+    return FlowGrid(x, y, z, t, u, v)
+
+
 @pytest.fixture
 def still_grid():
     return make_uniform_grid()

@@ -398,3 +398,19 @@ def glider_travel_time_reference(p_start_2d, p_end_2d, profile, t_start,
             return math.inf
         t += dt
     return t - t_start
+
+
+def choose_profile_reference(profiles, times, mode, slack_factor):
+    """One row's pick as (index or None, time) by Python min over keys."""
+    best = min(range(len(profiles)),
+               key=lambda i: (times[i], -profiles[i].amplitude, i))
+    if math.isinf(times[best]):
+        return None, math.inf
+    if mode == "fastest":
+        return best, times[best]
+    limit = slack_factor * times[best]
+    within = [i for i in range(len(profiles)) if times[i] <= limit]
+    if not within:
+        return best, times[best]
+    pick = min(within, key=lambda i: (-profiles[i].amplitude, times[i], i))
+    return pick, times[pick]

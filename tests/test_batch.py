@@ -21,28 +21,13 @@ from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                                    glider_travel_time, make_dive_profiles,
                                    profile_times, travel_time)
 
+from conftest import random_grid
 from oracles import (glider_travel_time_reference, sample_reference,
                      travel_time_reference)
 
 SCHEMES = [InterpScheme(xy, z, t)
            for xy, z, t in itertools.product(XY_METHODS, ZT_METHODS, ZT_METHODS)]
 V03 = VehicleSpec(0.3)
-
-
-def random_grid(rng, nx, ny, nz, nt, scale=1.0, land=True):
-    """Irregular axes, random currents, one land column and one stray
-    fill node (so stencils can touch fill without being land)."""
-    x = np.cumsum(rng.uniform(500.0, 2_000.0, nx))
-    y = np.cumsum(rng.uniform(500.0, 2_000.0, ny))
-    z = np.cumsum(rng.uniform(5.0, 40.0, nz)) - 5.0
-    t = np.cumsum(rng.uniform(600.0, 3_600.0, nt))
-    u = rng.uniform(-scale, scale, (nt, nz, ny, nx))
-    v = rng.uniform(-scale, scale, (nt, nz, ny, nx))
-    if land and nx > 3 and ny > 3:
-        u[:, :, ny // 2, nx // 2] = -9999.0
-        v[:, :, ny // 2, nx // 2] = -9999.0
-        u[0, 0, 1, nx - 2] = -9999.0
-    return FlowGrid(x, y, z, t, u, v)
 
 
 def reference_or_reason(grid, x, y, z, t, scheme):
@@ -174,20 +159,25 @@ def test_slant_leg_matches_reference():
 
 
 def test_a_leg_times_the_same_alone_and_in_a_wide_batch():
+    # each head flies from its own tail at its own departure, as in a
+    # prefetch of several fan-outs; one departure is INFEASIBLE
     rng = np.random.RandomState(31)
     grid = random_grid(rng, 9, 9, 4, 6, scale=0.1, land=False)
     scheme = InterpScheme("bicubic", "akima", "akima")
     family = make_dive_profiles(ProfileFamilySpec(0.0, 20.0, 100.0, 30.0, 3, 5))
     assert len(family) == 12
     x0, y0, x1, y1 = (float(c) for c in grid.horizontal_bounds())
-    start = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    tails = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(16)]
     heads = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(16)]
-    wide = profile_times(start, heads, 1_000.0, family, grid, V03, h=0.25,
+    departs = rng.uniform(0.0, 5_000.0, 16)
+    departs[5] = math.inf
+    wide = profile_times(tails, heads, departs, family, grid, V03, h=0.25,
                          scheme=scheme, n_sub=2)
     assert wide.size == 192 and np.isfinite(wide).any()
+    assert np.isinf(wide[5]).all()
     for i, head in enumerate(heads):
         for j, prof in enumerate(family):
-            alone = glider_travel_time(start, head, prof, 1_000.0, grid, V03,
-                                       0.25, scheme, 2)
+            alone = glider_travel_time(tails[i], head, prof, departs[i], grid,
+                                       V03, 0.25, scheme, 2)
             assert alone == wide[i, j] or (math.isinf(alone)
                                            and math.isinf(wide[i, j]))

@@ -11,14 +11,14 @@ from gliderplan.errors import ConfigError
 from gliderplan.flowfield import FlowGrid, InterpScheme, synth_field
 from gliderplan.kinematics import (INFEASIBLE, DiveProfile,
                                    ProfileFamilySpec, VehicleSpec,
-                                   effective_speed, evaluate_profile_times,
+                                   choose_profile, effective_speed,
                                    glider_travel_time, make_dive_profiles,
-                                   optimal_profile_cost,
+                                   optimal_profile_cost, profile_times,
                                    travel_time)
 
 from conftest import (make_gyre_grid, make_land_grid, make_tidal_grid,
                       make_uniform_grid)
-from oracles import (effective_speed_reference,
+from oracles import (choose_profile_reference, effective_speed_reference,
                      glider_travel_time_reference)
 
 V03 = VehicleSpec(speed_through_water=0.3)
@@ -394,6 +394,27 @@ class TestProfileSelection:
         assert math.isinf(t)
         assert profile is None
 
+    @settings(max_examples=150)
+    @given(data=st.data(), mode=st.sampled_from(["fastest", "max_amplitude"]))
+    def test_row_selection_matches_scalar_pick(self, data, mode):
+        # few distinct values, so time and amplitude ties are common;
+        # inf entries and whole inf rows are drawn too
+        bands = data.draw(st.lists(st.sampled_from(
+            [(0.0, 30.0), (10.0, 40.0), (0.0, 60.0), (20.0, 80.0)]),
+            min_size=1, max_size=6))
+        profiles = [DiveProfile(*b) for b in bands]
+        value = st.sampled_from([0.0, 100.0, 104.0, 110.0, 121.0, math.inf])
+        times = data.draw(st.lists(
+            st.lists(value, min_size=len(profiles), max_size=len(profiles)),
+            min_size=1, max_size=5))
+        slack = data.draw(st.sampled_from([0.9, 1.0, 1.05, 1.1, 1.25]))
+        pick, secs = choose_profile(profiles, np.array(times), mode, slack)
+        for r, row in enumerate(times):
+            want, want_t = choose_profile_reference(profiles, row, mode,
+                                                    slack)
+            assert (int(pick[r]), float(secs[r])) == (
+                -1 if want is None else want, want_t)
+
     def test_empty_family_rejected(self, still_grid):
         with pytest.raises(ConfigError):
             optimal_profile_cost((0.0, 0.0), (1.0, 0.0), 0.0, (),
@@ -411,8 +432,8 @@ class TestParallelEvaluation:
         fam = make_dive_profiles(ProfileFamilySpec(
             0.0, 30.0, 120.0, 20.0, 3, 4))
         start, end = (12_000.0, 9_000.0), (38_000.0, 30_000.0)
-        par = evaluate_profile_times(start, end, 500.0, fam, gyre_grid, V03,
-                                     h=0.5, n_sub=2)
+        par = profile_times(start, [end], 500.0, fam, gyre_grid, V03,
+                            h=0.5, n_sub=2)[0].tolist()
         seq = [glider_travel_time_reference(start, end, p, 500.0, gyre_grid,
                                             V03, 0.5, InterpScheme(), 2)
                for p in fam]

@@ -5,16 +5,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gliderplan.search as search_mod
 from gliderplan.errors import ConfigError
-from gliderplan.kinematics import DiveProfile, VehicleSpec
-from gliderplan.search import (NEIGHBOR_OFFSETS_8, NEIGHBOR_OFFSETS_16,
-                               BlockedRegions, Rect, SearchGraph,
-                               build_graph, connect_terminals, make_edge_cost,
-                               path_report, tve_dijkstra)
+from gliderplan.flowfield import FlowGrid, InterpScheme, synth_field
+from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
+                                   make_dive_profiles)
+from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
+                               NEIGHBOR_OFFSETS_16, BlockedRegions, Rect,
+                               SearchGraph, build_graph, connect_terminals,
+                               make_edge_cost, path_report, tve_dijkstra)
+from gliderplan.smoothing import recompute_arrivals, smooth_path
 
-from conftest import make_gyre_grid, make_land_grid, make_uniform_grid
+from conftest import (make_gyre_grid, make_land_grid, make_uniform_grid,
+                      random_grid)
 from oracles import brute_force_arrival, static_shortest_time
 
 V03 = VehicleSpec(0.3)
@@ -383,6 +388,151 @@ class TestDijkstraTimeVarying:
         cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),),
                               graph=graph)
         assert tve_dijkstra(graph, start, goal, math.inf, cost) is None
+
+
+def random_mission(seed, field, neighbor_set):
+    """A small lattice on a random or fast tidal field, and its terminals."""
+    rng = np.random.RandomState(seed)
+    if field == "tidal":
+        # 0.4 m/s against a 0.3 m/s glider, reversing about once per
+        # leg: legs open and close with the tide, and edge times are
+        # not FIFO
+        axis = np.linspace(0.0, 20_000.0, 5)
+        grid = synth_field("tidal_channel", axis, axis, (0.0, 100.0),
+                           np.linspace(0.0, 172_800.0, 97),
+                           params={"amplitude": 0.4, "period": 43_200.0})
+        scheme = InterpScheme()
+    else:
+        # land only under the 2-knot stencils: the 4-knot ones would
+        # touch it from most of so small a lattice
+        grid = random_grid(rng, 7, 7, 3, 6, scale=0.25,
+                           land=field == "bilinear")
+        scheme = {"bilinear": InterpScheme(),
+                  "bicubic": InterpScheme("bicubic", "cubic", "cubic"),
+                  "akima": InterpScheme("bicubic", "akima", "akima")}[field]
+    x0, y0, x1, y1 = grid.horizontal_bounds()
+    spacing = min(x1 - x0, y1 - y0) / rng.randint(3, 6)
+    graph = build_graph(Rect(x0, y0, x1, y1), spacing, neighbor_set,
+                        BlockedRegions(grid=grid))
+    ends = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(2)]
+    start, goal = connect_terminals(graph, *ends)
+    return grid, scheme, graph, start, goal
+
+
+def plan_and_smooth(graph, start, goal, cost, t0):
+    path = tve_dijkstra(graph, start, goal, t0, cost)
+    if path is None or len(path.waypoints) < 3:
+        return path, None
+    return path, smooth_path(path.waypoints, t0, cost)
+
+
+class CountingKernel:
+    """Stands in for search.profile_times, recording each call's tails
+    and lanes."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = []
+
+    def __call__(self, tails, heads, departs, profiles, *args):
+        out = self.kernel(tails, heads, departs, profiles, *args)
+        self.calls.append(({tuple(xy) for xy in np.reshape(tails, (-1, 2))},
+                           out.size))
+        return out
+
+
+class TestPrefetch:
+    FAMILY = make_dive_profiles(ProfileFamilySpec(0.0, 20.0, 80.0, 40.0, 2, 2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           field=st.sampled_from(["bilinear", "bicubic", "akima", "tidal"]),
+           neighbor_set=st.sampled_from([8, 16]),
+           mode=st.sampled_from(["fastest", "max_amplitude"]))
+    def test_same_paths_and_traces_as_one_vertex_at_a_time(
+            self, seed, field, neighbor_set, mode):
+        try:
+            grid, scheme, graph, start, goal = random_mission(
+                seed, field, neighbor_set)
+        except ConfigError:  # a terminal on land or cut off
+            assume(False)
+        args = (grid, V03, self.FAMILY, 0.5, scheme, 1, mode, 1.1)
+        t0 = float(seed % 7_200)
+        assert (plan_and_smooth(graph, start, goal,
+                                make_edge_cost(*args, graph=graph), t0)
+                == plan_and_smooth(graph, start, goal,
+                                   make_edge_cost(*args), t0))
+
+    @pytest.mark.parametrize("seed,field", [(7, "bicubic"), (3, "akima"),
+                                            (6, "tidal")])
+    def test_mispredictions_change_nothing(self, seed, field, monkeypatch):
+        # with max |c| understated as 0 the prefetch window is too wide:
+        # some vertices are timed at a label that later falls, and are
+        # timed again when they settle
+        grid, scheme, graph, start, goal = random_mission(seed, field, 16)
+        args = (grid, V03, self.FAMILY, 0.5, scheme, 1, "fastest", 1.1)
+        kernel = CountingKernel(search_mod.profile_times)
+        monkeypatch.setattr(search_mod, "profile_times", kernel)
+        monkeypatch.setattr(FlowGrid, "max_speed", lambda self: 0.0)
+        understated = make_edge_cost(*args, graph=graph)
+        tve_dijkstra(graph, start, goal, 0.0, understated)
+        timed = [xy for tails, _ in kernel.calls for xy in tails]
+        assert len(timed) > len(set(timed))
+        assert (plan_and_smooth(graph, start, goal, understated, 0.0)
+                == plan_and_smooth(graph, start, goal, make_edge_cost(*args),
+                                   0.0))
+
+    def test_search_batches_and_smoothing_rechains_for_free(self, monkeypatch):
+        grid = make_gyre_grid()
+        graph = build_graph(Rect(5_000.0, 5_000.0, 55_000.0, 55_000.0),
+                            5_000.0, 16, BlockedRegions(grid=grid))
+        start, goal = connect_terminals(graph, (6_000.0, 6_000.0),
+                                        (54_000.0, 54_000.0))
+        kernel = CountingKernel(search_mod.profile_times)
+        monkeypatch.setattr(search_mod, "profile_times", kernel)
+
+        def cost_and_calls(search_cost):
+            kernel.calls.clear()
+            path = tve_dijkstra(graph, start, goal, 0.0, search_cost)
+            return path, len(kernel.calls)
+
+        cost = make_edge_cost(grid, V03, self.FAMILY, 0.5, n_sub=2,
+                              graph=graph)
+        path, batched = cost_and_calls(cost)
+        # hiding prefetch leaves one fan-out per settle
+        plain = make_edge_cost(grid, V03, self.FAMILY, 0.5, n_sub=2,
+                               graph=graph)
+        assert cost_and_calls(lambda *leg: plain(*leg)) == (path, 121)
+        assert batched == 28
+        kernel.calls.clear()
+        assert recompute_arrivals(path.waypoints, 0.0, cost) == \
+            path.arrival_times
+        assert kernel.calls == []
+
+    @pytest.mark.parametrize("n_climb", [100, 10])
+    def test_no_kernel_call_exceeds_the_lane_cap(self, n_climb, still_grid,
+                                                 monkeypatch):
+        family = make_dive_profiles(
+            ProfileFamilySpec(0.0, 10.0, 1_000.0, 10.0, n_climb, 100))
+        assert len(family) == {100: 9_901, 10: 991}[n_climb]
+
+        def kernel(tails, heads, departs, profiles, *args):
+            # lanes are counted, never flown: only the (H, P) result
+            # is allocated
+            return np.full((len(heads), len(profiles)), 600.0)
+
+        counting = CountingKernel(kernel)
+        monkeypatch.setattr(search_mod, "profile_times", counting)
+        graph = build_graph(Rect(0.0, 0.0, 2_000.0, 2_000.0), 1_000.0, 16,
+                            BlockedRegions(grid=still_grid))
+        assert graph.n_vertices == 9
+        cost = make_edge_cost(still_grid, V03, family, graph=graph)
+        assert tve_dijkstra(graph, 0, 8, 0.0, cost) is not None
+        # a fan-out is never split, so only a lone tail may pass the cap
+        assert all(lanes <= MAX_BATCH_LANES or len(tails) == 1
+                   for tails, lanes in counting.calls)
+        widest = max(len(tails) for tails, _ in counting.calls)
+        assert widest == (1 if n_climb == 100 else 2)
 
 
 class TestPathReport:

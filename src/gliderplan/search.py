@@ -43,9 +43,10 @@ NEIGHBOR_OFFSETS_16 = NEIGHBOR_OFFSETS_8 + (
 # in build_graph and 58 B more in a full search's leg table (~270 MB).
 MAX_LATTICE_EDGES = 2_000_000
 
-# Lanes (legs x profiles) per prefetching kernel call, at 0.75 KB
-# (bilinear) to 1.8 KB (bicubic/Akima) of kernel temporaries per lane.
-MAX_BATCH_LANES = 16_384
+# Lanes (legs x profiles) per prefetching kernel call, sized so one
+# call holds under 8 MB of kernel temporaries at the measured 0.75 KB
+# (bilinear) to 1.8 KB (bicubic/Akima) per lane.
+MAX_BATCH_LANES = 4_096
 
 
 class Rect(NamedTuple):
@@ -274,26 +275,21 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     """Edge cost backed by optimal-profile glider travel times.
 
     Every leg it times stays in a table keyed by (tail, departure) that
-    holds each head's profile index and time.  A miss times the one
-    leg, or -- with a graph, for a vertex's first out-edge, where a
-    one-at-a-time search starts -- the vertex's whole fan-out (out-edges
-    x profiles) in one kernel call.  With a graph the cost also has
-    prefetch(a, depart, frontier) for tve_dijkstra: unless the table
-    holds a's fan-out at depart, it times it with the fan-outs of the
-    frontier's (vertex, departure) pairs leaving before depart + spacing
-    / (speed + max node |c|), the least time a lattice edge can take,
-    up to MAX_BATCH_LANES lanes per call (a's own fan-out always goes).
-    Batching never changes a time.
+    holds each head's profile index and time; a miss times the one leg.
+    With a graph the cost also has prefetch(a, depart, frontier) for
+    tve_dijkstra: unless the table holds a's fan-out (out-edges x
+    profiles) at depart, it times it in one kernel call with the
+    fan-outs of the frontier's (vertex, departure) pairs leaving before
+    depart + spacing / (speed + max node |c|), up to MAX_BATCH_LANES
+    lanes per call (a's own fan-out always goes).  That window is a
+    heuristic for the least lattice-edge time: terminal edges shorter
+    than the spacing and interpolants that overshoot the node speeds
+    can break it, which only wastes a fan-out.  Batching never changes
+    a time.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
-    index: dict = {}  # vertex position -> first vertex there
-    for i, xy in enumerate(graph.vertex_xy if graph is not None else ()):
-        index.setdefault(xy, i)
     table: dict = {}  # (tail, departure) -> (heads, profile indices, s)
-
-    def fan_out(a: int) -> list:
-        return [graph.vertex_xy[b] for b, _ in graph.adjacency[a]]
 
     def time_legs(keys: list, fans: list) -> None:
         counts = [len(fan) for fan in fans]
@@ -311,8 +307,7 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     def cost(a_xy, b_xy, depart: float):
         row = table.get((a_xy, depart))
         if row is None or b_xy not in row[0]:
-            fan = fan_out(index[a_xy]) if a_xy in index else []
-            time_legs([(a_xy, depart)], [fan if fan[:1] == [b_xy] else [b_xy]])
+            time_legs([(a_xy, depart)], [[b_xy]])
             row = table[(a_xy, depart)]
         k = row[0].index(b_xy)
         pick = int(row[1][k])
@@ -321,6 +316,9 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     if graph is None:
         return cost
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
+
+    def fan_out(a: int) -> list:
+        return [graph.vertex_xy[b] for b, _ in graph.adjacency[a]]
 
     def prefetch(a: int, depart: float, frontier) -> None:
         if (graph.vertex_xy[a], depart) in table:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,9 +114,7 @@ class FlowGrid:
                 raise FlowFormatError(f"{name}: contains non-finite values")
             filled = isfill if filled is None else filled | isfill
             setattr(self, name, comp)
-        # lists for bisect in land_at; flat views for sample_batch
-        self._xl = self.x_coords.tolist()
-        self._yl = self.y_coords.tolist()
+        # flat views for sample_batch
         self._flat_u = self.u.reshape(-1)
         self._flat_v = self.v.reshape(-1)
         self._flat_fill = filled.reshape(-1) if filled.any() else None
@@ -140,34 +137,17 @@ class FlowGrid:
 
     def horizontal_bounds(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max) of the gridded domain."""
-        return (self._xl[0], self._yl[0], self._xl[-1], self._yl[-1])
+        return (float(self.x_coords[0]), float(self.y_coords[0]),
+                float(self.x_coords[-1]), float(self.y_coords[-1]))
 
-    def land_at(self, x: float, y: float) -> bool:
-        """True if the grid node nearest to (x, y) is land.
-
-        Raises OutOfDomainError outside the horizontal bounds.  This is
-        the blocking predicate used when lattice edges are screened.
-        """
-        xl, yl = self._xl, self._yl
-        if not (xl[0] <= x <= xl[-1] and yl[0] <= y <= yl[-1]):
-            raise OutOfDomainError(
-                f"position ({x:g}, {y:g}) outside flow domain")
-        ix = _nearest_index(xl, x)
-        iy = _nearest_index(yl, y)
-        return bool(self.land_mask[iy, ix])
-
-
-def _nearest_index(coords: list, q: float) -> int:
-    """Index of the knot nearest q; ties resolve to the lower knot."""
-    n = len(coords)
-    if n == 1:
-        return 0
-    i = bisect_right(coords, q) - 1
-    if i < 0:
-        return 0
-    if i >= n - 1:
-        return n - 1
-    return i if (q - coords[i]) <= (coords[i + 1] - q) else i + 1
+    def blocked_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """True where (x, y) lies outside the horizontal bounds (nothing
+        can be sampled there) or where the grid node nearest it is land,
+        ties going to the lower knot; the grid's part of the lattice
+        screen (search.BlockedRegions.mask)."""
+        xs, ys = self.x_coords, self.y_coords
+        inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
+        return ~inside | self.land_mask[_nearest(ys, y), _nearest(xs, x)]
 
 
 def effective_method(method: str, n_knots: int) -> str:
@@ -206,6 +186,15 @@ def _cell(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(i, 0), coords.size - 2)
 
 
+def _nearest(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Index of the knot nearest each q; ties resolve to the lower knot,
+    and a NaN q (an infeasible lane's time) reads the last knot."""
+    ends = np.concatenate(([-np.inf], coords, [np.inf]))
+    i = np.searchsorted(coords, q, side="right")  # ends[i] <= q < ends[i + 1]
+    # NaN sorts past every knot and fails both comparisons: clamp it
+    return np.minimum(i - (q - ends[i] <= ends[i + 1] - q), coords.size - 1)
+
+
 def _axis_stencil(coords: np.ndarray, q: np.ndarray, method: str):
     """Fixed-width stencil of one axis over N queries: (knots, weights,
     akima), knots being W index arrays in ascending knot order.
@@ -218,12 +207,7 @@ def _axis_stencil(coords: np.ndarray, q: np.ndarray, method: str):
     n = coords.size
     method = effective_method(method, n)
     if method == "nearest":
-        if n == 1:
-            return [np.zeros(q.shape, dtype=np.int32)], [np.ones(q.shape)], None
-        c = _cell(coords, q)
-        # ties resolve to the lower knot
-        near = np.where(q - coords[c] <= coords[c + 1] - q, c, c + 1)
-        return [near], [np.ones(q.shape)], None
+        return [_nearest(coords, q)], [np.ones(q.shape)], None
     i = _cell(coords, q)
     x0 = coords[i]
     x1 = coords[i + 1]
@@ -614,11 +598,22 @@ def load_flow_grid(path) -> FlowGrid:
         comps = []
         for name in ("u", "v"):
             vals = _require(header, name)
-            arr = np.asarray(vals, dtype=np.float64)
-            if arr.ndim != 1 or arr.size != count:
+            # a list of JSON numbers infers an int or float array, where a
+            # bool among them reads 0 or 1; null, strings, objects and
+            # integers past int64 infer other kinds
+            try:
+                arr = np.array(vals if isinstance(vals, list) else None)
+                numbers = arr.ndim == 1 and arr.dtype.kind in "if" and not any(
+                    type(vals[i]) is bool
+                    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist())
+            except ValueError:  # ragged
+                numbers = False
+            if not numbers:  # NaN passes: it marks fill
+                raise FlowFormatError(f"{name}: must be a flat array of numbers")
+            if arr.size != count:
                 raise FlowFormatError(
                     f"{name}: expected {count} values, got {arr.size}")
-            comps.append(arr.reshape(shape))
+            comps.append(arr.astype(np.float64, copy=False).reshape(shape))
         return FlowGrid(x, y, z, t, comps[0], comps[1], fill_sentinel=fill)
     if encoding == "binary":
         offset = _require(header, "data_offset")

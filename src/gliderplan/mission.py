@@ -10,6 +10,7 @@ lattice spacing.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -379,6 +380,7 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
     # screen the graph applied to its edges
     step = spec.grid_spacing / 4.0
 
+    @functools.cache  # smoothing re-times the same legs pass after pass
     def clear(a, b) -> bool:
         return segment_clear(blocked, a[0], a[1], b[0], b[1], step)
 

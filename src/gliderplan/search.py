@@ -6,8 +6,8 @@ to a rectangular region.  Edges connect each vertex to its 8- or
 resolution).  Edge traversal times depend on the departure time, so the
 search is a label-setting Dijkstra over arrival times: it is optimal
 whenever the edge times satisfy the FIFO property (departing later
-never means arriving earlier), and violations observed during the
-search are counted rather than repaired.
+never means arriving earlier), which it does not test: fifo_violations
+sees only negative leg times, never a non-FIFO field.
 """
 
 from __future__ import annotations
@@ -39,9 +39,14 @@ NEIGHBOR_OFFSETS_16 = NEIGHBOR_OFFSETS_8 + (
 )
 
 # Lattice size budget in directed edges, checked before anything is
-# allocated: tracemalloc on a 112,560-edge lattice measured 76 B per edge
-# in build_graph and 58 B more in a full search's leg table (~270 MB).
+# allocated: tracemalloc on a 112,560-edge lattice measured 66 B per edge
+# at build_graph's peak, 15 B kept as CSR, and 55 B more in a full
+# search's leg table (~140 MB at the budget).
 MAX_LATTICE_EDGES = 2_000_000
+
+# Sample points per screen call when segments are screened: about
+# 5.7 MB of temporaries at the measured 87 B per point.
+MAX_SCREEN_POINTS = 65_536
 
 # Lanes (legs x profiles) per prefetching kernel call, sized so one
 # call holds under 8 MB of kernel temporaries at the measured 0.75 KB
@@ -61,52 +66,43 @@ class Rect(NamedTuple):
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-def _point_in_polygon(x: float, y: float, poly) -> bool:
-    # even-odd rule; boundary points may land on either side, so
-    # keep-out polygons should carry their own margin
-    inside = False
-    j = len(poly) - 1
-    for i in range(len(poly)):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        if (yi > y) != (yj > y):
-            if x < xi + (y - yi) * (xj - xi) / (yj - yi):
-                inside = not inside
-        j = i
-    return inside
-
-
 @dataclass(frozen=True)
 class BlockedRegions:
     """Blocking predicate: flow-grid land plus restricted polygons.
 
-    A point is blocked when the nearest flow node is land, when it
-    falls outside the flow domain (nothing can be sampled there), or
-    when it lies inside any restricted polygon.
+    A point is blocked outside the flow domain (nothing can be sampled
+    there), where the nearest flow node is land, and inside a polygon
+    by the even-odd rule; a point on a polygon's boundary may land on
+    either side, so keep-out polygons should carry their own margin.
     """
 
     grid: FlowGrid | None = None
     polygons: tuple = ()
 
-    def blocks(self, x: float, y: float) -> bool:
-        if self.grid is not None:
-            x0, y0, x1, y1 = self.grid.horizontal_bounds()
-            if not (x0 <= x <= x1 and y0 <= y <= y1):
-                return True
-            if self.grid.land_at(x, y):
-                return True
+    @np.errstate(over="ignore", invalid="ignore")  # as Python floats do
+    def mask(self, x, y) -> np.ndarray:
+        """Blocked flags of N points, screened in one array pass."""
+        x, y = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (x, y))
+        out = (np.zeros(x.shape, dtype=bool) if self.grid is None
+               else self.grid.blocked_at(x, y))
         for poly in self.polygons:
-            if _point_in_polygon(x, y, poly):
-                return True
-        return False
+            odd = np.zeros(x.shape, dtype=bool)
+            for (xi, yi), (xj, yj) in zip(poly, (poly[-1], *poly[:-1])):
+                if yi != yj:  # a horizontal edge crosses no ray
+                    odd ^= (((yi > y) != (yj > y))
+                            & (x < xi + (y - yi) * (xj - xi) / (yj - yi)))
+            out |= odd
+        return out
 
 
 @dataclass
 class SearchGraph:
-    """Directed lattice graph with precomputed edge lengths."""
+    """Directed lattice graph in CSR form: the heads of vertex a's
+    out-arcs are heads[indptr[a]:indptr[a + 1]], in insertion order."""
 
     vertex_xy: list
-    adjacency: list
+    indptr: np.ndarray
+    heads: np.ndarray
     spacing: float
     neighbor_set: int
     region: Rect
@@ -119,19 +115,40 @@ class SearchGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency)
+        return self.heads.size
+
+    def neighbors(self, a: int) -> list:
+        return self.heads[self.indptr[a]:self.indptr[a + 1]].tolist()
+
+
+def _sample_count(dx: float, dy: float, step: float) -> int:
+    # math.hypot: np.hypot's last bit differs often enough to move a ceil
+    return max(1, math.ceil(math.hypot(dx, dy) / step))
+
+
+def _segments_clear(blocked: BlockedRegions, ax, ay, bx, by, m) -> np.ndarray:
+    """Clear flags of N segments a -> b (arrays), segment i screened at
+    a + k / m[i] * (b - a), k = 1 .. m[i] - 1, MAX_SCREEN_POINTS at a time."""
+    dx, dy = bx - ax, by - ay
+    clear = np.ones(m.size, dtype=bool)
+    rows = max(1, MAX_SCREEN_POINTS // max(1, int(m.max(initial=1)) - 1))
+    for lo in range(0, m.size, rows):
+        inner = m[lo:lo + rows] - 1
+        seg = np.repeat(np.arange(lo, lo + inner.size), inner)
+        k = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(inner) - inner,
+                                                   inner)
+        f = k / m[seg]
+        hit = blocked.mask(ax[seg] + f * dx[seg], ay[seg] + f * dy[seg])
+        clear[seg[hit]] = False
+    return clear
 
 
 def segment_clear(blocked: BlockedRegions, ax: float, ay: float,
                   bx: float, by: float, step: float) -> bool:
     """Screen a segment by sampling interior points every `step` meters."""
-    length = math.hypot(bx - ax, by - ay)
-    m = max(1, math.ceil(length / step))
-    for k in range(1, m):
-        f = k / m
-        if blocked.blocks(ax + f * (bx - ax), ay + f * (by - ay)):
-            return False
-    return True
+    a_b = (np.array([c], dtype=np.float64) for c in (ax, ay, bx, by))
+    m = _sample_count(bx - ax, by - ay, step)
+    return bool(_segments_clear(blocked, *a_b, np.array([m]))[0])
 
 
 def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
@@ -142,7 +159,8 @@ def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
     corner; blocked vertices are dropped, and each edge is screened by
     sampling its segment at spacing/4 so no retained edge crosses
     blocked geometry at that resolution.  Edges are directed and
-    symmetric; counts include both directions.
+    symmetric; counts include both directions.  A vertex lists its arcs
+    in scan order: tail row, tail column, then neighbor offset.
     """
     region = Rect(*region)
     if not (region.x_max > region.x_min and region.y_max > region.y_min):
@@ -163,44 +181,41 @@ def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
         raise ConfigError(f"grid_spacing: {spacing:g} m makes more lattice "
                           f"edges than the {MAX_LATTICE_EDGES:,} allowed")
 
-    index = [[-1] * nx for _ in range(ny)]
-    vertex_xy: list[tuple[float, float]] = []
-    for j in range(ny):
-        y = region.y_min + j * spacing
-        for i in range(nx):
-            x = region.x_min + i * spacing
-            if not blocked.blocks(x, y):
-                index[j][i] = len(vertex_xy)
-                vertex_xy.append((x, y))
+    xs = region.x_min + np.arange(nx) * spacing
+    ys = region.y_min + np.arange(ny) * spacing
+    gx, gy = np.meshgrid(xs, ys)
+    keep = ~blocked.mask(gx, gy).reshape(ny, nx)
+    index = np.cumsum(keep).reshape(ny, nx) - 1  # read at kept nodes only
+    vx, vy = gx[keep], gy[keep]
+    n = vx.size
 
+    # screen each undirected pair (j, i) -> (j + dj, i + di) once per
+    # offset class, keyed by its scan position; then add both arcs
     step = spacing / 4.0
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in vertex_xy]
-    # screen each undirected pair once, then add both arcs
     half = [(di, dj) for di, dj in offsets if dj > 0 or (dj == 0 and di > 0)]
-    lengths = {off: math.hypot(off[0] * spacing, off[1] * spacing)
-               for off in half}
-    for j in range(ny):
-        for i in range(nx):
-            a = index[j][i]
-            if a < 0:
-                continue
-            ax, ay = vertex_xy[a]
-            for di, dj in half:
-                i2 = i + di
-                j2 = j + dj
-                if not (0 <= i2 < nx and 0 <= j2 < ny):
-                    continue
-                b = index[j2][i2]
-                if b < 0:
-                    continue
-                bx, by = vertex_xy[b]
-                if not segment_clear(blocked, ax, ay, bx, by, step):
-                    continue
-                length = lengths[(di, dj)]
-                adjacency[a].append((b, length))
-                adjacency[b].append((a, length))
-    return SearchGraph(vertex_xy, adjacency, spacing, neighbor_set, region,
-                       blocked, lattice_size=len(vertex_xy))
+    pairs = []
+    for h, (di, dj) in enumerate(half):
+        tc = slice(max(0, -di), nx - max(0, di))
+        hc = slice(max(0, di), nx + min(0, di))
+        both = keep[:ny - dj, tc] & keep[dj:, hc]
+        a, b = index[:ny - dj, tc][both], index[dj:, hc][both]
+        # sample counts of the few distinct coordinate differences
+        dx, dy = xs[hc] - xs[tc], ys[dj:] - ys[:ny - dj]
+        udx, udy = sorted(set(dx.tolist())), sorted(set(dy.tolist()))
+        counts = np.array([[_sample_count(ex, ey, step) for ex in udx]
+                           for ey in udy], dtype=np.int64, ndmin=2)
+        m = counts[np.searchsorted(udy, dy)[:, None], np.searchsorted(udx, dx)]
+        clear = _segments_clear(blocked, vx[a], vy[a], vx[b], vy[b], m[both])
+        pairs.append((a[clear], b[clear], a[clear] * len(half) + h))
+    a, b, pos = (np.concatenate(part) for part in zip(*pairs))
+    src = np.concatenate((a, b))
+    # one stable sort by (source, scan position) orders every row
+    arcs = np.argsort(src * (len(half) * n) + np.concatenate((pos, pos)),
+                      kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return SearchGraph(list(zip(vx.tolist(), vy.tolist())), indptr,
+                       np.concatenate((b, a))[arcs], spacing, neighbor_set,
+                       region, blocked, lattice_size=n)
 
 
 def connect_terminals(graph: SearchGraph, start_xy, goal_xy,
@@ -217,40 +232,38 @@ def connect_terminals(graph: SearchGraph, start_xy, goal_xy,
     if k is None:
         k = graph.neighbor_set
     step = graph.spacing / 4.0
+    vx, vy = np.array(graph.vertex_xy[:graph.lattice_size]).reshape(-1, 2).T
     out = []
     for name, (x, y) in (("start", tuple(start_xy)), ("goal", tuple(goal_xy))):
         x = float(x)
         y = float(y)
-        if graph.blocked.blocks(x, y):
+        if graph.blocked.mask(x, y)[0]:
             raise ConfigError(f"{name} ({x:g}, {y:g}) lies in a blocked area")
-        snap = None
-        for idx in range(graph.lattice_size):
-            vx, vy = graph.vertex_xy[idx]
-            if abs(vx - x) < 1e-9 and abs(vy - y) < 1e-9:
-                snap = idx
-                break
-        if snap is not None:
-            out.append(snap)
+        snap = np.flatnonzero((abs(vx - x) < 1e-9) & (abs(vy - y) < 1e-9))
+        if snap.size:
+            out.append(int(snap[0]))
             continue
-        ranked = sorted(
-            range(graph.lattice_size),
-            key=lambda i: ((graph.vertex_xy[i][0] - x) ** 2
-                           + (graph.vertex_xy[i][1] - y) ** 2, i))
-        idx = len(graph.vertex_xy)
-        graph.vertex_xy.append((x, y))
-        graph.adjacency.append([])
-        connected = 0
-        for v in ranked[:k]:
-            vx, vy = graph.vertex_xy[v]
-            if not segment_clear(graph.blocked, x, y, vx, vy, step):
-                continue
-            length = math.hypot(vx - x, vy - y)
-            graph.adjacency[idx].append((v, length))
-            graph.adjacency[v].append((idx, length))
-            connected += 1
-        if connected == 0:
+        # nearest first, ties to the lower index; float_power squares
+        # by pow() as Python's ** does (np.square can differ by an ulp)
+        ranked = np.argsort(np.float_power(vx - x, 2)
+                            + np.float_power(vy - y, 2), kind="stable")[:k]
+        m = [_sample_count(ex - x, ey - y, step)
+             for ex, ey in zip(vx[ranked].tolist(), vy[ranked].tolist())]
+        linked = ranked[_segments_clear(
+            graph.blocked, np.full(ranked.size, x), np.full(ranked.size, y),
+            vx[ranked], vy[ranked], np.array(m, dtype=np.int64))]
+        if linked.size == 0:
             raise ConfigError(
                 f"{name} ({x:g}, {y:g}) cannot be connected to the lattice")
+        # the terminal's arc ends each linked row; its own row comes last
+        idx = len(graph.vertex_xy)
+        graph.vertex_xy.append((x, y))
+        degree = np.diff(graph.indptr)
+        degree[linked] += 1
+        graph.heads = np.concatenate((
+            np.insert(graph.heads, graph.indptr[linked + 1], idx), linked))
+        graph.indptr = np.concatenate(([0], np.cumsum(degree),
+                                       [graph.heads.size]))
         out.append(idx)
     return out[0], out[1]
 
@@ -317,9 +330,6 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
         return cost
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
 
-    def fan_out(a: int) -> list:
-        return [graph.vertex_xy[b] for b, _ in graph.adjacency[a]]
-
     def prefetch(a: int, depart: float, frontier) -> None:
         if (graph.vertex_xy[a], depart) in table:
             return
@@ -328,7 +338,7 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
             key = (graph.vertex_xy[v], t)
             if key in table or batch and t >= depart + horizon:
                 continue
-            fan = fan_out(v)
+            fan = [graph.vertex_xy[b] for b in graph.neighbors(v)]
             lanes += len(fan) * len(profiles)
             if batch and lanes > MAX_BATCH_LANES:
                 break
@@ -346,10 +356,10 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     Label-setting Dijkstra where each edge is timed at the departure
     time of its tail vertex.  Vertices settle one at a time in arrival
     order with ties broken toward the lower vertex index.  The result
-    is the time-optimal route whenever edge times are FIFO; relaxations
-    that would improve an already-settled vertex are counted as FIFO
-    violations and reported on the returned path.  Returns None when
-    the goal is unreachable.
+    is the time-optimal route whenever edge times are FIFO, which goes
+    unchecked: fifo_violations counts relaxations that would improve a
+    settled vertex b, and as labels[b] <= arrival only a negative leg
+    time makes one.  Returns None when the goal is unreachable.
 
     A cost with a prefetch method (make_edge_cost with a graph) is
     offered the live heap entries but the goal before each settle; a
@@ -376,7 +386,7 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
         prefetch(a, arrival, ((v, t) for t, v in heap
                               if t == labels[v] and v != goal))
         a_xy = graph.vertex_xy[a]
-        for b, _length in graph.adjacency[a]:
+        for b in graph.neighbors(a):
             prof, dt = edge_cost(a_xy, graph.vertex_xy[b], arrival)
             if math.isinf(dt):
                 continue

@@ -414,3 +414,126 @@ def choose_profile_reference(profiles, times, mode, slack_factor):
         return best, times[best]
     pick = min(within, key=lambda i: (-profiles[i].amplitude, times[i], i))
     return pick, times[pick]
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference lattice screen and build: the one-point loops the
+# planner used before the screen was one array pass and the lattice was
+# stored as CSR.  build_graph and connect_terminals must reproduce them.
+
+def land_at_reference(grid, x, y):
+    """Nearest-node land test by bisection; raises OutOfDomainError."""
+    from gliderplan.errors import OutOfDomainError
+
+    xl, yl = grid.x_coords.tolist(), grid.y_coords.tolist()
+    if not (xl[0] <= x <= xl[-1] and yl[0] <= y <= yl[-1]):
+        raise OutOfDomainError(f"position ({x:g}, {y:g}) outside flow domain")
+    return bool(grid.land_mask[_nearest_index(yl, y), _nearest_index(xl, x)])
+
+
+def point_in_polygon_reference(x, y, poly):
+    """Even-odd rule, one polygon edge at a time."""
+    inside = False
+    j = len(poly) - 1
+    for i in range(len(poly)):
+        xi, yi = poly[i]
+        xj, yj = poly[j]
+        if (yi > y) != (yj > y):
+            if x < xi + (y - yi) * (xj - xi) / (yj - yi):
+                inside = not inside
+        j = i
+    return inside
+
+
+def blocks_reference(blocked, x, y):
+    """BlockedRegions' predicate for one point."""
+    if blocked.grid is not None:
+        xl, yl = blocked.grid.x_coords.tolist(), blocked.grid.y_coords.tolist()
+        if not (xl[0] <= x <= xl[-1] and yl[0] <= y <= yl[-1]):
+            return True
+        if land_at_reference(blocked.grid, x, y):
+            return True
+    return any(point_in_polygon_reference(x, y, poly)
+               for poly in blocked.polygons)
+
+
+def segment_clear_reference(blocked, ax, ay, bx, by, step):
+    """Screen a segment at its interior points every `step` meters."""
+    length = math.hypot(bx - ax, by - ay)
+    m = max(1, math.ceil(length / step))
+    for k in range(1, m):
+        f = k / m
+        if blocks_reference(blocked, ax + f * (bx - ax), ay + f * (by - ay)):
+            return False
+    return True
+
+
+def build_graph_reference(region, spacing, offsets, blocked):
+    """Scalar lattice build: (vertex_xy, per-vertex head lists).
+
+    Scans vertices row by row and, for each, the undirected pairs it
+    tails in offset order, adding both arcs of every clear pair.
+    """
+    x_min, y_min, x_max, y_max = region
+    nx = int((x_max - x_min) / spacing * (1 + 1e-9)) + 1
+    ny = int((y_max - y_min) / spacing * (1 + 1e-9)) + 1
+    index = [[-1] * nx for _ in range(ny)]
+    vertex_xy = []
+    for j in range(ny):
+        y = y_min + j * spacing
+        for i in range(nx):
+            x = x_min + i * spacing
+            if not blocks_reference(blocked, x, y):
+                index[j][i] = len(vertex_xy)
+                vertex_xy.append((x, y))
+    step = spacing / 4.0
+    heads = [[] for _ in vertex_xy]
+    half = [(di, dj) for di, dj in offsets if dj > 0 or (dj == 0 and di > 0)]
+    for j in range(ny):
+        for i in range(nx):
+            a = index[j][i]
+            if a < 0:
+                continue
+            for di, dj in half:
+                if not (0 <= i + di < nx and 0 <= j + dj < ny):
+                    continue
+                b = index[j + dj][i + di]
+                if b < 0 or not segment_clear_reference(
+                        blocked, *vertex_xy[a], *vertex_xy[b], step):
+                    continue
+                heads[a].append(b)
+                heads[b].append(a)
+    return vertex_xy, heads
+
+
+def connect_terminals_reference(vertex_xy, heads, spacing, blocked,
+                                terminals, k):
+    """Insert terminals into a reference lattice (mutated in place):
+    the k nearest vertices by (d^2, index) with clear segments, or a
+    lattice vertex within 1e-9 m.  Returns the indices or the
+    ConfigError message."""
+    lattice_size = len(vertex_xy)
+    step = spacing / 4.0
+    out = []
+    for name, (x, y) in zip(("start", "goal"), terminals):
+        if blocks_reference(blocked, x, y):
+            return f"{name} ({x:g}, {y:g}) lies in a blocked area"
+        snap = [i for i in range(lattice_size)
+                if abs(vertex_xy[i][0] - x) < 1e-9
+                and abs(vertex_xy[i][1] - y) < 1e-9]
+        if snap:
+            out.append(snap[0])
+            continue
+        ranked = sorted(range(lattice_size), key=lambda i: (
+            (vertex_xy[i][0] - x) ** 2 + (vertex_xy[i][1] - y) ** 2, i))
+        linked = [v for v in ranked[:k] if segment_clear_reference(
+            blocked, x, y, *vertex_xy[v], step)]
+        if not linked:
+            return f"{name} ({x:g}, {y:g}) cannot be connected to the lattice"
+        idx = len(vertex_xy)
+        vertex_xy.append((x, y))
+        heads.append(linked)
+        for v in linked:
+            heads[v].append(idx)
+        out.append(idx)
+    return tuple(out)

@@ -47,8 +47,8 @@ def test_2_search_arrival_equals_exhaustive_enumeration_on_fifo_lattices():
 
         base = {}
         phase = {}
-        for a, nbrs in enumerate(graph.adjacency):
-            for b, _ in nbrs:
+        for a in range(n):
+            for b in graph.neighbors(a):
                 base[(a, b)] = rng.uniform(50.0, 500.0)
                 phase[(a, b)] = rng.uniform(0.0, 2.0 * math.pi)
 
@@ -62,7 +62,7 @@ def test_2_search_arrival_equals_exhaustive_enumeration_on_fifo_lattices():
         def cost(a_xy, b_xy, t):
             return None, raw(index_of[a_xy], index_of[b_xy], t)
 
-        out_edges = [[b for b, _ in nbrs] for nbrs in graph.adjacency]
+        out_edges = [graph.neighbors(a) for a in range(n)]
         start, goal = rng.sample(range(n), 2)
         t0 = rng.uniform(0.0, period)
 

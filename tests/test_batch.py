@@ -143,6 +143,31 @@ def test_legs_near_the_speed_boundary():
             assert_leg_agrees(float(got[0, 0]), ref)
 
 
+@pytest.mark.parametrize("n_t, t_method", [(1, "linear"), (2, "nearest")])
+def test_a_cross_current_past_the_glider_is_infeasible_on_a_nearest_t_axis(
+        n_t, t_method):
+    # a 0.5 m/s northward current against a 0.3 m/s glider flying east
+    # leaves the lane's time NaN; later sub-steps sample at that time, and
+    # the nearest t stencil must keep it on the grid when there is land
+    x = np.linspace(0.0, 40_000.0, 5)
+    z = np.array([0.0, 100.0])
+    t = np.arange(n_t) * 86_400.0
+    u = np.zeros((n_t, 2, 5, 5))
+    v = np.full((n_t, 2, 5, 5), 0.5)
+    u[:, :, 4, 4] = v[:, :, 4, 4] = np.nan  # one land column
+    grid = FlowGrid(x, x, z, t, u, v)
+    assert grid.land_mask.sum() == 1
+    scheme = InterpScheme("bilinear", "linear", t_method)
+    got = profile_times((5_000.0, 5_000.0), [(30_000.0, 5_000.0)] * 2, 0.0,
+                        [DiveProfile(0.0, 60.0)], grid, V03, h=0.5,
+                        scheme=scheme, n_sub=3)
+    assert got.shape == (2, 1) and np.isinf(got).all()
+    ref = glider_travel_time_reference((5_000.0, 5_000.0), (30_000.0, 5_000.0),
+                                       DiveProfile(0.0, 60.0), 0.0, grid, V03,
+                                       0.5, scheme, 3)
+    assert math.isinf(ref)
+
+
 def test_slant_leg_matches_reference():
     rng = np.random.RandomState(23)
     grid = random_grid(rng, 6, 6, 3, 4, scale=0.2)

@@ -225,6 +225,16 @@ class TestPlan:
         printed = stdout.splitlines()[:len(summary)]
         assert summary == printed
 
+    def test_archive_with_non_numeric_values_exits_1(self, capsys, tmp_path,
+                                                     mission_file):
+        doc = json.loads((tmp_path / "flow.json").read_text(encoding="utf-8"))
+        doc["u"][3] = "0.1"
+        (tmp_path / "flow.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(capsys, "plan", str(mission_file),
+                               "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert err.startswith("error: u: must be a flat array of numbers")
+
     def test_no_smooth_flag(self, capsys, tmp_path, mission_file):
         out_dir = tmp_path / "out"
         code, stdout, _ = run_cli(capsys, "plan", str(mission_file),

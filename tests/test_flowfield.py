@@ -89,11 +89,10 @@ class TestFlowGridValidation:
     def test_land_at_uses_nearest_node(self):
         grid = make_land_grid(extent=50_000.0, n=6)  # column ix=3 is land
         xs = grid.x_coords
-        assert grid.land_at(float(xs[3]), 0.0)
-        assert grid.land_at(float(xs[3]) + 0.4 * (xs[4] - xs[3]), 100.0)
-        assert not grid.land_at(float(xs[2]), 0.0)
-        with pytest.raises(OutOfDomainError):
-            grid.land_at(-1.0, 0.0)
+        # land is the nearest node's; off the grid is blocked as well
+        x = np.array([xs[3], xs[3] + 0.4 * (xs[4] - xs[3]), xs[2], -1.0])
+        y = np.array([0.0, 100.0, 0.0, 0.0])
+        assert grid.blocked_at(x, y).tolist() == [True, True, False, True]
 
 
 class TestSyntheticFields:
@@ -372,6 +371,27 @@ class TestArchiveValidation:
         doc["u"] = [0.0, 0.0]
         with pytest.raises(FlowFormatError, match="u"):
             load_flow_grid(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("name", ["u", "v"])
+    @pytest.mark.parametrize("values", [
+        "0.0", ["0.0", 0.0, 0.0, 0.0], [[0.0, 0.0], [0.0]], {},
+        [0.0, None, 0.0, 0.0], [True, 0.0, 0.0, 0.0], [False] * 4,
+        [[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0, {}, 0.0], [10 ** 400, 0, 0, 0]])
+    def test_component_must_be_flat_numbers(self, tmp_path, name, values):
+        doc = self.good_header()
+        doc[name] = values
+        with pytest.raises(FlowFormatError,
+                           match=f"^{name}: must be a flat array of numbers"):
+            load_flow_grid(self.write(tmp_path, doc))
+
+    def test_nan_component_value_is_fill(self, tmp_path):
+        # save_flow_grid writes NaN fill as a bare NaN token
+        doc = self.good_header()
+        doc["u"] = [0.0, math.nan, 0.0, 1]
+        doc["v"] = [0.0, math.nan, 0.0, 0.0]
+        grid = load_flow_grid(self.write(tmp_path, doc))
+        assert grid.land_mask.tolist() == [[False, True], [False, False]]
+        assert float(grid.u[0, 0, 1, 1]) == 1.0
 
     def test_missing_fill_sentinel(self, tmp_path):
         doc = self.good_header()

@@ -20,7 +20,9 @@ from gliderplan.smoothing import recompute_arrivals, smooth_path
 
 from conftest import (make_gyre_grid, make_land_grid, make_uniform_grid,
                       random_grid)
-from oracles import brute_force_arrival, static_shortest_time
+from oracles import (blocks_reference, brute_force_arrival,
+                     build_graph_reference, connect_terminals_reference,
+                     static_shortest_time)
 
 V03 = VehicleSpec(0.3)
 
@@ -29,13 +31,11 @@ def graph_from_edges(n, edges, positions=None):
     """Hand-built SearchGraph for synthetic-cost searches."""
     if positions is None:
         positions = [(float(i), 0.0) for i in range(n)]
-    adjacency = [[] for _ in range(n)]
-    for a, b in edges:
-        ax, ay = positions[a]
-        bx, by = positions[b]
-        adjacency[a].append((b, math.hypot(bx - ax, by - ay)))
-    return SearchGraph(list(positions), adjacency, spacing=1.0,
-                       neighbor_set=8, region=Rect(0, 0, 1, 1),
+    tails = [a for a, _ in edges]
+    heads = [b for _, b in sorted(edges, key=lambda e: e[0])]  # stable
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
+    return SearchGraph(list(positions), indptr, np.array(heads, dtype=int),
+                       spacing=1.0, neighbor_set=8, region=Rect(0, 0, 1, 1),
                        blocked=BlockedRegions(), lattice_size=n)
 
 
@@ -77,13 +77,12 @@ class TestBuildGraph:
         graph = build_graph(Rect(0.0, 0.0, 1000.0, 1000.0), spacing,
                             neighbor_set=16)
         seen = {}
-        for a, nbrs in enumerate(graph.adjacency):
+        for a in range(graph.n_vertices):
             ax, ay = graph.vertex_xy[a]
-            for b, length in nbrs:
+            for b in graph.neighbors(a):
                 bx, by = graph.vertex_xy[b]
-                assert length == pytest.approx(math.hypot(bx - ax, by - ay),
-                                               rel=1e-12)
-                seen[(a, b)] = length
+                seen[(a, b)] = math.hypot(bx - ax, by - ay)
+        assert len(seen) == graph.n_edges  # no arc twice
         for (a, b), length in seen.items():
             assert seen[(b, a)] == length
         lengths = sorted(set(round(v, 6) for v in seen.values()))
@@ -103,9 +102,9 @@ class TestBuildGraph:
         blocked = BlockedRegions(grid=grid)
         graph = build_graph(Rect(0.0, 0.0, 50_000.0, 50_000.0), 10_000.0,
                             8, blocked)
+        assert not blocked.mask(*zip(*graph.vertex_xy)).any()
         land_x = float(grid.x_coords[3])
         for x, y in graph.vertex_xy:
-            assert not blocked.blocks(x, y)
             assert abs(x - land_x) > 2_500.0  # nearest-node land margin
 
     def test_degenerate_region_rejected(self):
@@ -149,24 +148,22 @@ class TestBlockedRegions:
     def test_polygon_blocks_interior_only(self):
         square = ((10.0, 10.0), (20.0, 10.0), (20.0, 20.0), (10.0, 20.0))
         blocked = BlockedRegions(polygons=(square,))
-        assert blocked.blocks(15.0, 15.0)
-        assert not blocked.blocks(5.0, 5.0)
-        assert not blocked.blocks(25.0, 15.0)
+        assert blocked.mask([15.0, 5.0, 25.0], [15.0, 5.0, 15.0]).tolist() == [
+            True, False, False]
 
     def test_concave_polygon_even_odd(self):
         # a U shape: the notch between the arms is outside
         poly = ((0.0, 0.0), (30.0, 0.0), (30.0, 30.0), (20.0, 30.0),
                 (20.0, 10.0), (10.0, 10.0), (10.0, 30.0), (0.0, 30.0))
         blocked = BlockedRegions(polygons=(poly,))
-        assert blocked.blocks(5.0, 15.0)       # left arm
-        assert blocked.blocks(25.0, 15.0)      # right arm
-        assert not blocked.blocks(15.0, 20.0)  # notch
+        # left arm, right arm, notch
+        assert blocked.mask([5.0, 25.0, 15.0], [15.0, 15.0, 20.0]).tolist() == [
+            True, True, False]
 
     def test_outside_flow_domain_blocks(self, still_grid):
         blocked = BlockedRegions(grid=still_grid)
-        assert blocked.blocks(-1.0, 50.0)
-        assert blocked.blocks(50.0, 1e9)
-        assert not blocked.blocks(50_000.0, 50_000.0)
+        assert blocked.mask([-1.0, 50.0, 50_000.0],
+                            [50.0, 1e9, 50_000.0]).tolist() == [True, True, False]
 
 
 class TestConnectTerminals:
@@ -176,11 +173,12 @@ class TestConnectTerminals:
                                         (3100.0, 2600.0), k=8)
         assert start == graph.lattice_size
         assert goal == graph.lattice_size + 1
-        assert len(graph.adjacency[start]) == 8
-        assert len(graph.adjacency[goal]) == 8
-        # links are bidirectional
-        for b, length in graph.adjacency[start]:
-            assert (start, length) in [(i, l) for i, l in graph.adjacency[b]]
+        assert len(graph.neighbors(start)) == 8
+        assert len(graph.neighbors(goal)) == 8
+        # links are bidirectional, each the last arc of its lattice vertex
+        for b in graph.neighbors(start):
+            assert graph.neighbors(b)[-1] in (start, goal)
+            assert start in graph.neighbors(b)
 
     def test_terminal_on_vertex_is_reused(self):
         graph = build_graph(Rect(0.0, 0.0, 4000.0, 4000.0), 1000.0, 8)
@@ -207,6 +205,203 @@ class TestConnectTerminals:
                             BlockedRegions(polygons=(wall,)))
         with pytest.raises(ConfigError, match="cannot be connected"):
             connect_terminals(graph, (100.0, 2000.0), (3000.0, 2000.0), k=4)
+
+
+def _grid_over(x_lo, x_hi, y_lo, y_hi, land):
+    """A still grid on [x_lo, x_hi] x [y_lo, y_hi] with land[j][i] filled."""
+    land = np.asarray(land, dtype=bool)
+    u = np.where(land, -9999.0, 0.0)[None, None]
+    return FlowGrid(np.linspace(x_lo, x_hi, land.shape[1]),
+                    np.linspace(y_lo, y_hi, land.shape[0]), (0.0,), (0.0,),
+                    u, np.zeros_like(u))
+
+
+@st.composite
+def lattice_cases(draw):
+    """Small lattices with odd spacings and origins, land, polygons
+    (some edges horizontal, some vertices on lattice points) and
+    terminals (some on lattice points)."""
+    spacing = draw(st.sampled_from((0.1, 0.3, 0.35, 0.7, 1.1, 2.2))
+                   | st.floats(0.05, 3.0))
+    x0 = draw(st.sampled_from((0.1, 0.3, 1.7, 3.3)) | st.floats(-5.0, 5.0))
+    y0 = draw(st.sampled_from((0.1, 0.3, 1.7, 3.3)) | st.floats(-5.0, 5.0))
+    nx = draw(st.integers(1, 7))
+    ny = draw(st.integers(1, 7))
+    x1 = x0 + (nx - 1 + draw(st.floats(0.01, 0.99))) * spacing
+    y1 = y0 + (ny - 1 + draw(st.floats(0.01, 0.99))) * spacing
+    region = Rect(x0, y0, x1, y1)
+    grid = None
+    if draw(st.booleans()):
+        # the domain may cover the region or only part of it
+        gx0 = x0 + draw(st.floats(-1.0, 0.5)) * spacing
+        gy0 = y0 + draw(st.floats(-1.0, 0.5)) * spacing
+        gx1 = gx0 + draw(st.floats(0.5, 1.5)) * (x1 - x0 + spacing)
+        gy1 = gy0 + draw(st.floats(0.5, 1.5)) * (y1 - y0 + spacing)
+        gnx = draw(st.integers(2, 6))
+        gny = draw(st.integers(2, 6))
+        land = draw(st.lists(st.lists(st.booleans(), min_size=gnx,
+                                      max_size=gnx), min_size=gny,
+                             max_size=gny))
+        grid = _grid_over(gx0, gx1, gy0, gy1, land)
+    lattice_point = st.builds(
+        lambda i, j: (x0 + i * spacing, y0 + j * spacing),
+        st.integers(-1, nx), st.integers(-1, ny))
+    free_point = st.tuples(st.floats(x0 - spacing, x1 + spacing),
+                           st.floats(y0 - spacing, y1 + spacing))
+    polygons = []
+    for _ in range(draw(st.integers(0, 3))):
+        poly = []
+        for _ in range(draw(st.integers(3, 6))):
+            x, y = draw(lattice_point | free_point)
+            if poly and draw(st.booleans()):
+                y = poly[-1][1]  # a horizontal edge
+            poly.append((x, y))
+        polygons.append(tuple(poly))
+    terminal = st.tuples(st.floats(x0, x1), st.floats(y0, y1)) | st.builds(
+        lambda i, j: (x0 + i * spacing, y0 + j * spacing),
+        st.integers(0, nx - 1), st.integers(0, ny - 1))
+    start, goal = draw(terminal), draw(terminal)
+    return (region, spacing, draw(st.sampled_from((8, 16))),
+            BlockedRegions(grid=grid, polygons=tuple(polygons)), start, goal)
+
+
+def assert_same_lattice(graph, vertex_xy, heads):
+    assert graph.vertex_xy == vertex_xy
+    assert [graph.neighbors(a) for a in range(graph.n_vertices)] == heads
+    assert graph.n_edges == sum(map(len, heads))
+
+
+class TestScreenOracle:
+    """The array screen and CSR build against the scalar loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_cases())
+    def test_lattice_matches_scalar_build(self, case):
+        region, spacing, neighbor_set, blocked, start, goal = case
+        offsets = NEIGHBOR_OFFSETS_8 if neighbor_set == 8 else NEIGHBOR_OFFSETS_16
+        vertex_xy, heads = build_graph_reference(region, spacing, offsets,
+                                                 blocked)
+        graph = build_graph(region, spacing, neighbor_set, blocked)
+        assert_same_lattice(graph, vertex_xy, heads)
+        expected = connect_terminals_reference(
+            vertex_xy, heads, spacing, blocked, (start, goal), neighbor_set)
+        try:
+            got = connect_terminals(graph, start, goal)
+        except ConfigError as exc:
+            assert str(exc) == expected
+            return
+        assert got == expected
+        assert_same_lattice(graph, vertex_xy, heads)
+
+    def test_one_offset_class_with_two_sample_counts(self):
+        # at spacing 0.1 from x = 0.1 the east edges of row 0 measure
+        # 0.1 and 0.10000000000000003 m: 4 and 5 interior steps.  One
+        # speck sits at the 1/4 point of the first (no 1/5 point hits
+        # it), one at the 1/5 point of the second (no 1/4 point does)
+        spacing = 0.1
+        xs = [0.1 + i * spacing for i in range(3)]
+        counts = [max(1, math.ceil(math.hypot(xs[i + 1] - xs[i], 0.0)
+                                   / (spacing / 4))) for i in range(2)]
+        assert counts == [4, 5]
+
+        def speck(x, y, r=0.002):
+            return ((x - r, y - r / 2), (x + r, y - r / 2), (x, y + r / 2))
+
+        blocked = BlockedRegions(polygons=(speck(0.125, 0.1),
+                                           speck(0.22, 0.1)))
+        region = Rect(0.1, 0.1, 0.5, 0.3)
+        graph = build_graph(region, spacing, 16, blocked)
+        assert_same_lattice(graph, *build_graph_reference(
+            region, spacing, NEIGHBOR_OFFSETS_16, blocked))
+        assert 1 not in graph.neighbors(0) and 2 not in graph.neighbors(1)
+
+    def test_terminal_sample_count_follows_math_hypot(self):
+        # this terminal edge is 4 steps long up to rounding: math.hypot
+        # makes it 5 interior steps, np.hypot 4; a speck at its 1/5
+        # point (no 1/4 point hits it) cuts it only at the right count
+        spacing = 0.3
+        (tx, ty), (vx, vy) = (0.1846153846153846, 0.02307692307692305), (0.3, 0.3)
+        step = spacing / 4.0
+        assert math.ceil(math.hypot(vx - tx, vy - ty) / step) == 5
+        assert math.ceil(float(np.hypot(vx - tx, vy - ty)) / step) == 4
+        px, py = tx + 0.2 * (vx - tx), ty + 0.2 * (vy - ty)
+        r = 0.002
+        blocked = BlockedRegions(polygons=((
+            (px - r, py - r), (px + r, py - r), (px, py + r)),))
+        region = Rect(0.0, 0.0, 1.2, 1.2)
+        graph = build_graph(region, spacing, 16, blocked)
+        vertex_xy, heads = build_graph_reference(region, spacing,
+                                                 NEIGHBOR_OFFSETS_16, blocked)
+        ends = ((tx, ty), (1.1, 1.1))
+        assert connect_terminals(graph, *ends) == connect_terminals_reference(
+            vertex_xy, heads, spacing, blocked, ends, 16)
+        assert_same_lattice(graph, vertex_xy, heads)
+        assert vertex_xy.index((vx, vy)) not in heads[-2]
+
+    def test_terminal_ranking_squares_like_python(self):
+        # x ** 2 is pow(), which differs from x * x by an ulp here and
+        # reorders two of the nearest vertices
+        region = Rect(0.0, 0.2, 1.2, 1.4)
+        graph = build_graph(region, 0.3, 16)
+        vertex_xy, heads = build_graph_reference(region, 0.3,
+                                                 NEIGHBOR_OFFSETS_16,
+                                                 BlockedRegions())
+        x, y = 0.75, 0.425
+        lattice = np.array(vertex_xy)
+        by_product = np.argsort(np.square(lattice[:, 0] - x)
+                                + np.square(lattice[:, 1] - y),
+                                kind="stable")[:16].tolist()
+        ends = ((x, y), (1.1, 1.3))
+        assert connect_terminals(graph, *ends) == connect_terminals_reference(
+            vertex_xy, heads, 0.3, BlockedRegions(), ends, 16)
+        assert_same_lattice(graph, vertex_xy, heads)
+        assert heads[graph.lattice_size] != by_product
+
+    @pytest.mark.parametrize("budget", [1, 5, 64])
+    def test_screen_budget_does_not_change_the_lattice(self, monkeypatch,
+                                                       budget):
+        square = ((1_500.0, 1_500.0), (4_500.0, 1_500.0),
+                  (4_500.0, 2_000.0), (1_500.0, 2_000.0))
+        blocked = BlockedRegions(grid=make_land_grid(), polygons=(square,))
+        region = Rect(0.0, 0.0, 50_000.0, 50_000.0)
+        expected = build_graph(region, 2_500.0, 16, blocked)
+        monkeypatch.setattr(search_mod, "MAX_SCREEN_POINTS", budget)
+        graph = build_graph(region, 2_500.0, 16, blocked)
+        assert graph.vertex_xy == expected.vertex_xy
+        assert np.array_equal(graph.indptr, expected.indptr)
+        assert np.array_equal(graph.heads, expected.heads)
+
+    def test_screen_matches_scalar_oracle_point_by_point(self):
+        grid = random_grid(np.random.default_rng(5), 7, 6, 1, 1)
+        gx, gy = grid.x_coords, grid.y_coords
+        polygons = (
+            ((gx[1], gy[1]), (gx[3], gy[1]), (gx[3], gy[2]), (gx[1], gy[2])),
+            ((gx[2], gy[3]), (gx[5], gy[3]), (gx[4], gy[5]), (gx[3], gy[4]),
+             (gx[2], gy[5])))
+        blocked = BlockedRegions(grid=grid, polygons=polygons)
+
+        def probes(c):
+            # nodes, node midpoints, the domain edge and one ulp beyond
+            return np.concatenate((
+                c, (c[:-1] + c[1:]) / 2,
+                [np.nextafter(c[0], -np.inf), np.nextafter(c[-1], np.inf)],
+                np.random.default_rng(c.size).uniform(c[0], c[-1], 8)))
+
+        x, y = (a.ravel() for a in np.meshgrid(probes(gx), probes(gy)))
+        expected = [blocks_reference(blocked, px, py)
+                    for px, py in zip(x.tolist(), y.tolist())]
+        assert any(expected) and not all(expected)
+        assert blocked.mask(x, y).tolist() == expected
+        assert grid.blocked_at(x, y).tolist() == [
+            blocks_reference(BlockedRegions(grid=grid), px, py)
+            for px, py in zip(x.tolist(), y.tolist())]
+
+    def test_nearest_node_ties_go_to_the_lower_knot(self, land_grid):
+        # nodes every 10 km, land at x = 30 km: an exact midpoint takes
+        # the lower node, and the last node maps to itself
+        assert BlockedRegions(grid=land_grid).mask(
+            [25_000.0, 35_000.0, 50_000.0], [0.0, 0.0, 50_000.0]).tolist() == [
+                False, True, False]
 
 
 class TestDijkstraStatic:

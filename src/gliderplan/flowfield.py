@@ -132,8 +132,14 @@ class FlowGrid:
     def max_speed(self) -> float:
         """Largest current speed |c| over the data nodes, m/s."""
         data = True if self._flat_fill is None else ~self._flat_fill
-        return float(np.max(np.hypot(self._flat_u, self._flat_v),
-                            where=data, initial=0.0))
+        u, v = self._flat_u, self._flat_v
+        sq = u * u + v * v
+        # u*u + v*v rounds within ~1e-16 relative, so hypot at the nodes
+        # within 1e-12 of its max gives the same float as hypot everywhere
+        # (less the least normal float, for squares that underflow)
+        top = np.max(sq, where=data, initial=0.0)
+        near = data & (sq >= top * (1.0 - 1e-12) - np.finfo(float).tiny)
+        return float(np.max(np.hypot(u[near], v[near]), initial=0.0))
 
     def horizontal_bounds(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max) of the gridded domain."""

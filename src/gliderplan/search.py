@@ -6,8 +6,9 @@ to a rectangular region.  Edges connect each vertex to its 8- or
 resolution).  Edge traversal times depend on the departure time, so the
 search is a label-setting Dijkstra over arrival times: it is optimal
 whenever the edge times satisfy the FIFO property (departing later
-never means arriving earlier), which it does not test: fifo_violations
-sees only negative leg times, never a non-FIFO field.
+never means arriving earlier), which it does not test.  It never times
+an edge into a settled vertex, so fifo_violations counts the one
+breach it can see, a negative leg time, never a non-FIFO field.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, LandContactError, OutOfDomainError
-from .flowfield import DEFAULT_SCHEME, FlowGrid, InterpScheme, sample
+from .errors import ConfigError
+from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
+                        sample, sample_batch)  # sample: for bench/spans.py
 from .kinematics import (DiveProfile, VehicleSpec, check_cost_mode,
                          choose_profile, profile_times)
 from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
@@ -277,7 +279,7 @@ class PlannedPath:
     profiles: list  # one per leg; None when the cost carries no profile
     total_time: float
     total_length: float
-    fifo_violations: int = 0
+    fifo_violations: int = 0  # relaxations with a negative leg time
 
 
 def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
@@ -289,16 +291,17 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
 
     Every leg it times stays in a table keyed by (tail, departure) that
     holds each head's profile index and time; a miss times the one leg.
-    With a graph the cost also has prefetch(a, depart, frontier) for
-    tve_dijkstra: unless the table holds a's fan-out (out-edges x
-    profiles) at depart, it times it in one kernel call with the
-    fan-outs of the frontier's (vertex, departure) pairs leaving before
-    depart + spacing / (speed + max node |c|), up to MAX_BATCH_LANES
-    lanes per call (a's own fan-out always goes).  That window is a
-    heuristic for the least lattice-edge time: terminal edges shorter
-    than the spacing and interpolants that overshoot the node speeds
-    can break it, which only wastes a fan-out.  Batching never changes
-    a time.
+    With a graph the cost also has prefetch(a, depart, frontier, live)
+    for tve_dijkstra, where live(v, t) lists the heads the search will
+    read when v settles at t.  Unless the table holds a's row at depart
+    or a has no live head, it times a's fan-out (live heads x profiles)
+    in one kernel call with the fan-outs of the frontier's (vertex,
+    departure) pairs leaving before depart + spacing / (speed + max
+    node |c|), up to MAX_BATCH_LANES lanes per call (a's own fan-out
+    always goes).  That window is a heuristic for the least
+    lattice-edge time: terminal edges shorter than the spacing and
+    interpolants that overshoot the node speeds can break it, which
+    only wastes a fan-out.  Batching never changes a time.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
@@ -330,19 +333,25 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
         return cost
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
 
-    def prefetch(a: int, depart: float, frontier) -> None:
-        if (graph.vertex_xy[a], depart) in table:
+    def prefetch(a: int, depart: float, frontier, live) -> None:
+        key = (graph.vertex_xy[a], depart)
+        if key in table:
             return
-        batch, lanes = [], 0
-        for v, t in [(a, depart), *frontier]:
+        heads = live(a, depart)
+        if not heads:
+            return
+        batch = [(key, [graph.vertex_xy[b] for b in heads])]
+        lanes = len(heads) * len(profiles)
+        for v, t in frontier:
             key = (graph.vertex_xy[v], t)
-            if key in table or batch and t >= depart + horizon:
+            if t >= depart + horizon or key in table:
                 continue
-            fan = [graph.vertex_xy[b] for b in graph.neighbors(v)]
-            lanes += len(fan) * len(profiles)
-            if batch and lanes > MAX_BATCH_LANES:
+            heads = live(v, t)
+            lanes += len(heads) * len(profiles)
+            if lanes > MAX_BATCH_LANES:
                 break
-            batch.append((key, fan))
+            if heads:
+                batch.append((key, [graph.vertex_xy[b] for b in heads]))
         time_legs(*zip(*batch))
 
     cost.prefetch = prefetch
@@ -355,14 +364,18 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
 
     Label-setting Dijkstra where each edge is timed at the departure
     time of its tail vertex.  Vertices settle one at a time in arrival
-    order with ties broken toward the lower vertex index.  The result
-    is the time-optimal route whenever edge times are FIFO, which goes
-    unchecked: fifo_violations counts relaxations that would improve a
-    settled vertex b, and as labels[b] <= arrival only a negative leg
-    time makes one.  Returns None when the goal is unreachable.
+    order with ties broken toward the lower vertex index, and an edge
+    into a settled vertex is never timed.  The result is the
+    time-optimal route whenever edge times are FIFO, which goes
+    unchecked: fifo_violations counts relaxations with a negative leg
+    time, the one breach a label-setting search can see.  Returns None
+    when the goal is unreachable.
 
     A cost with a prefetch method (make_edge_cost with a graph) is
-    offered the live heap entries but the goal before each settle; a
+    offered the live heap entries but the goal before each settle,
+    with live(v, t): the heads of v that are not settled and whose
+    (label, index) sorts after (t, v).  The others pop before v, as
+    labels only fall, so the search never reads their legs from v; a
     fan-out timed at a departure that is no final label is never read.
     """
     n = graph.n_vertices
@@ -376,6 +389,11 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     labels[start] = t_start
     heap: list[tuple[float, int]] = [(t_start, start)]
     prefetch = getattr(edge_cost, "prefetch", lambda *offer: None)
+
+    def live(v: int, t: float) -> list:
+        return [b for b in graph.neighbors(v)
+                if not settled[b] and (labels[b], b) > (t, v)]
+
     while heap:
         arrival, a = heappop(heap)
         if settled[a]:
@@ -384,17 +402,15 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
         if a == goal:
             break
         prefetch(a, arrival, ((v, t) for t, v in heap
-                              if t == labels[v] and v != goal))
+                              if t == labels[v] and v != goal), live)
         a_xy = graph.vertex_xy[a]
-        for b in graph.neighbors(a):
+        for b in live(a, arrival):  # every head not settled: a is least
             prof, dt = edge_cost(a_xy, graph.vertex_xy[b], arrival)
             if math.isinf(dt):
                 continue
+            if dt < 0:
+                fifo_violations += 1
             cand = arrival + dt
-            if settled[b]:
-                if cand < labels[b] - 1e-9:
-                    fifo_violations += 1
-                continue
             if cand < labels[b]:
                 labels[b] = cand
                 parents[b] = a
@@ -452,25 +468,29 @@ def path_report(path: PlannedPath, grid: FlowGrid, vehicle: VehicleSpec,
     follows_current.  Unsampleable legs (land or out of domain) carry
     NaN fields and sampled=False.
     """
-    out = []
     wp = path.waypoints
+    depths = []
     for i in range(len(wp) - 1):
-        (x0, y0), (x1, y1) = wp[i], wp[i + 1]
         prof = path.profiles[i] if i < len(path.profiles) else None
         if depth is not None:
-            z = depth
+            depths.append(depth)
         elif prof is not None:
-            z = 0.5 * (prof.z_climb_to + prof.z_dive_to)
+            depths.append(0.5 * (prof.z_climb_to + prof.z_dive_to))
         else:
-            z = float(grid.z_levels[0])
+            depths.append(float(grid.z_levels[0]))
+    us, vs, reasons = sample_batch(grid, [x for x, _ in wp[:-1]],
+                                   [y for _, y in wp[:-1]], depths,
+                                   path.arrival_times[:len(depths)], scheme)
+    out = []
+    for i, z in enumerate(depths):
+        (x0, y0), (x1, y1) = wp[i], wp[i + 1]
         depart = path.arrival_times[i]
-        try:
-            cur = sample(grid, x0, y0, z, depart, scheme)
-        except (OutOfDomainError, LandContactError):
+        if reasons[i] != SAMPLE_OK:
             out.append(LegReport(i, x0, y0, z, depart, math.nan, math.nan,
                                  math.nan, math.nan, False, False, False))
             continue
-        mag = cur.magnitude
+        u, v = float(us[i]), float(vs[i])
+        mag = math.hypot(u, v)
         hx = x1 - x0
         hy = y1 - y0
         if mag == 0.0:
@@ -478,9 +498,8 @@ def path_report(path: PlannedPath, grid: FlowGrid, vehicle: VehicleSpec,
             zero = True
         else:
             zero = False
-            psi = math.degrees(math.atan2(hx * cur.v - hy * cur.u,
-                                          hx * cur.u + hy * cur.v))
+            psi = math.degrees(math.atan2(hx * v - hy * u, hx * u + hy * v))
         follows = (mag > vehicle.speed_through_water) and abs(psi) < 90.0
-        out.append(LegReport(i, x0, y0, z, depart, cur.u, cur.v, mag, psi,
-                             zero, follows, True))
+        out.append(LegReport(i, x0, y0, z, depart, u, v, mag, psi, zero,
+                             follows, True))
     return out

@@ -537,3 +537,44 @@ def connect_terminals_reference(vertex_xy, heads, spacing, blocked,
             heads[v].append(idx)
         out.append(idx)
     return tuple(out)
+
+
+def max_speed_reference(grid):
+    """Largest |c| over the data nodes: hypot at every node."""
+    data = True if grid._flat_fill is None else ~grid._flat_fill
+    return float(np.max(np.hypot(grid._flat_u, grid._flat_v), where=data,
+                        initial=0.0))
+
+
+def path_report_reference(path, grid, vehicle, scheme, depth=None):
+    """path_report with one scalar sample per leg."""
+    from gliderplan.errors import LandContactError, OutOfDomainError
+    from gliderplan.search import LegReport
+
+    out = []
+    wp = path.waypoints
+    for i in range(len(wp) - 1):
+        (x0, y0), (x1, y1) = wp[i], wp[i + 1]
+        prof = path.profiles[i] if i < len(path.profiles) else None
+        if depth is not None:
+            z = depth
+        elif prof is not None:
+            z = 0.5 * (prof.z_climb_to + prof.z_dive_to)
+        else:
+            z = float(grid.z_levels[0])
+        depart = path.arrival_times[i]
+        try:
+            u, v = sample_reference(grid, x0, y0, z, depart, scheme)
+        except (OutOfDomainError, LandContactError):
+            out.append(LegReport(i, x0, y0, z, depart, math.nan, math.nan,
+                                 math.nan, math.nan, False, False, False))
+            continue
+        mag = math.hypot(u, v)
+        hx, hy = x1 - x0, y1 - y0
+        psi = (0.0 if mag == 0.0 else
+               math.degrees(math.atan2(hx * v - hy * u, hx * u + hy * v)))
+        out.append(LegReport(i, x0, y0, z, depart, u, v, mag, psi,
+                             mag == 0.0,
+                             mag > vehicle.speed_through_water
+                             and abs(psi) < 90.0, True))
+    return out

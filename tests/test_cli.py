@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import gliderplan
 from gliderplan.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from gliderplan.flowfield import load_flow_grid, save_flow_grid
 
@@ -478,8 +480,13 @@ class TestEntryPoint:
         assert run_cli(capsys, "fly")[0] == EXIT_ERROR
 
     def test_module_is_executable(self):
+        # the child finds the package where this process imported it
+        src = os.path.dirname(os.path.dirname(gliderplan.__file__))
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "gliderplan.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "gliderplan" in proc.stdout

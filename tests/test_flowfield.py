@@ -12,7 +12,8 @@ from gliderplan.flowfield import (FlowGrid, InterpScheme, effective_scheme,
                                   interp_xy, load_flow_grid, sample,
                                   save_flow_grid, synth_field)
 
-from conftest import make_land_grid, make_uniform_grid
+from conftest import make_land_grid, make_uniform_grid, random_grid
+from oracles import max_speed_reference
 
 
 def small_grid(**kwargs):
@@ -93,6 +94,46 @@ class TestFlowGridValidation:
         x = np.array([xs[3], xs[3] + 0.4 * (xs[4] - xs[3]), xs[2], -1.0])
         y = np.array([0.0, 100.0, 0.0, 0.0])
         assert grid.blocked_at(x, y).tolist() == [True, True, False, True]
+
+
+class TestMaxSpeed:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_hypot_at_every_data_node(self, seed):
+        rng = np.random.RandomState(seed)
+        # squares from subnormal to near overflow; the -9999 fill nodes
+        # outrun every data node at the small scales
+        scale = 10.0 ** rng.uniform(-160, 150)
+        grid = random_grid(rng, 8, 7, 2, 4, scale=scale)
+        # near-ties: one speed at every heading, so the hypots differ
+        # only in the last bits; and a NaN fill node
+        speed = scale * rng.uniform(0.5, 1.5)
+        ang = rng.uniform(0.0, 2.0 * math.pi, grid.u.shape)
+        data = ~grid._isfill(grid.u) & ~grid._isfill(grid.v)
+        u = np.where(data, speed * np.cos(ang), grid.u)
+        v = np.where(data, speed * np.sin(ang), grid.v)
+        u[1, 0, 2, 1] = np.nan
+        tied = FlowGrid(grid.x_coords, grid.y_coords, grid.z_levels,
+                        grid.t_steps, u, v)
+        for g in (grid, tied):
+            assert g.max_speed() == max_speed_reference(g)
+
+    def test_a_square_that_underflows_keeps_the_hypot_max(self):
+        # u*u + v*v is subnormal here: the first node has the larger
+        # square but the second the larger hypot
+        u = np.array([-9.457873011171733e-161, 9.024562591271161e-162])
+        v = np.array([3.2478667005511786e-161, -9.959195384184534e-161])
+        assert u[0] ** 2 + v[0] ** 2 > u[1] ** 2 + v[1] ** 2
+        assert math.hypot(u[0], v[0]) < math.hypot(u[1], v[1])
+        grid = FlowGrid(np.array([0.0, 1.0]), np.array([0.0]),
+                        np.array([0.0]), np.array([0.0]),
+                        u.reshape(1, 1, 1, 2), v.reshape(1, 1, 1, 2))
+        assert grid.max_speed() == math.hypot(u[1], v[1])
+
+    def test_all_fill_grid_is_still(self):
+        fill = np.full((1, 1, 2, 2), -9999.0)
+        grid = FlowGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                        np.array([0.0]), np.array([0.0]), fill, fill)
+        assert grid.max_speed() == max_speed_reference(grid) == 0.0
 
 
 class TestSyntheticFields:

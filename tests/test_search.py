@@ -22,7 +22,7 @@ from conftest import (make_gyre_grid, make_land_grid, make_uniform_grid,
                       random_grid)
 from oracles import (blocks_reference, brute_force_arrival,
                      build_graph_reference, connect_terminals_reference,
-                     static_shortest_time)
+                     path_report_reference, static_shortest_time)
 
 V03 = VehicleSpec(0.3)
 
@@ -539,30 +539,53 @@ class TestDijkstraTimeVarying:
         path = tve_dijkstra(graph, 0, 3, 0.0, cost_from_table(table))
         assert path.waypoints == [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]
 
-    def test_negative_duration_counts_fifo_violation(self):
-        # a cost that jumps the clock backwards can beat a settled label;
-        # the search keeps its answer but reports the violation
+    def test_edges_into_settled_vertices_are_never_timed(self):
+        # 2 -> 1 jumps the clock backwards, but 1 settles before 2, so
+        # the search never asks for it and keeps its answer
         edges = [(0, 1), (0, 2), (2, 1), (1, 3), (2, 3)]
         graph = graph_from_edges(4, edges)
+        times = {(0, 1): 10.0, (0, 2): 20.0, (2, 1): -15.0, (1, 3): 100.0,
+                 (2, 3): 100.0}
+        calls = []
 
         def cost(a_xy, b_xy, t):
-            key = (int(a_xy[0]), int(b_xy[0]))
-            if key == (0, 1):
-                return None, 10.0
-            if key == (0, 2):
-                return None, 20.0
-            if key == (2, 1):
-                return None, -15.0
-            if key == (1, 3):
-                return None, 100.0
-            if key == (2, 3):
-                return None, 100.0
-            return None, math.inf
+            calls.append((int(a_xy[0]), int(b_xy[0])))
+            return None, times.get(calls[-1], math.inf)
 
         path = tve_dijkstra(graph, 0, 3, 0.0, cost)
-        assert path is not None
+        # every tail has settled by its first call, the start before all
+        settled = {0}
+        for a, b in calls:
+            settled.add(a)
+            assert b not in settled
+        assert calls == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert path.waypoints == [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)]
+        assert path.arrival_times == [0.0, 10.0, 110.0]
+        assert path.fifo_violations == 0
+
+    def test_negative_leg_into_unsettled_vertex_counts_once(self):
+        edges = [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3)]
+        graph = graph_from_edges(4, edges)
+        table = {
+            ((0.0, 0.0), (1.0, 0.0)): 10.0,
+            ((0.0, 0.0), (2.0, 0.0)): 20.0,
+            ((1.0, 0.0), (2.0, 0.0)): -5.0,
+            ((2.0, 0.0), (1.0, 0.0)): 1.0,
+            ((2.0, 0.0), (3.0, 0.0)): 10.0,
+        }
+        by_table = cost_from_table(table)
+
+        def cost(a_xy, b_xy, t):
+            # 2 settles at 5, after 1 settled at 10: only the settled
+            # flag, not the label order, keeps 2 -> 1 from being timed
+            assert (a_xy, b_xy) != ((2.0, 0.0), (1.0, 0.0))
+            return by_table(a_xy, b_xy, t)
+
+        path = tve_dijkstra(graph, 0, 3, 0.0, cost)
         assert path.fifo_violations == 1
-        assert path.arrival_times[-1] == pytest.approx(110.0)
+        assert path.waypoints == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0),
+                                  (3.0, 0.0)]
+        assert path.arrival_times == [0.0, 10.0, 5.0, 15.0]
 
     def test_blocking_wall_makes_goal_unreachable(self):
         grid = make_land_grid(extent=50_000.0, n=6)
@@ -677,12 +700,18 @@ class TestPrefetch:
                 == plan_and_smooth(graph, start, goal, make_edge_cost(*args),
                                    0.0))
 
-    def test_search_batches_and_smoothing_rechains_for_free(self, monkeypatch):
+    @staticmethod
+    def gyre_lattice():
         grid = make_gyre_grid()
         graph = build_graph(Rect(5_000.0, 5_000.0, 55_000.0, 55_000.0),
                             5_000.0, 16, BlockedRegions(grid=grid))
         start, goal = connect_terminals(graph, (6_000.0, 6_000.0),
                                         (54_000.0, 54_000.0))
+        assert graph.n_vertices == 123
+        return grid, graph, start, goal
+
+    def test_search_batches_and_smoothing_rechains_for_free(self, monkeypatch):
+        grid, graph, start, goal = self.gyre_lattice()
         kernel = CountingKernel(search_mod.profile_times)
         monkeypatch.setattr(search_mod, "profile_times", kernel)
         cost = make_edge_cost(grid, V03, self.FAMILY, 0.5, n_sub=2,
@@ -693,6 +722,62 @@ class TestPrefetch:
         assert recompute_arrivals(path.waypoints, 0.0, cost) == \
             path.arrival_times
         assert kernel.calls == []
+
+    def traced_search(self, monkeypatch, grid, graph, start, goal):
+        """Search with a prefetching cost, checking every kernel call as
+        it is made; returns the legs timed, the legs read, the kernel
+        calls and the settles whose vertex had no live head."""
+        args = (grid, V03, self.FAMILY, 0.5)
+        one_at_a_time = tve_dijkstra(graph, start, goal, 0.0,
+                                     make_edge_cost(*args, n_sub=2))
+        settled, idle, timed, reads = [], [], [], []
+        counting = CountingKernel(search_mod.profile_times)
+
+        def kernel(tails, heads, *rest):
+            tails = list(map(tuple, np.reshape(tails, (-1, 2))))
+            # each call leads with the fan-out of the vertex now settling
+            # and times no head that has settled
+            assert tails[0] == settled[-1]
+            assert set(settled).isdisjoint(heads)
+            timed.extend(zip(tails, heads))
+            return counting(tails, heads, *rest)
+
+        monkeypatch.setattr(search_mod, "profile_times", kernel)
+        cost = make_edge_cost(*args, n_sub=2, graph=graph)
+
+        def read(a_xy, b_xy, depart):
+            reads.append((a_xy, b_xy))
+            return cost(a_xy, b_xy, depart)
+
+        def prefetch(a, depart, frontier, live):
+            settled.append(graph.vertex_xy[a])
+            if not live(a, depart):
+                idle.append(a)
+            cost.prefetch(a, depart, frontier, live)
+
+        read.prefetch = prefetch
+        assert tve_dijkstra(graph, start, goal, 0.0, read) == one_at_a_time
+        assert sorted(timed) == sorted(reads)  # each timed leg read once
+        return timed, reads, counting.calls, idle
+
+    def test_search_times_only_the_legs_it_reads(self, monkeypatch):
+        timed, reads, _, _ = self.traced_search(monkeypatch,
+                                                *self.gyre_lattice())
+        # fan-outs of every out-edge would time 1,602 legs here
+        assert (len(timed), len(reads)) == (811, 811)
+
+    def test_a_vertex_with_no_live_head_makes_no_kernel_call(self,
+                                                            monkeypatch):
+        grid = make_uniform_grid(u0=0.035, v0=-0.035, extent=50_000.0)
+        graph = build_graph(Rect(0.0, 0.0, 50_000.0, 50_000.0), 5_000.0, 16,
+                            BlockedRegions(grid=grid))
+        start, goal = connect_terminals(graph, (1_000.0, 1_000.0),
+                                        (49_000.0, 49_000.0))
+        timed, reads, calls, idle = self.traced_search(monkeypatch, grid,
+                                                       graph, start, goal)
+        assert len(idle) == 1
+        # the same topology as the gyre lattice, all of it settled
+        assert (len(calls), len(timed), len(reads)) == (16, 811, 811)
 
     @pytest.mark.parametrize("n_climb", [100, 3])
     def test_no_kernel_call_exceeds_the_lane_cap(self, n_climb, still_grid,
@@ -717,10 +802,33 @@ class TestPrefetch:
         assert all(lanes <= MAX_BATCH_LANES or len(tails) == 1
                    for tails, lanes in counting.calls)
         widest = max(len(tails) for tails, _ in counting.calls)
-        assert widest == (1 if n_climb == 100 else 2)
+        assert widest == (1 if n_climb == 100 else 3)
 
 
 class TestPathReport:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_one_scalar_sample_per_leg(self, seed):
+        rng = np.random.RandomState(seed)
+        grid = random_grid(rng, 7, 6, 3, 4, scale=0.4)
+        scheme = [InterpScheme(), InterpScheme("bicubic", "akima", "akima"),
+                  InterpScheme("nearest", "cubic", "nearest")][seed % 3]
+        x0, y0, x1, y1 = grid.horizontal_bounds()
+        # some waypoints off the grid or by its land column, departures
+        # before and after the time axis
+        n = rng.randint(2, 12)
+        wp = list(zip(rng.uniform(x0 - 500.0, x1 + 500.0, n).tolist(),
+                      rng.uniform(y0 - 500.0, y1 + 500.0, n).tolist()))
+        t = np.sort(rng.uniform(0.0, 1.2 * grid.t_steps[-1], n)).tolist()
+        profiles = [None if rng.rand() < 0.3 else
+                    DiveProfile(*sorted(rng.uniform(0.0, 60.0, 2).tolist()))
+                    for _ in range(n - 1)]
+        from gliderplan.search import PlannedPath
+        path = PlannedPath(wp, t, profiles, t[-1] - t[0], 0.0)
+        depth = None if seed % 2 else 12.5
+        # repr tells NaN fields apart and compares the others exactly
+        assert repr(path_report(path, grid, V03, scheme, depth)) == repr(
+            path_report_reference(path, grid, V03, scheme, depth))
+
     def make_path(self, grid, u0):
         from gliderplan.search import PlannedPath
         return PlannedPath(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -103,7 +104,16 @@ def _axis(span: float, n: int):
     return np.linspace(0.0, span, n) if n > 1 else np.array([0.0])
 
 
+def _check_flags(args, flags, rule: str, ok) -> None:
+    for flag in flags:
+        if not ok(getattr(args, flag)):
+            raise GliderPlanError(f"--{flag.replace('_', '-')}: {rule}, "
+                                  f"got {getattr(args, flag)!r}")
+
+
 def _cmd_plan(args) -> int:
+    _check_flags(args, ("svg_depth", "svg_time"), "must be finite",
+                 lambda v: v is None or math.isfinite(v))
     spec = parse_mission(args.mission,
                          {"smooth": False} if args.no_smooth else None)
     result = run_mission(spec)
@@ -128,6 +138,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_flags(args, ("x", "y", "z", "t"), "must be finite", math.isfinite)
     parts = [p.strip() for p in args.scheme.split(",")]
     if len(parts) != 3:
         raise GliderPlanError(
@@ -152,6 +163,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_flags(args, ("nx", "ny", "nz", "nt"), "must be at least 1",
+                 lambda n: n >= 1)
     params = {}
     for key in ("u0", "v0", "amplitude", "epsilon", "period"):
         val = getattr(args, key)
@@ -207,7 +220,7 @@ def _cmd_sweep(args) -> int:
                   f"{'-':>10}  {'-':>6}  {'-':>9}  "
                   f"{result.comp_time:>7.2f}")
             continue
-        elapsed = final.arrival_times[-1] - case.start_time
+        elapsed = final.total_time
         print(f"{value:>12}  {'ok':>10}  {format_duration(elapsed):>12}  "
               f"{elapsed:>14.3f}  {final.total_length / 1000.0:>10.3f}  "
               f"{len(result.planned.waypoints):>6}  "

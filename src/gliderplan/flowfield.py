@@ -367,59 +367,6 @@ def sample(grid: FlowGrid, x: float, y: float, z: float, t: float,
     return CurrentVector(float(u[0]), float(v[0]))
 
 
-def _slice_grid(x_coords, y_coords, z_levels, values) -> FlowGrid:
-    # NaN as the sentinel: every finite value is data, not land
-    values = np.asarray(values, dtype=np.float64).reshape(
-        1, len(z_levels), len(y_coords), len(x_coords))
-    return FlowGrid(x_coords, y_coords, z_levels, (0.0,), values,
-                    np.zeros_like(values), fill_sentinel=math.nan)
-
-
-def interp_1d(knots, values, q: float, method: str) -> float:
-    """Interpolate 1-D samples at q; the depth stage of sample_batch.
-
-    method is one of nearest, linear, cubic (Catmull-Rom) or akima.
-    Queries outside the knot range clamp to the boundary value, and the
-    method degrades when the axis has too few knots (cubic/akima need
-    three, anything beyond one knot can do linear).
-    """
-    if method not in ZT_METHODS:
-        raise ConfigError(f"method must be one of {ZT_METHODS}, got {method!r}")
-    xs = list(knots)
-    ys = list(values)
-    if len(xs) != len(ys) or not xs:
-        raise ConfigError("knots and values must be non-empty, equal length")
-    grid = _slice_grid((0.0,), (0.0,), xs, ys)
-    u, _, _ = sample_batch(grid, 0.0, 0.0, q, 0.0,
-                           InterpScheme("nearest", method, "nearest"))
-    return float(u[0])
-
-
-def interp_xy(layer, x_coords, y_coords, x: float, y: float,
-              method: str = "bilinear") -> float:
-    """Interpolate a 2-D scalar slice (indexed [y][x]) at one position.
-
-    The horizontal stage of sample_batch.  method is one of nearest,
-    bilinear or bicubic.  Positions outside the axes raise
-    OutOfDomainError; fill values are not interpreted here (land
-    handling belongs to sample()).
-    """
-    if method not in XY_METHODS:
-        raise ConfigError(f"method must be one of {XY_METHODS}, got {method!r}")
-    lay = np.asarray(layer, dtype=np.float64)
-    xs = list(x_coords)
-    ys = list(y_coords)
-    if lay.shape != (len(ys), len(xs)):
-        raise ConfigError(
-            f"layer shape {lay.shape} does not match axes ({len(ys)}, {len(xs)})")
-    grid = _slice_grid(xs, ys, (0.0,), lay)
-    u, _, reason = sample_batch(grid, x, y, 0.0, 0.0,
-                                InterpScheme(method, "nearest", "nearest"))
-    if reason[0] == SAMPLE_OUT_OF_DOMAIN:
-        raise OutOfDomainError(
-            f"position ({x:g}, {y:g}) outside slice domain")
-    return float(u[0])
-
 # ---------------------------------------------------------------------------
 # synthetic fields
 

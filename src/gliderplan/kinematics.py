@@ -1,4 +1,4 @@
-"""Vehicle kinematics: effective speed, leg travel times, dive profiles.
+"""Vehicle kinematics: over-ground speed, leg travel times, dive profiles.
 
 Travel times are plain floats in seconds; the distinguished value
 INFEASIBLE (infinity) marks legs that cannot be flown.  Infinity
@@ -82,40 +82,34 @@ class ProfileFamilySpec:
                 raise ConfigError(f"{name}: must lie in [1, 100]")
 
 
-def effective_speed(vehicle: VehicleSpec, current, direction) -> float | None:
-    """Over-ground speed along a unit 3-D direction, or None when infeasible.
+@np.errstate(invalid="ignore")
+def over_ground_speed(vehicle: VehicleSpec, cu, cv, ux, uy):
+    """Over-ground speed v = c_par + sqrt(speed^2 - c_perp^2), lane by lane.
 
-    The current (horizontal, zero vertical component) is split into the
-    component along the direction of travel and the cross component the
-    vehicle must crab against.  What remains of the through-water speed
-    after cancelling the cross component drives progress:
-
-        v = c_par + sqrt(speed^2 - c_perp^2)
-
-    Infeasible when the cross current exceeds the speed through water,
-    or when the along-track sum is not positive (swept backwards).
+    The current (cu, cv) splits into c_par along the unit direction of
+    travel, whose horizontal part is (ux, uy), and the cross component
+    c_perp the vehicle crabs against.  Returns (v, ok); ok is False
+    where the cross current exceeds the speed through water or the
+    along-track sum is not positive, and there v means nothing.
     """
-    cu = current[0]
-    cv = current[1]
-    dx = direction[0]
-    dy = direction[1]
-    c_par = cu * dx + cv * dy
-    c_perp2 = cu * cu + cv * cv - c_par * c_par
-    s2 = vehicle.speed_through_water ** 2 - c_perp2
-    if s2 < 0.0:
-        return None
-    v = c_par + math.sqrt(s2)
-    if v <= 0.0:
-        return None
-    return v
+    c_par = cu * ux + cv * uy
+    s2 = vehicle.speed_through_water ** 2 - (cu * cu + cv * cv - c_par * c_par)
+    v = c_par + np.sqrt(s2)
+    return v, (s2 >= 0.0) & (v > 0.0)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
                  ze, t_start, scheme: InterpScheme, n_sub: int):
-    """travel_time over L legs (arrays (L,)), one sample_batch call per
-    sub-step.  Returns (seconds, ok); where ok is False the leg left the
-    domain, touched land or was infeasible, and its seconds mean nothing.
+    """Travel times of L straight 3-D legs (arrays (L,)), z positive down.
+
+    Each leg is split into n_sub equal sub-segments.  A sub-segment
+    samples the current once -- at its starting horizontal position, its
+    mid depth, and the clock time accumulated so far -- and holds the
+    resulting over_ground_speed constant across the sub-segment; the
+    legs advance together, one sample_batch call per sub-step.  Returns
+    (seconds, ok); where ok is False a sub-segment left the domain,
+    touched land or was infeasible, and the seconds mean nothing.
     """
     dx = xe - xs
     dy = ye - ys
@@ -125,7 +119,6 @@ def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
     ux = dx * inv
     uy = dy * inv
     step = length / n_sub
-    speed2 = vehicle.speed_through_water ** 2
     ok = length > 0.0
     t = t_start
     for i in range(n_sub):
@@ -133,11 +126,8 @@ def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
         fm = (i + 0.5) / n_sub
         cu, cv, reason = sample_batch(grid, xs + f * dx, ys + f * dy,
                                       zs + fm * dz, t, scheme)
-        # effective_speed, one lane per leg
-        c_par = cu * ux + cv * uy
-        s2 = speed2 - (cu * cu + cv * cv - c_par * c_par)
-        v = c_par + np.sqrt(s2)
-        ok &= (reason == SAMPLE_OK) & (s2 >= 0.0) & (v > 0.0)
+        v, feasible = over_ground_speed(vehicle, cu, cv, ux, uy)
+        ok &= (reason == SAMPLE_OK) & feasible
         t = t + step / v
     # a zero-length leg takes no time and samples nothing
     zero = length == 0.0
@@ -149,13 +139,15 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
                   vehicle: VehicleSpec, h: float = 0.25,
                   scheme: InterpScheme = DEFAULT_SCHEME,
                   n_sub: int = 4) -> np.ndarray:
-    """(H, P) times of every head x profile run, head k from tail k.
+    """(H, P) times of every head x profile sawtooth run, head k from tail k.
 
-    tails_2d is (H, 2) or one shared (x, y); t_start is (H,) or one
-    shared departure.  The H x P sawtooth runs advance together through
-    the ceil(1/h) x n_sub sub-steps, one sample_batch call per sub-step.
-    Every lane does glider_travel_time's arithmetic in its order, so a
-    run's time does not depend on the rest of the batch.  Entries are
+    A run is divided into ceil(1/h) equal segments, 0 < h <= 1, each
+    flown as one straight slant from the profile's climb apex down to
+    its dive floor, departing when the previous segment arrived, so
+    later segments see the field at later times.  tails_2d is (H, 2) or
+    one shared (x, y); t_start is (H,) or one shared departure.  The
+    H x P runs advance together, one sample_batch call per sub-step, and
+    a run's time does not depend on the rest of the batch.  Entries are
     seconds or INFEASIBLE, as is every run of an INFEASIBLE departure.
     """
     profiles = list(profiles)
@@ -191,56 +183,11 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     return np.where(alive, t - t0, INFEASIBLE).reshape(shape)
 
 
-def travel_time(p_start, p_end, t_start: float, grid: FlowGrid,
-                vehicle: VehicleSpec, scheme: InterpScheme = DEFAULT_SCHEME,
-                n_sub: int = 4) -> float:
-    """Travel time in seconds along a straight 3-D leg, or INFEASIBLE.
-
-    The leg is split into n_sub equal sub-segments.  Each sub-segment
-    samples the current once -- at its starting horizontal position,
-    its mid depth, and the clock time accumulated so far -- and holds
-    the resulting over-ground speed constant across the sub-segment.
-    A sub-segment that is infeasible, leaves the domain, or touches
-    land makes the whole leg INFEASIBLE.
-
-    Args:
-        p_start: (x, y, z) meters, z positive down.
-        p_end: (x, y, z) meters.
-        t_start: departure clock time, seconds.
-        grid: flow field to sample.
-        vehicle: performance envelope.
-        scheme: interpolation scheme for sampling.
-        n_sub: number of sub-segments (>= 1).
-    """
-    if math.isinf(t_start):
-        return INFEASIBLE
-    if n_sub < 1:
-        raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
-    dt, ok = _slant_times(grid, vehicle,
-                          *(np.array([float(c)]) for c in (*p_start, *p_end)),
-                          t_start, scheme, n_sub)
-    return float(dt[0]) if ok[0] else INFEASIBLE
-
-
 def glider_travel_time(p_start_2d, p_end_2d, profile: DiveProfile,
                        t_start: float, grid: FlowGrid, vehicle: VehicleSpec,
                        h: float = 0.25, scheme: InterpScheme = DEFAULT_SCHEME,
                        n_sub: int = 4) -> float:
-    """Travel time of a sawtooth dive run between two surface positions.
-
-    The horizontal run is divided into ceil(1/h) equal segments.  Each
-    segment is flown as one straight slant from the profile's climb
-    apex down to its dive floor, departing when the previous segment
-    arrived, so later segments see the field at later times.  Returns
-    seconds, or INFEASIBLE as soon as any segment is impassable.
-
-    Args:
-        p_start_2d: (x, y) meters at the start of the run.
-        p_end_2d: (x, y) meters at the end of the run.
-        profile: dive band flown on every segment.
-        t_start: departure clock time, seconds (INFEASIBLE passes through).
-        h: fraction of the run covered by one segment, 0 < h <= 1.
-    """
+    """One sawtooth run's time (profile_times): seconds or INFEASIBLE."""
     return float(profile_times(p_start_2d, [p_end_2d], t_start, [profile],
                                grid, vehicle, h, scheme, n_sub)[0, 0])
 

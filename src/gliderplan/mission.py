@@ -24,9 +24,10 @@ from .flowfield import (SAMPLE_OK, FlowGrid, InterpScheme, load_flow_grid,
                         sample, sample_batch)  # sample: for bench/spans.py
 from .kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                          make_dive_profiles, optimal_profile_cost)
-from .search import (BlockedRegions, LegReport, PlannedPath, Rect,
-                     build_graph, connect_terminals, make_edge_cost,
-                     path_report, segment_clear, tve_dijkstra)
+from .search import (BlockedRegions, PlannedPath, Rect, build_graph,
+                     connect_terminals, make_edge_cost, segment_clear,
+                     tve_dijkstra)
+from .search import path_report  # noqa: F401  for bench/spans.py
 from .smoothing import SmoothingTrace, smooth_path
 
 log = logging.getLogger(__name__)
@@ -341,7 +342,6 @@ class MissionResult:
     straight_line_time: float
     straight_line_profile: DiveProfile | None
     no_current_time: float
-    report: list
     n_vertices: int
     n_edges: int
     comp_time: float
@@ -357,9 +357,9 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
 
     Builds the lattice, inserts the terminals, runs the time-varying
     search with optimal-profile edge costs, smooths the route (unless
-    disabled), and gathers per-leg current diagnostics plus the two
-    straight-line baselines (direct leg through the field, and plain
-    distance over speed; the direct leg is screened like every edge).
+    disabled), and times the two straight-line baselines (direct leg
+    through the field, and plain distance over speed; the direct leg is
+    screened like every edge).
     An unreachable goal yields status "infeasible" with the baselines
     still filled in.  The grid defaults to the one parse_mission loaded.
     """
@@ -396,7 +396,6 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
 
     smoothed = None
     trace = None
-    report: list[LegReport] = []
     status = "infeasible"
     if planned is not None:
         status = "ok"
@@ -408,22 +407,14 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
 
             wp_s, tt_s, trace = smooth_path(planned.waypoints,
                                             spec.start_time, smooth_cost)
-            length = sum(
-                math.hypot(wp_s[i + 1][0] - wp_s[i][0],
-                           wp_s[i + 1][1] - wp_s[i][1])
-                for i in range(len(wp_s) - 1))
             smoothed = PlannedPath(wp_s, tt_s, trace.profiles,
-                                   total_time=tt_s[-1] - spec.start_time,
-                                   total_length=length,
                                    fifo_violations=planned.fifo_violations)
-        final = smoothed if smoothed is not None else planned
-        report = path_report(final, grid, spec.vehicle, spec.scheme)
 
     return MissionResult(
         spec=spec, status=status, planned=planned, smoothed=smoothed,
         trace=trace, straight_line_time=straight_time,
         straight_line_profile=straight_profile, no_current_time=no_current,
-        report=report, n_vertices=graph.n_vertices, n_edges=graph.n_edges,
+        n_vertices=graph.n_vertices, n_edges=graph.n_edges,
         comp_time=time.perf_counter() - t_wall)
 
 
@@ -437,7 +428,7 @@ def summary_lines(result: MissionResult) -> list[str]:
     final = result.final_path
     lines = [f"status: {result.status}"]
     if final is not None:
-        elapsed = final.arrival_times[-1] - spec.start_time
+        elapsed = final.total_time
         lines += [
             f"travel_time_s: {elapsed:.3f}",
             f"travel_time: {format_duration(elapsed)}",
@@ -520,7 +511,7 @@ def export_waypoints(result: MissionResult, path) -> None:
 
     totals: dict = {"status": result.status}
     if final is not None:
-        elapsed = final.arrival_times[-1] - spec.start_time
+        elapsed = final.total_time
         totals.update({
             "travel_time_s": _round6(elapsed),
             "travel_time": format_duration(elapsed),
@@ -667,9 +658,8 @@ def render_svg(result: MissionResult, grid: FlowGrid, path,
                  f'stroke-width="1.5"/>')
 
     final = result.final_path
-    label = ("travel time " + format_duration(
-        final.arrival_times[-1] - spec.start_time)
-        if final is not None else "infeasible")
+    label = ("travel time " + format_duration(final.total_time)
+             if final is not None else "infeasible")
     parts.append(f'<text x="{fmt(margin)}" y="{fmt(margin - 12)}" '
                  f'font-family="sans-serif" font-size="13" '
                  f'fill="#222">{label}</text>')

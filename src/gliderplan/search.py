@@ -272,14 +272,22 @@ def connect_terminals(graph: SearchGraph, start_xy, goal_xy,
 
 @dataclass
 class PlannedPath:
-    """A planned route with per-leg timing and dive profiles."""
+    """A planned route: per-leg timing, dive profiles and their totals."""
 
     waypoints: list
     arrival_times: list
     profiles: list  # one per leg; None when the cost carries no profile
-    total_time: float
-    total_length: float
     fifo_violations: int = 0  # relaxations with a negative leg time
+
+    @property
+    def total_time(self) -> float:
+        return self.arrival_times[-1] - self.arrival_times[0]
+
+    @property
+    def total_length(self) -> float:
+        wp = self.waypoints
+        return sum(math.hypot(b[0] - a[0], b[1] - a[1])
+                   for a, b in zip(wp, wp[1:]))
 
 
 def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
@@ -422,17 +430,9 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     while chain[-1] != start:
         chain.append(parents[chain[-1]])
     chain.reverse()
-    waypoints = [graph.vertex_xy[v] for v in chain]
-    arrivals = [labels[v] for v in chain]
-    profs = [via_profile[v] for v in chain[1:]]
-    total_length = sum(
-        math.hypot(waypoints[i + 1][0] - waypoints[i][0],
-                   waypoints[i + 1][1] - waypoints[i][1])
-        for i in range(len(waypoints) - 1))
-    return PlannedPath(waypoints, arrivals, profs,
-                       total_time=labels[goal] - t_start,
-                       total_length=total_length,
-                       fifo_violations=fifo_violations)
+    return PlannedPath([graph.vertex_xy[v] for v in chain],
+                       [labels[v] for v in chain],
+                       [via_profile[v] for v in chain[1:]], fifo_violations)
 
 
 @dataclass(frozen=True)

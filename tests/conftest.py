@@ -1,9 +1,16 @@
-"""Shared fixtures: small flow grids with known analytic structure."""
+"""Shared fixtures: small flow grids with known analytic structure, and
+one-point views of the batched kernels (sample_batch, _slant_times)."""
+
+import math
 
 import numpy as np
 import pytest
 
-from gliderplan.flowfield import FlowGrid, synth_field
+from gliderplan.errors import OutOfDomainError
+from gliderplan.flowfield import (DEFAULT_SCHEME, SAMPLE_OUT_OF_DOMAIN,
+                                  FlowGrid, InterpScheme, sample_batch,
+                                  synth_field)
+from gliderplan.kinematics import INFEASIBLE, _slant_times
 
 
 def make_uniform_grid(u0=0.0, v0=0.0, extent=100_000.0, depth=200.0,
@@ -92,3 +99,49 @@ def tidal_grid():
 @pytest.fixture
 def land_grid():
     return make_land_grid()
+
+
+def _slice_grid(x_coords, y_coords, z_levels, values) -> FlowGrid:
+    # NaN as the sentinel: every finite value is data, not land
+    values = np.asarray(values, dtype=np.float64).reshape(
+        1, len(z_levels), len(y_coords), len(x_coords))
+    return FlowGrid(x_coords, y_coords, z_levels, (0.0,), values,
+                    np.zeros_like(values), fill_sentinel=math.nan)
+
+
+def interp_1d(knots, values, q: float, method: str) -> float:
+    """Interpolate 1-D samples at q through sample_batch's depth stage.
+
+    method is one of nearest, linear, cubic (Catmull-Rom) or akima.
+    Queries outside the knot range clamp to the boundary value, and the
+    method degrades when the axis has too few knots.
+    """
+    grid = _slice_grid((0.0,), (0.0,), list(knots), list(values))
+    u, _, _ = sample_batch(grid, 0.0, 0.0, q, 0.0,
+                           InterpScheme("nearest", method, "nearest"))
+    return float(u[0])
+
+
+def interp_xy(layer, x_coords, y_coords, x: float, y: float,
+              method: str = "bilinear") -> float:
+    """Interpolate a 2-D slice (indexed [y][x]) at one position through
+    sample_batch's horizontal stage; outside the axes raises
+    OutOfDomainError."""
+    grid = _slice_grid(list(x_coords), list(y_coords), (0.0,), layer)
+    u, _, reason = sample_batch(grid, x, y, 0.0, 0.0,
+                                InterpScheme(method, "nearest", "nearest"))
+    if reason[0] == SAMPLE_OUT_OF_DOMAIN:
+        raise OutOfDomainError(
+            f"position ({x:g}, {y:g}) outside slice domain")
+    return float(u[0])
+
+
+def travel_time(p_start, p_end, t_start: float, grid, vehicle,
+                scheme=DEFAULT_SCHEME, n_sub: int = 4) -> float:
+    """One straight 3-D leg's time through _slant_times, or INFEASIBLE."""
+    if math.isinf(t_start):
+        return INFEASIBLE
+    dt, ok = _slant_times(grid, vehicle,
+                          *(np.array([float(c)]) for c in (*p_start, *p_end)),
+                          t_start, scheme, n_sub)
+    return float(dt[0]) if ok[0] else INFEASIBLE

@@ -58,6 +58,34 @@ def akima_reference(xs, ys, q):
     return float(ys[i] + t0 * d + c2 * d * d + c3 * d * d * d)
 
 
+def effective_speed(vehicle, current, direction):
+    """Over-ground speed along a unit 3-D direction, or None when infeasible.
+
+    The current (horizontal, zero vertical component) is split into the
+    component along the direction of travel and the cross component the
+    vehicle must crab against.  What remains of the through-water speed
+    after cancelling the cross component drives progress:
+
+        v = c_par + sqrt(speed^2 - c_perp^2)
+
+    Infeasible when the cross current exceeds the speed through water,
+    or when the along-track sum is not positive (swept backwards).
+    """
+    cu = current[0]
+    cv = current[1]
+    dx = direction[0]
+    dy = direction[1]
+    c_par = cu * dx + cv * dy
+    c_perp2 = cu * cu + cv * cv - c_par * c_par
+    s2 = vehicle.speed_through_water ** 2 - c_perp2
+    if s2 < 0.0:
+        return None
+    v = c_par + math.sqrt(s2)
+    if v <= 0.0:
+        return None
+    return v
+
+
 def effective_speed_reference(speed, cu, cv, hx, hy):
     """Ground speed along (hx, hy) via the quadratic |t*d - c| = speed.
 
@@ -347,7 +375,6 @@ def travel_time_reference(p_start, p_end, t_start, grid, vehicle, scheme,
                           n_sub):
     """Slant-leg time with one scalar sample per sub-segment, or inf."""
     from gliderplan.errors import LandContactError, OutOfDomainError
-    from gliderplan.kinematics import effective_speed
 
     if math.isinf(t_start):
         return math.inf

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from gliderplan.cli import EXIT_OK, main as cli_main
-from gliderplan.flowfield import interp_1d, interp_xy, save_flow_grid
-from gliderplan.kinematics import (VehicleSpec, effective_speed,
-                                   make_dive_profiles, travel_time)
+from gliderplan.flowfield import save_flow_grid
+from gliderplan.kinematics import (VehicleSpec, make_dive_profiles,
+                                   over_ground_speed)
 from gliderplan.mission import format_duration, parse_mission, run_mission
 from gliderplan.search import Rect, build_graph, tve_dijkstra
 from gliderplan.smoothing import smooth_path
 
-from conftest import make_gyre_grid, make_uniform_grid
+from conftest import (interp_1d, interp_xy, make_gyre_grid,
+                      make_uniform_grid, travel_time)
 from oracles import akima_reference, brute_force_arrival
 
 
@@ -194,18 +195,18 @@ def test_5_feasibility_physics_at_the_speed_boundary():
     opposing_fast = make_uniform_grid(u0=-1.01 * speed)
     t = travel_time(*leg, 0.0, opposing_fast, vehicle, n_sub=1)
     assert math.isinf(t)
-    assert effective_speed(vehicle, (-1.01 * speed, 0.0), (1.0, 0.0, 0.0)) is None
+    assert not over_ground_speed(vehicle, -1.01 * speed, 0.0, 1.0, 0.0)[1]
 
     opposing_slow = make_uniform_grid(u0=-0.99 * speed)
     t = travel_time(*leg, 0.0, opposing_slow, vehicle, n_sub=1)
     assert math.isfinite(t) and t > 0.0
-    v = effective_speed(vehicle, (-0.99 * speed, 0.0), (1.0, 0.0, 0.0))
-    assert v is not None and v > 0.0
+    v, ok = over_ground_speed(vehicle, -0.99 * speed, 0.0, 1.0, 0.0)
+    assert ok and v > 0.0
 
     cross_equal = make_uniform_grid(u0=0.0, v0=speed)
     t = travel_time(*leg, 0.0, cross_equal, vehicle, n_sub=1)
     assert math.isinf(t)
-    assert effective_speed(vehicle, (0.0, speed), (1.0, 0.0, 0.0)) is None
+    assert not over_ground_speed(vehicle, 0.0, speed, 1.0, 0.0)[1]
 
 
 def write_gyre_mission(tmp_path, amplitude=0.035):

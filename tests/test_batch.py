@@ -19,9 +19,9 @@ from gliderplan.flowfield import (SAMPLE_LAND, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN,
                                   InterpScheme, sample, sample_batch)
 from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                                    glider_travel_time, make_dive_profiles,
-                                   profile_times, travel_time)
+                                   profile_times)
 
-from conftest import random_grid
+from conftest import random_grid, travel_time
 from oracles import (glider_travel_time_reference, sample_reference,
                      travel_time_reference)
 

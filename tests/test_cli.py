@@ -120,6 +120,17 @@ class TestSynth:
         assert code == EXIT_ERROR
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--nx", "0"), ("--ny", "-3"), ("--nz", "0"), ("--nt", "-1")])
+    def test_knot_count_below_one_exits_1_naming_the_flag(
+            self, capsys, tmp_path, flag, value):
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "synth", "gyre", "--out",
+                                    str(out), flag, value)
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {flag}: must be at least 1")
+        assert stdout == "" and not out.exists()
+
 
 class TestSample:
     @pytest.fixture
@@ -169,6 +180,20 @@ class TestSample:
             capsys, "sample", str(path), "--x", "29000", "--y", "25000")
         assert code == EXIT_INFEASIBLE
         assert parse_kv(stdout)["status"] == "land_contact"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--x", "nan"), ("--y", "nan"), ("--z", "nan"), ("--t", "nan"),
+        ("--x", "inf"), ("--z", "-inf"), ("--t", "inf")])
+    def test_non_finite_coordinate_exits_1_naming_the_flag(
+            self, capsys, flow_file, flag, value):
+        argv = {"--x": "25000", "--y": "25000", "--z": "0", "--t": "0"}
+        argv[flag] = value
+        code, stdout, err = run_cli(
+            capsys, "sample", str(flow_file),
+            *(f"{k}={v}" for k, v in argv.items()))
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {flag}: must be finite")
+        assert stdout == ""
 
     def test_malformed_scheme_flag(self, capsys, flow_file):
         code, _, err = run_cli(
@@ -360,6 +385,18 @@ class TestPlan:
                              "--svg-depth", "100", "--svg-time", "3600")
         assert code == EXIT_OK
         assert (out_dir / "plan.svg").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--svg-depth", "nan"), ("--svg-time", "nan"), ("--svg-depth", "inf")])
+    def test_non_finite_svg_layer_exits_1_naming_the_flag(
+            self, capsys, tmp_path, mission_file, flag, value):
+        # a NaN depth would sample no current and drop every arrow
+        out_dir = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "plan", str(mission_file),
+                                    "--out", str(out_dir), f"{flag}={value}")
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {flag}: must be finite")
+        assert stdout == "" and not out_dir.exists()
 
 
 class TestSweep:

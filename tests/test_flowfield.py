@@ -9,10 +9,10 @@ import pytest
 from gliderplan.errors import (ConfigError, FlowFormatError, LandContactError,
                                OutOfDomainError)
 from gliderplan.flowfield import (FlowGrid, InterpScheme, effective_scheme,
-                                  interp_xy, load_flow_grid, sample,
-                                  save_flow_grid, synth_field)
+                                  load_flow_grid, sample, save_flow_grid,
+                                  synth_field)
 
-from conftest import make_land_grid, make_uniform_grid, random_grid
+from conftest import interp_xy, make_land_grid, make_uniform_grid, random_grid
 from oracles import max_speed_reference
 
 

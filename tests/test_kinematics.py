@@ -11,15 +11,14 @@ from gliderplan.errors import ConfigError
 from gliderplan.flowfield import FlowGrid, InterpScheme, synth_field
 from gliderplan.kinematics import (INFEASIBLE, DiveProfile,
                                    ProfileFamilySpec, VehicleSpec,
-                                   choose_profile, effective_speed,
-                                   glider_travel_time, make_dive_profiles,
-                                   optimal_profile_cost, profile_times,
-                                   travel_time)
+                                   choose_profile, glider_travel_time,
+                                   make_dive_profiles, optimal_profile_cost,
+                                   over_ground_speed, profile_times)
 
 from conftest import (make_gyre_grid, make_land_grid, make_tidal_grid,
-                      make_uniform_grid)
-from oracles import (choose_profile_reference, effective_speed_reference,
-                     glider_travel_time_reference)
+                      make_uniform_grid, travel_time)
+from oracles import (choose_profile_reference, effective_speed,
+                     effective_speed_reference, glider_travel_time_reference)
 
 V03 = VehicleSpec(speed_through_water=0.3)
 EAST = (1.0, 0.0, 0.0)
@@ -38,32 +37,63 @@ def two_layer_grid(u_shallow, u_deep, extent=100_000.0, z_deep=100.0):
     return FlowGrid(x, y, z, t, u, v)
 
 
+def speed_lane(current, direction):
+    """over_ground_speed of one lane, or None where it is infeasible."""
+    v, ok = over_ground_speed(V03, *(np.array([c]) for c in (
+        current[0], current[1], direction[0], direction[1])))
+    return float(v[0]) if ok[0] else None
+
+
 class TestEffectiveSpeed:
     def test_pure_cross_current(self):
         # sqrt(0.3^2 - 0.18^2) = 0.24
-        assert effective_speed(V03, (0.0, 0.18), EAST) == pytest.approx(
+        assert speed_lane((0.0, 0.18), EAST) == pytest.approx(
             0.24, abs=1e-15)
 
     def test_cross_current_equal_to_speed_is_infeasible(self):
-        assert effective_speed(V03, (0.0, 0.3), EAST) is None
+        assert speed_lane((0.0, 0.3), EAST) is None
 
     def test_cross_current_above_speed_is_infeasible(self):
-        assert effective_speed(V03, (0.0, 0.30001), EAST) is None
+        assert speed_lane((0.0, 0.30001), EAST) is None
 
     def test_opposing_current_above_speed_is_infeasible(self):
-        assert effective_speed(V03, (-0.303, 0.0), EAST) is None
+        assert speed_lane((-0.303, 0.0), EAST) is None
 
     def test_opposing_current_below_speed_is_feasible(self):
-        v = effective_speed(V03, (-0.297, 0.0), EAST)
+        v = speed_lane((-0.297, 0.0), EAST)
         assert v == pytest.approx(0.003, abs=1e-12)
 
     def test_still_water_gives_through_water_speed(self):
-        assert effective_speed(V03, (0.0, 0.0), EAST) == pytest.approx(
+        assert speed_lane((0.0, 0.0), EAST) == pytest.approx(
             0.3, abs=1e-15)
 
     def test_following_current_adds(self):
-        assert effective_speed(V03, (0.1, 0.0), EAST) == pytest.approx(
+        assert speed_lane((0.1, 0.0), EAST) == pytest.approx(
             0.4, abs=1e-12)
+
+    @settings(max_examples=50)
+    @given(lanes=st.lists(st.tuples(st.floats(-0.6, 0.6),
+                                    st.floats(-0.6, 0.6),
+                                    st.floats(0.0, 2.0 * math.pi),
+                                    st.floats(-0.8, 0.8)),
+                          min_size=1, max_size=20))
+    # cross current exactly equal to the speed, and a lane swept to a
+    # standstill: both sit on the feasibility boundary
+    @example(lanes=[(0.0, 0.3, 0.0, 0.0), (-0.3, 0.0, 0.0, 0.0)])
+    def test_lanes_match_the_scalar_formula(self, lanes):
+        # every lane is the scalar formula in its operation order: the
+        # same float, and infeasible exactly where it returns None
+        dirs = [(math.sqrt(1.0 - dz * dz) * math.cos(ang),
+                 math.sqrt(1.0 - dz * dz) * math.sin(ang), dz)
+                for _, _, ang, dz in lanes]
+        cu, cv = (np.array(c) for c in zip(*[lane[:2] for lane in lanes]))
+        ux, uy = (np.array(c) for c in zip(*[d[:2] for d in dirs]))
+        v, ok = over_ground_speed(V03, cu, cv, ux, uy)
+        for k, (lane, d) in enumerate(zip(lanes, dirs)):
+            want = effective_speed(V03, lane[:2], d)
+            assert bool(ok[k]) == (want is not None)
+            if want is not None:
+                assert v[k] == want
 
     @staticmethod
     def speed_tolerance(cu, cv, hx, hy, speed=0.3):
@@ -92,7 +122,7 @@ class TestEffectiveSpeed:
     @example(cu=0.0, cv=0.3, ang=1e-09)
     def test_matches_quadratic_reference(self, cu, cv, ang):
         hx, hy = math.cos(ang), math.sin(ang)
-        got = effective_speed(V03, (cu, cv), (hx, hy, 0.0))
+        got = speed_lane((cu, cv), (hx, hy, 0.0))
         ref = effective_speed_reference(0.3, cu, cv, hx, hy)
         if ref is None or got is None:
             # disagreement is only tolerable exactly at the feasibility
@@ -117,11 +147,11 @@ class TestEffectiveSpeed:
         # rotating current and heading together must not change the speed
         hr = math.sqrt(max(0.0, 1.0 - dz * dz))
         hx, hy = hr * math.cos(ang), hr * math.sin(ang)
-        a = effective_speed(V03, (cu, cv), (hx, hy, dz))
+        a = speed_lane((cu, cv), (hx, hy, dz))
         cr, sr = math.cos(rot), math.sin(rot)
         cu2, cv2 = cu * cr - cv * sr, cu * sr + cv * cr
         hx2, hy2 = hx * cr - hy * sr, hx * sr + hy * cr
-        b = effective_speed(V03, (cu2, cv2), (hx2, hy2, dz))
+        b = speed_lane((cu2, cv2), (hx2, hy2, dz))
         # each call lies within its own rounding bound of the exact speed
         tol = (self.speed_tolerance(cu, cv, hx, hy)
                + self.speed_tolerance(cu2, cv2, hx2, hy2))
@@ -156,7 +186,7 @@ class TestTravelTime:
     def test_uniform_current_matches_effective_speed(self, east_grid):
         p0 = (10_000.0, 10_000.0, 0.0)
         p1 = (30_000.0, 10_000.0, 0.0)
-        v = effective_speed(V03, (0.1, 0.0), EAST)
+        v = speed_lane((0.1, 0.0), EAST)
         t = travel_time(p0, p1, 0.0, east_grid, V03)
         assert t == pytest.approx(20_000.0 / v, rel=1e-12)
 
@@ -215,8 +245,8 @@ class TestTravelTime:
 
     def test_bad_subdivision_rejected(self, still_grid):
         with pytest.raises(ConfigError):
-            travel_time((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.0, still_grid,
-                        V03, n_sub=0)
+            profile_times((0.0, 0.0), [(1.0, 0.0)], 0.0,
+                          [DiveProfile(0.0, 10.0)], still_grid, V03, n_sub=0)
 
 
 class TestGliderTravelTime:

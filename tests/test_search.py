@@ -823,7 +823,7 @@ class TestPathReport:
                     DiveProfile(*sorted(rng.uniform(0.0, 60.0, 2).tolist()))
                     for _ in range(n - 1)]
         from gliderplan.search import PlannedPath
-        path = PlannedPath(wp, t, profiles, t[-1] - t[0], 0.0)
+        path = PlannedPath(wp, t, profiles)
         depth = None if seed % 2 else 12.5
         # repr tells NaN fields apart and compares the others exactly
         assert repr(path_report(path, grid, V03, scheme, depth)) == repr(
@@ -835,8 +835,7 @@ class TestPathReport:
             waypoints=[(10_000.0, 10_000.0), (20_000.0, 10_000.0),
                        (20_000.0, 20_000.0)],
             arrival_times=[0.0, 40_000.0, 90_000.0],
-            profiles=[DiveProfile(0.0, 60.0), DiveProfile(0.0, 60.0)],
-            total_time=90_000.0, total_length=20_000.0)
+            profiles=[DiveProfile(0.0, 60.0), DiveProfile(0.0, 60.0)])
 
     def test_uniform_eastward_current(self):
         grid = make_uniform_grid(u0=0.1)
@@ -879,7 +878,7 @@ class TestPathReport:
         path = PlannedPath(
             waypoints=[(land_x, 1_000.0), (land_x, 9_000.0)],
             arrival_times=[0.0, 1_000.0],
-            profiles=[None], total_time=1_000.0, total_length=8_000.0)
+            profiles=[None])
         report = path_report(path, grid, V03)
         assert not report[0].sampled
         assert math.isnan(report[0].u)

@@ -165,11 +165,9 @@ def _cmd_sample(args) -> int:
 def _cmd_synth(args) -> int:
     _check_flags(args, ("nx", "ny", "nz", "nt"), "must be at least 1",
                  lambda n: n >= 1)
-    params = {}
-    for key in ("u0", "v0", "amplitude", "epsilon", "period"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
+    params = {key: val for key in ("u0", "v0", "amplitude", "epsilon",
+                                   "period")
+              if (val := getattr(args, key)) is not None}
     grid = synth_field(
         args.kind,
         _axis(args.width, args.nx),
@@ -244,10 +242,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         return _cmd_sweep(args)
-    except GliderPlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (GliderPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

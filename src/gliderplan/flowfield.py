@@ -399,19 +399,20 @@ def synth_field(kind: str, x_coords, y_coords, z_levels=(0.0,),
     shape = (t.size, z.size, y.size, x.size)
 
     def take(name: str, default: float) -> float:
-        return float(params.pop(name, default))
+        val = float(params.pop(name, default))
+        if not math.isfinite(val):
+            raise ConfigError(f"{name}: must be finite, got {val}")
+        if name == "period" and val <= 0:
+            raise ConfigError(f"{kind} period must be positive")
+        return val
 
     if kind == "uniform":
-        u0 = take("u0", 0.0)
-        v0 = take("v0", 0.0)
-        u = np.full(shape, u0)
-        v = np.full(shape, v0)
+        u = np.full(shape, take("u0", 0.0))
+        v = np.full(shape, take("v0", 0.0))
     elif kind == "gyre":
         amplitude = take("amplitude", 0.1)
         epsilon = take("epsilon", 0.25)
         period = take("period", 43200.0)
-        if period <= 0:
-            raise ConfigError("gyre period must be positive")
         xr = x[-1] - x[0]
         yr = y[-1] - y[0]
         xn = (2.0 * (x - x[0]) / xr) if xr > 0 else np.zeros_like(x)
@@ -436,8 +437,6 @@ def synth_field(kind: str, x_coords, y_coords, z_levels=(0.0,),
     else:  # tidal_channel
         amplitude = take("amplitude", 0.2)
         period = take("period", 43200.0)
-        if period <= 0:
-            raise ConfigError("tidal_channel period must be positive")
         ut = amplitude * np.sin(2.0 * np.pi * t / period)
         u = np.broadcast_to(ut.reshape(-1, 1, 1, 1), shape).copy()
         v = np.zeros(shape)

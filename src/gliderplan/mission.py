@@ -10,7 +10,6 @@ lattice spacing.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -23,9 +22,10 @@ from .errors import ConfigError
 from .flowfield import (SAMPLE_OK, FlowGrid, InterpScheme, load_flow_grid,
                         sample, sample_batch)  # sample: for bench/spans.py
 from .kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
-                         make_dive_profiles, optimal_profile_cost)
+                         make_dive_profiles)
+from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
 from .search import (BlockedRegions, PlannedPath, Rect, build_graph,
-                     connect_terminals, make_edge_cost, segment_clear,
+                     connect_terminals, make_edge_cost, segments_clear,
                      tve_dijkstra)
 from .search import path_report  # noqa: F401  for bench/spans.py
 from .smoothing import SmoothingTrace, smooth_path
@@ -379,20 +379,27 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
     # legs that bypass the lattice must pass the same blocked-geometry
     # screen the graph applied to its edges
     step = spec.grid_spacing / 4.0
+    clear: dict = {}  # (a, b) -> screened clear, one batch per screen
 
-    @functools.cache  # smoothing re-times the same legs pass after pass
-    def clear(a, b) -> bool:
-        return segment_clear(blocked, a[0], a[1], b[0], b[1], step)
+    def screen(legs: list) -> None:
+        new = list(dict.fromkeys((a, b) for a, b, _ in legs
+                                 if (a, b) not in clear))
+        if new:
+            clear.update(zip(new, segments_clear(blocked, new, step)))
 
-    straight_profile, straight_time = None, math.inf
-    if clear(spec.start_xy, spec.goal_xy):
-        straight_profile, straight_time = optimal_profile_cost(
-            spec.start_xy, spec.goal_xy, spec.start_time, profiles, grid,
-            spec.vehicle, spec.h, spec.scheme, spec.n_sub, spec.cost_mode,
-            spec.slack_factor)
-    dist = math.hypot(spec.goal_xy[0] - spec.start_xy[0],
-                      spec.goal_xy[1] - spec.start_xy[1])
-    no_current = dist / spec.vehicle.speed_through_water
+    def bypass_cost(a, b, t):
+        screen([(a, b, t)])
+        return cost(a, b, t) if clear[a, b] else (None, math.inf)
+
+    def time_legs(legs: list) -> None:
+        screen(legs)
+        if clear[legs[0][:2]]:
+            cost.time_legs([leg for leg in legs if clear[leg[:2]]])
+
+    if hasattr(cost, "time_legs"):  # not when wrapped in a plain function
+        bypass_cost.time_legs = time_legs
+        bypass_cost.lookup = lambda a, b, t: (
+            cost.lookup(a, b, t) if clear.get((a, b)) else None)
 
     smoothed = None
     trace = None
@@ -400,15 +407,16 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
     if planned is not None:
         status = "ok"
         if spec.smooth and len(planned.waypoints) > 2:
-            def smooth_cost(a, b, t):
-                if not clear(a, b):
-                    return None, math.inf
-                return cost(a, b, t)
-
             wp_s, tt_s, trace = smooth_path(planned.waypoints,
-                                            spec.start_time, smooth_cost)
+                                            spec.start_time, bypass_cost)
             smoothed = PlannedPath(wp_s, tt_s, trace.profiles,
                                    fifo_violations=planned.fifo_violations)
+    # after smoothing, which often times this very leg
+    straight_profile, straight_time = bypass_cost(
+        spec.start_xy, spec.goal_xy, spec.start_time)
+    dist = math.hypot(spec.goal_xy[0] - spec.start_xy[0],
+                      spec.goal_xy[1] - spec.start_xy[1])
+    no_current = dist / spec.vehicle.speed_through_water
 
     return MissionResult(
         spec=spec, status=status, planned=planned, smoothed=smoothed,
@@ -576,25 +584,19 @@ def render_svg(result: MissionResult, grid: FlowGrid, path,
     ]
 
     # land cells, drawn as node-centered squares
-    mask = grid.land_mask
-    if mask.any():
-        xs = grid.x_coords
-        ys = grid.y_coords
-        for jy in range(ys.size):
-            for jx in range(xs.size):
-                if not mask[jy, jx]:
-                    continue
-                cx, cy = float(xs[jx]), float(ys[jy])
-                if not reg.contains(cx, cy):
-                    continue
-                dx0 = (xs[jx] - xs[jx - 1]) / 2 if jx > 0 else 0.0
-                dx1 = (xs[jx + 1] - xs[jx]) / 2 if jx < xs.size - 1 else 0.0
-                dy0 = (ys[jy] - ys[jy - 1]) / 2 if jy > 0 else 0.0
-                dy1 = (ys[jy + 1] - ys[jy]) / 2 if jy < ys.size - 1 else 0.0
-                parts.append(
-                    f'<rect x="{fmt(sx(cx - dx0))}" y="{fmt(sy(cy + dy1))}" '
-                    f'width="{fmt((dx0 + dx1) * scale)}" '
-                    f'height="{fmt((dy0 + dy1) * scale)}" fill="#b9a98c"/>')
+    xs, ys = grid.x_coords, grid.y_coords
+    for jy, jx in zip(*grid.land_mask.nonzero()):  # row-major order
+        cx, cy = float(xs[jx]), float(ys[jy])
+        if not reg.contains(cx, cy):
+            continue
+        dx0 = (xs[jx] - xs[jx - 1]) / 2 if jx > 0 else 0.0
+        dx1 = (xs[jx + 1] - xs[jx]) / 2 if jx < xs.size - 1 else 0.0
+        dy0 = (ys[jy] - ys[jy - 1]) / 2 if jy > 0 else 0.0
+        dy1 = (ys[jy + 1] - ys[jy]) / 2 if jy < ys.size - 1 else 0.0
+        parts.append(
+            f'<rect x="{fmt(sx(cx - dx0))}" y="{fmt(sy(cy + dy1))}" '
+            f'width="{fmt((dx0 + dx1) * scale)}" '
+            f'height="{fmt((dy0 + dy1) * scale)}" fill="#b9a98c"/>')
 
     for poly in spec.restricted_areas:
         pts = " ".join(f"{fmt(sx(px))},{fmt(sy(py))}" for px, py in poly)

@@ -145,12 +145,14 @@ def _segments_clear(blocked: BlockedRegions, ax, ay, bx, by, m) -> np.ndarray:
     return clear
 
 
-def segment_clear(blocked: BlockedRegions, ax: float, ay: float,
-                  bx: float, by: float, step: float) -> bool:
-    """Screen a segment by sampling interior points every `step` meters."""
-    a_b = (np.array([c], dtype=np.float64) for c in (ax, ay, bx, by))
-    m = _sample_count(bx - ax, by - ay, step)
-    return bool(_segments_clear(blocked, *a_b, np.array([m]))[0])
+def segments_clear(blocked: BlockedRegions, segments: list,
+                   step: float) -> list[bool]:
+    """Screen (a_xy, b_xy) segments in one pass, each by sampling its
+    interior points every `step` meters."""
+    ax, ay, bx, by = np.array(segments, dtype=np.float64).reshape(-1, 4).T
+    m = [_sample_count(b[0] - a[0], b[1] - a[1], step) for a, b in segments]
+    return _segments_clear(blocked, ax, ay, bx, by,
+                           np.array(m, dtype=np.int64)).tolist()
 
 
 def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
@@ -299,6 +301,11 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
 
     Every leg it times stays in a table keyed by (tail, departure) that
     holds each head's profile index and time; a miss times the one leg.
+    lookup(a, b, depart) reads the table, None for a leg it lacks.  The
+    batch entry time_legs(legs) takes (a, b, depart) triples: if the
+    table misses legs[0], it times it with the later legs the table
+    misses in one kernel call of at most MAX_BATCH_LANES lanes, dropping
+    the rest, so offering the legs read next never adds a kernel call.
     With a graph the cost also has prefetch(a, depart, frontier, live)
     for tve_dijkstra, where live(v, t) lists the heads the search will
     read when v settles at t.  Unless the table holds a's row at depart
@@ -315,7 +322,7 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     check_cost_mode(mode, profiles)
     table: dict = {}  # (tail, departure) -> (heads, profile indices, s)
 
-    def time_legs(keys: list, fans: list) -> None:
+    def time_fans(keys: list, fans: list) -> None:
         counts = [len(fan) for fan in fans]
         pick, secs = choose_profile(profiles, profile_times(
             np.repeat([tail for tail, _ in keys], counts, axis=0),
@@ -328,15 +335,31 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
             table[key] = (heads + fan, np.concatenate((p, pick[lo:hi])),
                           np.concatenate((t, secs[lo:hi])))
 
-    def cost(a_xy, b_xy, depart: float):
+    def lookup(a_xy, b_xy, depart: float):
         row = table.get((a_xy, depart))
         if row is None or b_xy not in row[0]:
-            time_legs([(a_xy, depart)], [[b_xy]])
-            row = table[(a_xy, depart)]
+            return None
         k = row[0].index(b_xy)
         pick = int(row[1][k])
         return (profiles[pick] if pick >= 0 else None), float(row[2][k])
 
+    def time_legs(legs: list) -> None:
+        if lookup(*legs[0]) is None:
+            fans: dict = {}  # (tail, departure) -> the heads to time
+            for a_xy, b_xy, depart in [
+                    leg for leg in dict.fromkeys(legs) if lookup(*leg) is None
+            ][:max(1, MAX_BATCH_LANES // len(profiles))]:
+                fans.setdefault((a_xy, depart), []).append(b_xy)
+            time_fans(list(fans), list(fans.values()))
+
+    def cost(a_xy, b_xy, depart: float):
+        got = lookup(a_xy, b_xy, depart)
+        if got is None:
+            time_fans([(a_xy, depart)], [[b_xy]])
+            got = lookup(a_xy, b_xy, depart)
+        return got
+
+    cost.lookup, cost.time_legs = lookup, time_legs
     if graph is None:
         return cost
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
@@ -360,7 +383,7 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                 break
             if heads:
                 batch.append((key, [graph.vertex_xy[b] for b in heads]))
-        time_legs(*zip(*batch))
+        time_fans(*zip(*batch))
 
     cost.prefetch = prefetch
     return cost
@@ -491,14 +514,10 @@ def path_report(path: PlannedPath, grid: FlowGrid, vehicle: VehicleSpec,
             continue
         u, v = float(us[i]), float(vs[i])
         mag = math.hypot(u, v)
-        hx = x1 - x0
-        hy = y1 - y0
-        if mag == 0.0:
-            psi = 0.0
-            zero = True
-        else:
-            zero = False
-            psi = math.degrees(math.atan2(hx * v - hy * u, hx * u + hy * v))
+        hx, hy = x1 - x0, y1 - y0
+        zero = mag == 0.0
+        psi = 0.0 if zero else math.degrees(
+            math.atan2(hx * v - hy * u, hx * u + hy * v))
         follows = (mag > vehicle.speed_through_water) and abs(psi) < 90.0
         out.append(LegReport(i, x0, y0, z, depart, u, v, mag, psi, zero,
                              follows, True))

@@ -11,6 +11,14 @@ at an intermediate point can still lose by meeting a worse tide later).
 Passes repeat until a pass removes nothing.  All comparisons use a
 1e-9 s tolerance so float noise cannot flip a decision; ties favor the
 merge, which keeps the pass idempotent.
+
+A cost with lookup and time_legs (make_edge_cost's) gets, with each leg
+its table misses, the legs the pass reads next: every later candidate's
+direct leg or the next leg of its goal check, so the checks advance in
+lockstep, and the two-hop and lattice legs a broken run reads.  Every
+leg is still timed at the departure it is read at, and each kernel call
+holds a leg a one-leg cost would time alone: outputs stay the same and
+kernel calls never grow.
 """
 
 from __future__ import annotations
@@ -59,14 +67,11 @@ def recompute_arrivals(waypoints, t_start: float,
     return _rechain(waypoints, t_start, edge_cost)[0]
 
 
-def _leg_time(edge_cost: EdgeCostFn, a, b, depart: float) -> float:
-    _, dt = edge_cost(a, b, depart)
-    return dt
-
-
 def _smoothing_pass(wp: list, tt: list, edge_cost: EdgeCostFn,
                     trace: SmoothingTrace) -> tuple[list, list]:
     """One forward pass; wp has at least 3 waypoints."""
+    known = getattr(edge_cost, "lookup", lambda a, b, t: None)
+    time_legs = getattr(edge_cost, "time_legs", None)
     n = len(wp)
     tt = list(tt)
     i_start = 0
@@ -74,10 +79,41 @@ def _smoothing_pass(wp: list, tt: list, edge_cost: EdgeCostFn,
     tt_s = [tt[0]]
     t1 = tt[1] - tt[0]
     merge = False
+    tails: dict = {}  # candidate j -> [k, t]: its goal check is at wp[k], t
+
+    def walk(tail: list, read) -> list:
+        # advance a goal check [k, t] while read knows its next leg
+        while tail[0] < n - 1:
+            got = read(wp[tail[0]], wp[tail[0] + 1], tail[1])
+            if got is None:
+                break
+            tail[:] = tail[0] + 1, tail[1] + got[1]
+        return tail
+
+    def speculate() -> list:
+        # the legs read next whether the run of merges goes on or breaks
+        t0 = tt[i_start]
+        out = []
+        for j in range(i_path, n):
+            direct = known(wp[i_start], wp[j], t0)
+            if direct is None:
+                out.append((wp[i_start], wp[j], t0))
+            elif not math.isinf(direct[1]):
+                k, t = walk(tails.setdefault(j, [j, t0 + direct[1]]), known)
+                if k < n - 1:
+                    out.append((wp[k], wp[k + 1], t))
+        return out + [(wp[i], wp[i + hop], tt[i]) for hop in (2, 1)
+                      for i in range(i_path - 1, n - hop)]
+
+    def read(a, b, t: float):
+        if time_legs is not None and known(a, b, t) is None:
+            time_legs([(a, b, t), *speculate()])
+        return edge_cost(a, b, t)
+
     for i_path in range(2, n):
         merge = True
-        t2 = _leg_time(edge_cost, wp[i_path - 1], wp[i_path], tt[i_path - 1])
-        t_sum = _leg_time(edge_cost, wp[i_start], wp[i_path], tt[i_start])
+        t2 = read(wp[i_path - 1], wp[i_path], tt[i_path - 1])[1]
+        t_sum = read(wp[i_start], wp[i_path], tt[i_start])[1]
         if math.isinf(t_sum):
             merge = False
             trace.merges_rejected_infeasible += 1
@@ -86,9 +122,8 @@ def _smoothing_pass(wp: list, tt: list, edge_cost: EdgeCostFn,
             trace.merges_rejected_slower_local += 1
         else:
             # re-time the untouched tail to see how the goal fares
-            t_end = tt[i_start] + t_sum
-            for i_end in range(i_path + 1, n):
-                t_end += _leg_time(edge_cost, wp[i_end - 1], wp[i_end], t_end)
+            t_end = walk(tails.setdefault(i_path, [i_path, tt[i_start]
+                                                   + t_sum]), read)[1]
             if t_end > tt[n - 1] + TIME_EPS:
                 merge = False
                 trace.merges_rejected_slower_goal += 1
@@ -102,14 +137,14 @@ def _smoothing_pass(wp: list, tt: list, edge_cost: EdgeCostFn,
             tt[i_path - 1] = tt[i_start] + t1
             tt[i_path] = tt[i_path - 1] + t2
             i_start = i_path - 1
+            tails.clear()
             t1 = t2
             wp_s.append(wp[i_start])
             tt_s.append(tt[i_start])
     if not merge:
         # the last candidate kept its via point, so the goal arrival
         # predates the departure shift at wp[n-2]; refresh it
-        tt[n - 1] = tt[n - 2] + _leg_time(edge_cost, wp[n - 2], wp[n - 1],
-                                          tt[n - 2])
+        tt[n - 1] = tt[n - 2] + read(wp[n - 2], wp[n - 1], tt[n - 2])[1]
     wp_s.append(wp[n - 1])
     tt_s.append(tt[n - 1])
     return wp_s, tt_s

@@ -1,15 +1,19 @@
 """Shared fixtures: small flow grids with known analytic structure, and
 one-point views of the batched kernels (sample_batch, _slant_times)."""
 
+import collections
+import json
 import math
 
 import numpy as np
 import pytest
 
+import gliderplan.mission as mission_mod
+import gliderplan.search as search_mod
 from gliderplan.errors import OutOfDomainError
 from gliderplan.flowfield import (DEFAULT_SCHEME, SAMPLE_OUT_OF_DOMAIN,
                                   FlowGrid, InterpScheme, sample_batch,
-                                  synth_field)
+                                  save_flow_grid, synth_field)
 from gliderplan.kinematics import INFEASIBLE, _slant_times
 
 
@@ -35,6 +39,51 @@ def make_gyre_grid(amplitude=0.04, extent=60_000.0, n=25, nt=5,
         (0.0, 120.0),
         np.linspace(0.0, period, nt),
         params={"amplitude": amplitude, "epsilon": 0.25, "period": period})
+
+
+def write_gyre_mission(tmp_path, amplitude=0.035):
+    """Acceptance test 8's mission: a 16-neighbour lattice over a gyre."""
+    grid = make_gyre_grid(amplitude=amplitude)
+    save_flow_grid(grid, tmp_path / "gyre.json")
+    doc = {
+        "flow": "gyre.json",
+        "start": {"x": 5_000.0, "y": 5_000.0},
+        "goal": {"x": 55_000.0, "y": 55_000.0},
+        "vehicle": {"speed_through_water": 0.3},
+        "grid_spacing": 5_000.0,
+        "neighbor_set": 16,
+        "h": 0.5,
+        "n_sub": 2,
+        "profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0,
+                           "z_max": 60.0, "z_min_range": 30.0,
+                           "n_dive_to_levels": 3},
+    }
+    path = tmp_path / "mission.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def count_kernel_calls(monkeypatch) -> collections.Counter:
+    """Count run_mission's leg-kernel calls by stage: "before", "smoothing"
+    and "after" smooth_path.  Returns the Counter the calls fill."""
+    calls = collections.Counter()
+    stage = ["before"]
+    kernel, smooth = search_mod.profile_times, mission_mod.smooth_path
+
+    def counted(*args):
+        calls[stage[0]] += 1
+        return kernel(*args)
+
+    def smoothing(*args):
+        stage[0] = "smoothing"
+        try:
+            return smooth(*args)
+        finally:
+            stage[0] = "after"
+
+    monkeypatch.setattr(search_mod, "profile_times", counted)
+    monkeypatch.setattr(mission_mod, "smooth_path", smoothing)
+    return calls
 
 
 def make_tidal_grid(amplitude=0.2, period=43_200.0, extent=100_000.0,

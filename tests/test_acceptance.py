@@ -21,8 +21,8 @@ from gliderplan.mission import format_duration, parse_mission, run_mission
 from gliderplan.search import Rect, build_graph, tve_dijkstra
 from gliderplan.smoothing import smooth_path
 
-from conftest import (interp_1d, interp_xy, make_gyre_grid,
-                      make_uniform_grid, travel_time)
+from conftest import (count_kernel_calls, interp_1d, interp_xy,
+                      make_uniform_grid, travel_time, write_gyre_mission)
 from oracles import akima_reference, brute_force_arrival
 
 
@@ -209,27 +209,6 @@ def test_5_feasibility_physics_at_the_speed_boundary():
     assert not over_ground_speed(vehicle, 0.0, speed, 1.0, 0.0)[1]
 
 
-def write_gyre_mission(tmp_path, amplitude=0.035):
-    grid = make_gyre_grid(amplitude=amplitude)
-    save_flow_grid(grid, tmp_path / "gyre.json")
-    doc = {
-        "flow": "gyre.json",
-        "start": {"x": 5_000.0, "y": 5_000.0},
-        "goal": {"x": 55_000.0, "y": 55_000.0},
-        "vehicle": {"speed_through_water": 0.3},
-        "grid_spacing": 5_000.0,
-        "neighbor_set": 16,
-        "h": 0.5,
-        "n_sub": 2,
-        "profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0,
-                           "z_max": 60.0, "z_min_range": 30.0,
-                           "n_dive_to_levels": 3},
-    }
-    path = tmp_path / "mission.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return path
-
-
 def test_6_travel_time_strictly_decreases_with_vehicle_speed(tmp_path):
     t_wall = time.perf_counter()
     # peak gyre current 2*pi*0.035 = 0.22 m/s stays below the slowest speed
@@ -245,7 +224,8 @@ def test_6_travel_time_strictly_decreases_with_vehicle_speed(tmp_path):
     assert time.perf_counter() - t_wall < 120.0
 
 
-def test_7_hundred_thousand_edge_mission_plans_under_a_minute(tmp_path):
+def test_7_hundred_thousand_edge_mission_plans_under_a_minute(tmp_path,
+                                                             monkeypatch):
     t_wall = time.perf_counter()
     extent = 420_000.0
     grid = make_uniform_grid(u0=0.05, v0=0.02, extent=extent, depth=100.0,
@@ -268,10 +248,15 @@ def test_7_hundred_thousand_edge_mission_plans_under_a_minute(tmp_path):
 
     spec = parse_mission(mission)
     assert len(make_dive_profiles(spec.profile_family)) == 12
+    calls = count_kernel_calls(monkeypatch)
     result = run_mission(spec, grid=grid)
     assert result.n_edges >= 100_000
     assert result.status == "ok"
     assert result.planned.fifo_violations == 0
+    # the goal checks of one run of merges advance in lockstep: timed
+    # one leg per call, smoothing 83 waypoints to 2 took 3,321 calls
+    assert len(result.smoothed.waypoints) == 2
+    assert calls["smoothing"] <= 200
     assert time.perf_counter() - t_wall < 60.0
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -131,6 +132,22 @@ class TestSynth:
         assert err.startswith(f"error: {flag}: must be at least 1")
         assert stdout == "" and not out.exists()
 
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind,param", [
+        ("uniform", "u0"), ("uniform", "v0"), ("gyre", "amplitude"),
+        ("gyre", "epsilon"), ("gyre", "period"),
+        ("tidal_channel", "amplitude"), ("tidal_channel", "period")])
+    def test_non_finite_field_parameter_exits_1_naming_it(
+            self, capsys, tmp_path, kind, param, value):
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_cli(capsys, "synth", kind, "--out",
+                                        str(out), f"--{param}={value}")
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {param}: must be finite")
+        assert stdout == "" and not out.exists()
 
 class TestSample:
     @pytest.fixture

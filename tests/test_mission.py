@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import gliderplan.mission as mission_mod
 from gliderplan.errors import ConfigError, GliderPlanError
 from gliderplan.flowfield import save_flow_grid
+from gliderplan.kinematics import make_dive_profiles, optimal_profile_cost
 from gliderplan.mission import (export_waypoints, format_duration,
                                 parse_mission, project, render_svg,
                                 run_mission, summary_lines, unproject)
 
-from conftest import make_land_grid, make_uniform_grid
+from conftest import (count_kernel_calls, make_land_grid, make_uniform_grid,
+                      write_gyre_mission)
 
 
 def write_flow(tmp_path, grid, name="flow.json"):
@@ -629,6 +631,47 @@ class TestRunMission:
             assert a.waypoints == b.waypoints
             assert a.arrival_times == b.arrival_times
             assert a.profiles == b.profiles
+
+
+class TestSmoothingKernelCalls:
+    """Smoothing times the legs of one run of merges together: pinned
+    kernel-call counts, with the one-leg-per-call counts in comments."""
+
+    def test_acceptance_8_mission(self, tmp_path, monkeypatch):
+        spec = parse_mission(write_gyre_mission(tmp_path))
+        calls = count_kernel_calls(monkeypatch)
+        result = run_mission(spec)
+        assert (len(result.planned.waypoints),
+                len(result.smoothed.waypoints)) == (14, 10)
+        assert calls["smoothing"] == 15  # 30 one leg per call
+
+    def test_drift_lattice_mission_and_its_baseline(self, tmp_path,
+                                                   monkeypatch):
+        # uniform drift across the course, 16 neighbours, 12 profiles
+        grid = make_uniform_grid(u0=0.035, v0=-0.035, extent=50_000.0,
+                                 depth=100.0, nz=2)
+        spec = parse_mission(write_mission(tmp_path, {
+            "start": {"x": 5_000.0, "y": 5_000.0},
+            "goal": {"x": 45_000.0, "y": 45_000.0},
+            "grid_spacing": 5_000.0, "neighbor_set": 16, "h": 1.0,
+            "n_sub": 1, "profile_family": {
+                "z_min": 0.0, "z_climb_to_max": 20.0, "z_max": 100.0,
+                "z_min_range": 30.0, "n_climb_to_levels": 3,
+                "n_dive_to_levels": 5}}, grid=grid))
+        profiles = make_dive_profiles(spec.profile_family)
+        assert len(profiles) == 12
+        calls = count_kernel_calls(monkeypatch)
+        result = run_mission(spec)
+        assert len(result.smoothed.waypoints) == 2
+        assert calls["smoothing"] == 7  # 28 one leg per call
+        # the baseline is the smoothed route's one leg, read from the
+        # table, and the same as a one-leg call gives
+        assert calls["after"] == 0
+        assert (result.straight_line_profile, result.straight_line_time) == \
+            optimal_profile_cost(spec.start_xy, spec.goal_xy, spec.start_time,
+                                 profiles, grid, spec.vehicle, spec.h,
+                                 spec.scheme, spec.n_sub)
+        assert result.straight_line_time == result.smoothed.total_time
 
 
 class TestSummaryLines:

@@ -805,6 +805,88 @@ class TestPrefetch:
         assert widest == (1 if n_climb == 100 else 3)
 
 
+class TestBatchedSmoothing:
+    FAMILY = TestPrefetch.FAMILY
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           field=st.sampled_from(["bilinear", "bicubic", "akima", "tidal"]),
+           neighbor_set=st.sampled_from([8, 16]),
+           mode=st.sampled_from(["fastest", "max_amplitude"]),
+           walk=st.booleans(), searched=st.booleans())
+    def test_same_smoothing_as_one_leg_per_call_in_no_more_calls(
+            self, seed, field, neighbor_set, mode, walk, searched):
+        try:
+            grid, scheme, graph, start, goal = random_mission(
+                seed, field, neighbor_set)
+        except ConfigError:  # a terminal on land or cut off
+            assume(False)
+        args = (grid, V03, self.FAMILY, 0.5, scheme, 1, mode, 1.1)
+        t0 = float(seed % 7_200)
+        if walk:  # zig-zags whose merges cross land and meet every rejection
+            rng, path = random.Random(seed), [start]
+            for _ in range(rng.randint(2, 12)):
+                heads = [b for b in graph.neighbors(path[-1])
+                         if b not in path]
+                if heads:
+                    path.append(rng.choice(heads))
+            waypoints = [graph.vertex_xy[v] for v in path]
+        else:
+            planned = tve_dijkstra(graph, start, goal, t0,
+                                   make_edge_cost(*args, graph=graph))
+            waypoints = [] if planned is None else planned.waypoints
+        assume(len(waypoints) > 2)
+        runs = []
+        for batching in (True, False):
+            cost = make_edge_cost(*args, graph=graph if batching else None)
+            if searched:  # smooth over the search's legs, as missions do
+                tve_dijkstra(graph, start, goal, t0, cost)
+            kernel = CountingKernel(search_mod.profile_times)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(search_mod, "profile_times", kernel)
+                runs.append((smooth_path(waypoints, t0, cost if batching
+                                         else lambda a, b, t: cost(a, b, t)),
+                             len(kernel.calls)))
+        (batched, batched_calls), (alone, alone_calls) = runs
+        assert batched == alone
+        assert batched_calls <= alone_calls
+
+    def test_time_legs_times_the_first_miss_with_later_misses(
+            self, still_grid, monkeypatch):
+        family = make_dive_profiles(
+            ProfileFamilySpec(0.0, 10.0, 1_000.0, 10.0, 3, 100))
+        assert MAX_BATCH_LANES // len(family) == 13
+        counting = CountingKernel(
+            lambda tails, heads, departs, profiles, *args:
+            np.full((len(heads), len(profiles)), 600.0))
+        monkeypatch.setattr(search_mod, "profile_times", counting)
+        cost = make_edge_cost(still_grid, V03, family)
+        legs = [((0.0, 0.0), (100.0 * k, 50.0), 0.0) for k in range(1, 31)]
+        cost.time_legs(legs[:1] + legs)  # a repeat is timed once
+        assert counting.calls == [({(0.0, 0.0)}, 13 * len(family))]
+        assert [cost.lookup(*leg) is not None for leg in legs] == \
+            [True] * 13 + [False] * 17
+        cost.time_legs(legs)  # the first leg is held: no call
+        cost(*legs[5])
+        assert len(counting.calls) == 1
+        cost.time_legs(legs[20:] + legs)  # skips the 13 held legs
+        assert counting.calls[1] == ({(0.0, 0.0)}, 13 * len(family))
+        assert sum(cost.lookup(*leg) is not None for leg in legs) == 26
+
+    def test_time_legs_over_the_cap_times_the_first_leg_alone(
+            self, still_grid, monkeypatch):
+        family = make_dive_profiles(
+            ProfileFamilySpec(0.0, 10.0, 1_000.0, 10.0, 100, 100))
+        counting = CountingKernel(
+            lambda tails, heads, departs, profiles, *args:
+            np.full((len(heads), len(profiles)), 600.0))
+        monkeypatch.setattr(search_mod, "profile_times", counting)
+        cost = make_edge_cost(still_grid, V03, family)
+        cost.time_legs([((0.0, 0.0), (100.0, 0.0), 0.0),
+                        ((0.0, 0.0), (200.0, 0.0), 0.0)])
+        assert counting.calls == [({(0.0, 0.0)}, len(family))]
+
+
 class TestPathReport:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_one_scalar_sample_per_leg(self, seed):

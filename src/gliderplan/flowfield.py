@@ -119,6 +119,7 @@ class FlowGrid:
         self._flat_v = self.v.reshape(-1)
         self._flat_fill = filled.reshape(-1) if filled.any() else None
         self.land_mask = filled.all(axis=(0, 1))
+        self._max_speed = None  # max_speed() keeps its first answer
 
     def _isfill(self, a: np.ndarray) -> np.ndarray:
         if math.isnan(self.fill_sentinel):
@@ -131,15 +132,19 @@ class FlowGrid:
 
     def max_speed(self) -> float:
         """Largest current speed |c| over the data nodes, m/s."""
-        data = True if self._flat_fill is None else ~self._flat_fill
-        u, v = self._flat_u, self._flat_v
-        sq = u * u + v * v
-        # u*u + v*v rounds within ~1e-16 relative, so hypot at the nodes
-        # within 1e-12 of its max gives the same float as hypot everywhere
-        # (less the least normal float, for squares that underflow)
-        top = np.max(sq, where=data, initial=0.0)
-        near = data & (sq >= top * (1.0 - 1e-12) - np.finfo(float).tiny)
-        return float(np.max(np.hypot(u[near], v[near]), initial=0.0))
+        if self._max_speed is None:
+            data = True if self._flat_fill is None else ~self._flat_fill
+            u, v = self._flat_u, self._flat_v
+            sq = u * u + v * v
+            # u*u + v*v rounds within ~1e-16 relative, so hypot at the
+            # nodes within 1e-12 of its max gives the same float as hypot
+            # everywhere (less the least normal float, for squares that
+            # underflow)
+            top = np.max(sq, where=data, initial=0.0)
+            near = data & (sq >= top * (1.0 - 1e-12) - np.finfo(float).tiny)
+            self._max_speed = float(np.max(np.hypot(u[near], v[near]),
+                                           initial=0.0))
+        return self._max_speed
 
     def horizontal_bounds(self) -> tuple[float, float, float, float]:
         """(x_min, y_min, x_max, y_max) of the gridded domain."""
@@ -177,6 +182,66 @@ def effective_scheme(scheme: InterpScheme, grid: FlowGrid) -> InterpScheme:
         z_method=effective_method(scheme.z_method, grid.z_levels.size),
         t_method=effective_method(scheme.t_method, grid.t_steps.size),
     )
+
+
+def _stage_gain(coords: np.ndarray, method: str) -> float:
+    """Largest factor by which one interpolation stage along coords can
+    scale the largest |value| among its knots (see current_bound)."""
+    method = effective_method(method, coords.size)
+    if method in ("cubic", "bicubic"):
+        return 1.5
+    if method == "akima":
+        seg = np.diff(coords)
+        narrow = np.minimum(seg, np.minimum(np.r_[seg[0], seg[:-1]],
+                                            np.r_[seg[1:], seg[-1]]))
+        return 1.0 + 1.5 * float(np.max(seg / narrow))
+    return 1.0
+
+
+def current_bound(grid: FlowGrid, scheme: InterpScheme) -> float:
+    """An upper bound C on the speed |c| of every point sample_batch
+    returns with SAMPLE_OK under scheme, m/s.
+
+    Such a point's stencils hold data nodes only, and each stage maps
+    values bounded by B to values bounded by K * B, with K per axis:
+
+    - nearest, linear, bilinear: K = 1.  The weights are a convex
+      combination shared by u and v, and the norm is convex, so with
+      every stage of this kind C is the node maximum, grid.max_speed().
+    - cubic, bicubic (Catmull-Rom, _axis_stencil): K = 3/2.  With
+      s in [0, 1], t1 = s(1-s)^2 h / (x1 - x0') and |t2| = s^2(1-s) h /
+      (x2' - x0) (x0' the left tangent knot, x2' the right one), each
+      at most s(1-s)^2 and s^2(1-s), as the tangent span is at least h.
+      The weights are -t1, h00 + |t2|, h01 + t1 and -|t2|, or with a
+      one-sided tangent h00 - t1 + |t2| = (1-s)^2(1+s) + |t2| >= 0 in
+      place of the first two (mirrored at the right end), so
+      sum |w| <= 1 + 2 t1 + 2 |t2| <= 1 + 2 s(1-s) <= 3/2.
+    - akima: K = 1 + 3 rho / 2, rho the largest ratio of a cell's width
+      h to the narrowest of it and its neighbour cells.  The value is
+      y_j b00 + y_j+1 b01 + h (t_j b10 + t_j+1 b11), where b00, b01 >= 0
+      sum to 1 and |b10| + |b11| = s(1-s) <= 1/4.  A node slope t is a
+      convex combination of two of the slopes m_j-1, m_j, m_j+1, and a
+      ghost among them is 2 m_j - m_k of real ones (never both ghosts
+      on three or more knots), so |t| <= 3 max |m| <= 6 Y / narrowest,
+      with Y the largest |y| of the window: |value| <= Y (1 + 3 rho/2).
+
+    Akima's slopes depend on the data, so u and v take different
+    weights: with an Akima stage the bound is K * hypot(max |u|,
+    max |v|) over the data nodes, K the product over the four axes;
+    otherwise it is K * max_speed().  Rounding can carry a sample past
+    C by a few ulps only.
+    """
+    gain = (_stage_gain(grid.x_coords, scheme.xy_method)
+            * _stage_gain(grid.y_coords, scheme.xy_method)
+            * _stage_gain(grid.z_levels, scheme.z_method)
+            * _stage_gain(grid.t_steps, scheme.t_method))
+    if "akima" not in (effective_method(scheme.z_method, grid.z_levels.size),
+                       effective_method(scheme.t_method, grid.t_steps.size)):
+        return gain * grid.max_speed()
+    data = True if grid._flat_fill is None else ~grid._flat_fill
+    return gain * math.hypot(
+        np.max(np.abs(grid._flat_u), where=data, initial=0.0),
+        np.max(np.abs(grid._flat_v), where=data, initial=0.0))
 
 
 # Reason codes returned by sample_batch, one per point.
@@ -528,17 +593,22 @@ def load_flow_grid(path) -> FlowGrid:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    header = None
+    header = text = None
     try:
-        header = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+        raw = None  # the text holds the file; a binary archive re-encodes it
+        header = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError):
         pass
     if header is None:
+        if raw is None:
+            raw = text.encode("utf-8")
         line, _, _ = raw.partition(b"\n")
         try:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FlowFormatError(f"header: not parseable ({exc})") from exc
+    text = None  # parsed: the header holds what the archive needs
     if not isinstance(header, dict):
         raise FlowFormatError("header: must be an object")
     x, y, z, t, fill = _parse_header(header)
@@ -550,6 +620,7 @@ def load_flow_grid(path) -> FlowGrid:
         comps = []
         for name in ("u", "v"):
             vals = _require(header, name)
+            del header[name]  # the list goes with vals once converted
             # a list of JSON numbers infers an int or float array, where a
             # bool among them reads 0 or 1; null, strings, objects and
             # integers past int64 infer other kinds
@@ -566,6 +637,7 @@ def load_flow_grid(path) -> FlowGrid:
                 raise FlowFormatError(
                     f"{name}: expected {count} values, got {arr.size}")
             comps.append(arr.astype(np.float64, copy=False).reshape(shape))
+            del vals, arr
         return FlowGrid(x, y, z, t, comps[0], comps[1], fill_sentinel=fill)
     if encoding == "binary":
         offset = _require(header, "data_offset")

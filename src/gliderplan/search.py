@@ -4,17 +4,19 @@ The planner works on a regular lattice of candidate waypoints clipped
 to a rectangular region.  Edges connect each vertex to its 8- or
 16-neighborhood (the 16 set adds knight moves, doubling the heading
 resolution).  Edge traversal times depend on the departure time, so the
-search is a label-setting Dijkstra over arrival times: it is optimal
-whenever the edge times satisfy the FIFO property (departing later
-never means arriving earlier), which it does not test.  It never times
-an edge into a settled vertex, so fifo_violations counts the one
-breach it can see, a negative leg time, never a non-FIFO field.
+search is a label-setting A* over arrival times (Hart, Nilsson & Raphael
+1968), ordered by label + |v - goal| / speed_bound, where speed_bound is
+the glider's speed through water plus a proven bound on the
+interpolated current (flowfield.current_bound).  It is optimal whenever
+the edge times satisfy the FIFO property (departing later never means
+arriving earlier), which it does not test; fifo_violations reports the
+breaches the edge cost's leg table happens to witness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
-                        sample, sample_batch)  # sample: for bench/spans.py
+                        current_bound, sample,  # sample: for bench/spans.py
+                        sample_batch)
 from .kinematics import (DiveProfile, VehicleSpec, check_cost_mode,
                          choose_profile, profile_times)
 from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
@@ -279,7 +282,11 @@ class PlannedPath:
     waypoints: list
     arrival_times: list
     profiles: list  # one per leg; None when the cost carries no profile
-    fifo_violations: int = 0  # relaxations with a negative leg time
+    # what the search saw: the edge cost's FIFO witness and the vertices
+    # it settled, the goal included; equal routes compare equal whatever
+    # these say
+    fifo_violations: int = field(default=0, compare=False)
+    vertices_settled: int = field(default=0, compare=False)
 
     @property
     def total_time(self) -> float:
@@ -299,28 +306,40 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                    graph: SearchGraph | None = None) -> EdgeCostFn:
     """Edge cost backed by optimal-profile glider travel times.
 
+    speed_bound = speed_through_water + current_bound(grid, scheme)
+    bounds every leg's over-ground speed: a saw-tooth's horizontal speed
+    through water is below speed_through_water, and no sample's current
+    exceeds the bound, so a leg a -> b takes at least |b - a| /
+    speed_bound (tve_dijkstra's heuristic).
+
     Every leg it times stays in a table keyed by (tail, departure) that
-    holds each head's profile index and time; a miss times the one leg.
-    lookup(a, b, depart) reads the table, None for a leg it lacks.  The
-    batch entry time_legs(legs) takes (a, b, depart) triples: if the
+    maps each head to its profile index and time; a miss times the one
+    leg.  lookup(a, b, depart) reads the table, None for a leg it lacks.
+    The batch entry time_legs(legs) takes (a, b, depart) triples: if the
     table misses legs[0], it times it with the later legs the table
     misses in one kernel call of at most MAX_BATCH_LANES lanes, dropping
     the rest, so offering the legs read next never adds a kernel call.
+    fifo_witness() counts the (tail, head) pairs the table holds at two
+    departures where the later departure arrives earlier: a lower bound
+    on the field's FIFO breaches, not a proof that it has none.
+
     With a graph the cost also has prefetch(a, depart, frontier, live)
-    for tve_dijkstra, where live(v, t) lists the heads the search will
-    read when v settles at t.  Unless the table holds a's row at depart
-    or a has no live head, it times a's fan-out (live heads x profiles)
-    in one kernel call with the fan-outs of the frontier's (vertex,
-    departure) pairs leaving before depart + spacing / (speed + max
-    node |c|), up to MAX_BATCH_LANES lanes per call (a's own fan-out
-    always goes).  That window is a heuristic for the least
-    lattice-edge time: terminal edges shorter than the spacing and
-    interpolants that overshoot the node speeds can break it, which
+    for tve_dijkstra: frontier yields (v, t, lead), a heap entry of v at
+    label t whose key f sorts lead seconds after a's, and live(v, t)
+    lists the heads the search will read when v settles at t.  Unless
+    the table holds a's row at depart or a has no live head, it times
+    a's fan-out (live heads x profiles) in one kernel call with the
+    fan-outs of the frontier entries leading by less than spacing /
+    (speed + max node |c|), up to MAX_BATCH_LANES lanes per call (a's
+    own fan-out always goes).  That window is a heuristic for the
+    entries that settle at their present label: terminal edges shorter
+    than the spacing, interpolants that overshoot the node speeds and
+    legs that head for the goal near speed_bound can break it, which
     only wastes a fan-out.  Batching never changes a time.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
-    table: dict = {}  # (tail, departure) -> (heads, profile indices, s)
+    table: dict = {}  # (tail, departure) -> {head: (profile index, s)}
 
     def time_fans(keys: list, fans: list) -> None:
         counts = [len(fan) for fan in fans]
@@ -329,19 +348,15 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
             [xy for fan in fans for xy in fan],
             np.repeat([depart for _, depart in keys], counts), profiles,
             grid, vehicle, h, scheme, n_sub), mode, slack_factor)
-        ends = np.cumsum(counts)
-        for key, fan, lo, hi in zip(keys, fans, ends - counts, ends):
-            heads, p, t = table.get(key, ([], pick[:0], secs[:0]))
-            table[key] = (heads + fan, np.concatenate((p, pick[lo:hi])),
-                          np.concatenate((t, secs[lo:hi])))
+        legs = zip(pick.tolist(), secs.tolist())
+        for key, fan in zip(keys, fans):
+            table.setdefault(key, {}).update(zip(fan, legs))
 
     def lookup(a_xy, b_xy, depart: float):
-        row = table.get((a_xy, depart))
-        if row is None or b_xy not in row[0]:
+        got = table.get((a_xy, depart), {}).get(b_xy)
+        if got is None:
             return None
-        k = row[0].index(b_xy)
-        pick = int(row[1][k])
-        return (profiles[pick] if pick >= 0 else None), float(row[2][k])
+        return (profiles[got[0]] if got[0] >= 0 else None), got[1]
 
     def time_legs(legs: list) -> None:
         if lookup(*legs[0]) is None:
@@ -359,7 +374,27 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
             got = lookup(a_xy, b_xy, depart)
         return got
 
-    cost.lookup, cost.time_legs = lookup, time_legs
+    def fifo_witness() -> int:
+        departs: dict = {}  # tail -> the departures its rows hold
+        for tail, depart in table:
+            departs.setdefault(tail, []).append(depart)
+        pairs = set()
+        for tail, ts in departs.items():
+            if len(ts) < 2:
+                continue
+            latest: dict = {}  # head -> latest arrival so far
+            for depart in sorted(ts):
+                for head, (_, secs) in table[tail, depart].items():
+                    prior = latest.get(head, -math.inf)
+                    if depart + secs < prior:
+                        pairs.add((tail, head))
+                    latest[head] = max(depart + secs, prior)
+        return len(pairs)
+
+    cost.lookup, cost.time_legs, cost.fifo_witness = (lookup, time_legs,
+                                                      fifo_witness)
+    cost.speed_bound = (vehicle.speed_through_water
+                        + current_bound(grid, scheme))
     if graph is None:
         return cost
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
@@ -373,9 +408,9 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
             return
         batch = [(key, [graph.vertex_xy[b] for b in heads])]
         lanes = len(heads) * len(profiles)
-        for v, t in frontier:
+        for v, t, lead in frontier:
             key = (graph.vertex_xy[v], t)
-            if t >= depart + horizon or key in table:
+            if lead >= horizon or key in table:
                 continue
             heads = live(v, t)
             lanes += len(heads) * len(profiles)
@@ -393,60 +428,68 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
                  edge_cost: EdgeCostFn) -> PlannedPath | None:
     """Earliest-arrival search from start to goal departing at t_start.
 
-    Label-setting Dijkstra where each edge is timed at the departure
-    time of its tail vertex.  Vertices settle one at a time in arrival
-    order with ties broken toward the lower vertex index, and an edge
-    into a settled vertex is never timed.  The result is the
-    time-optimal route whenever edge times are FIFO, which goes
-    unchecked: fifo_violations counts relaxations with a negative leg
-    time, the one breach a label-setting search can see.  Returns None
-    when the goal is unreachable.
+    Time-dependent A*: each edge is timed at the departure time of its
+    tail vertex, and vertices settle one at a time in order of the key
+    (f, label, index), f = label + |v - goal| / edge_cost.speed_bound.
+    A cost whose legs a -> b all take at least |b - a| / speed_bound at
+    every departure (make_edge_cost's) makes that heuristic consistent,
+    so every vertex settles at the label Dijkstra's order gives it, FIFO
+    or not: f never falls along the chain of parents that order gives
+    v, so while v's label is too high, the chain's first unsettled
+    vertex sorts below v and pops first.  A cost without speed_bound
+    has f = label, Dijkstra's order.  Either way the labels are earliest
+    arrivals when edge times are FIFO, which goes unchecked:
+    fifo_violations is the cost's fifo_witness() after the search, 0 for
+    a cost without one.  An edge into a settled vertex is never timed.
+    Returns None when the goal is unreachable.
 
     A cost with a prefetch method (make_edge_cost with a graph) is
     offered the live heap entries but the goal before each settle,
-    with live(v, t): the heads of v that are not settled and whose
-    (label, index) sorts after (t, v).  The others pop before v, as
-    labels only fall, so the search never reads their legs from v; a
-    fan-out timed at a departure that is no final label is never read.
+    with live(v, t): the heads of v that are not settled and whose key
+    sorts after v's at label t.  The others pop before v, as keys only
+    fall, so the search never reads their legs from v; a leg timed at
+    a departure that is no final label, or toward a head that settles
+    before its tail, is never read.
     """
     n = graph.n_vertices
     if not (0 <= start < n and 0 <= goal < n):
         raise ConfigError("start/goal index outside graph")
+    bound = getattr(edge_cost, "speed_bound", math.inf)
+    xy = np.array(graph.vertex_xy).reshape(-1, 2) - graph.vertex_xy[goal]
+    rest = (np.hypot(xy[:, 0], xy[:, 1]) / bound).tolist()  # h(v), seconds
     labels = [math.inf] * n
     parents = [-1] * n
     via_profile: list = [None] * n
     settled = bytearray(n)
-    fifo_violations = 0
+    n_settled = 0
     labels[start] = t_start
-    heap: list[tuple[float, int]] = [(t_start, start)]
+    heap = [(t_start + rest[start], t_start, start)]
     prefetch = getattr(edge_cost, "prefetch", lambda *offer: None)
 
     def live(v: int, t: float) -> list:
-        return [b for b in graph.neighbors(v)
-                if not settled[b] and (labels[b], b) > (t, v)]
+        key = (t + rest[v], t, v)
+        return [b for b in graph.neighbors(v) if not settled[b]
+                and (labels[b] + rest[b], labels[b], b) > key]
 
     while heap:
-        arrival, a = heappop(heap)
+        f, arrival, a = heappop(heap)
         if settled[a]:
             continue
         settled[a] = 1
+        n_settled += 1
         if a == goal:
             break
-        prefetch(a, arrival, ((v, t) for t, v in heap
+        prefetch(a, arrival, ((v, t, g - f) for g, t, v in heap
                               if t == labels[v] and v != goal), live)
         a_xy = graph.vertex_xy[a]
         for b in live(a, arrival):  # every head not settled: a is least
             prof, dt = edge_cost(a_xy, graph.vertex_xy[b], arrival)
-            if math.isinf(dt):
-                continue
-            if dt < 0:
-                fifo_violations += 1
             cand = arrival + dt
             if cand < labels[b]:
                 labels[b] = cand
                 parents[b] = a
                 via_profile[b] = prof
-                heappush(heap, (cand, b))
+                heappush(heap, (cand + rest[b], cand, b))
     if math.isinf(labels[goal]):
         return None
     chain = [goal]
@@ -455,7 +498,9 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     chain.reverse()
     return PlannedPath([graph.vertex_xy[v] for v in chain],
                        [labels[v] for v in chain],
-                       [via_profile[v] for v in chain[1:]], fifo_violations)
+                       [via_profile[v] for v in chain[1:]],
+                       getattr(edge_cost, "fifo_witness", lambda: 0)(),
+                       n_settled)
 
 
 @dataclass(frozen=True)

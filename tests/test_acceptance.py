@@ -72,6 +72,12 @@ def test_2_search_arrival_equals_exhaustive_enumeration_on_fifo_lattices():
         assert expected is not None and path is not None
         assert path.arrival_times[-1] == expected[0]
         assert path.fifo_violations == 0
+        # goal-directed: every leg takes 25 s or more and spans at most
+        # sqrt(5), so sqrt(5) / 25 bounds the speed
+        cost.speed_bound = math.sqrt(5.0) / 25.0
+        guided = tve_dijkstra(graph, start, goal, t0, cost)
+        assert abs(guided.arrival_times[-1] - expected[0]) <= 1e-9
+        assert guided.vertices_settled <= path.vertices_settled
     assert time.perf_counter() - t_wall < 30.0
 
 

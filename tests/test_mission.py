@@ -542,6 +542,14 @@ class TestRunMission:
         assert result.planned.fifo_violations == 0
         assert result.comp_time > 0.0
 
+    def test_search_settles_toward_the_goal(self, tmp_path):
+        # A* over 38 vertices in a 0.1 m/s current; Dijkstra's order
+        # settles 30
+        _, result = plan_fast(tmp_path)
+        assert result.planned.vertices_settled == 6
+        assert not any(line.startswith("vertices_settled")
+                       for line in summary_lines(result))
+
     def test_baselines_filled(self, tmp_path):
         spec, result = plan_fast(tmp_path)
         # 80 km at 0.3 m/s through still water

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gliderplan.search as search_mod
 from gliderplan.errors import ConfigError
-from gliderplan.flowfield import FlowGrid, InterpScheme, synth_field
+from gliderplan.flowfield import (SAMPLE_OK, FlowGrid, InterpScheme,
+                                  current_bound, sample_batch, synth_field)
 from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                                    make_dive_profiles)
 from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
@@ -18,8 +19,8 @@ from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
                                make_edge_cost, path_report, tve_dijkstra)
 from gliderplan.smoothing import recompute_arrivals, smooth_path
 
-from conftest import (make_gyre_grid, make_land_grid, make_uniform_grid,
-                      random_grid)
+from conftest import (make_gyre_grid, make_land_grid, make_tidal_grid,
+                      make_uniform_grid, random_grid)
 from oracles import (blocks_reference, brute_force_arrival,
                      build_graph_reference, connect_terminals_reference,
                      path_report_reference, static_shortest_time)
@@ -563,7 +564,7 @@ class TestDijkstraTimeVarying:
         assert path.arrival_times == [0.0, 10.0, 110.0]
         assert path.fifo_violations == 0
 
-    def test_negative_leg_into_unsettled_vertex_counts_once(self):
+    def test_negative_leg_into_unsettled_vertex_is_no_fifo_witness(self):
         edges = [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3)]
         graph = graph_from_edges(4, edges)
         table = {
@@ -582,10 +583,49 @@ class TestDijkstraTimeVarying:
             return by_table(a_xy, b_xy, t)
 
         path = tve_dijkstra(graph, 0, 3, 0.0, cost)
-        assert path.fifo_violations == 1
+        # a leg at one departure witnesses nothing, and a cost without a
+        # table has no witness
+        assert path.fifo_violations == 0
         assert path.waypoints == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0),
                                   (3.0, 0.0)]
         assert path.arrival_times == [0.0, 10.0, 5.0, 15.0]
+        assert path.vertices_settled == 4
+
+    def test_fifo_witness_counts_later_departures_arriving_earlier(
+            self, still_grid, monkeypatch):
+        # seconds by (head x, departure); every leg leaves (0, 0)
+        secs = {(1.0, 0.0): 100.0, (1.0, 50.0): 20.0, (1.0, 80.0): 30.0,
+                (2.0, 0.0): 100.0, (2.0, 50.0): 60.0,
+                (3.0, 0.0): math.inf, (3.0, 50.0): 10.0,
+                (4.0, 0.0): -5.0}
+
+        def kernel(tails, heads, departs, profiles, *args):
+            return np.array([[secs[xy[0], t]] for xy, t in zip(
+                heads, np.broadcast_to(departs, len(heads)).tolist())])
+
+        monkeypatch.setattr(search_mod, "profile_times", kernel)
+        cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
+        assert cost.fifo_witness() == 0
+        for x, t in secs:
+            cost((0.0, 0.0), (x, 0.0), t)
+        # (1, 0): 70 s after leaving at 50 beats 100 s after leaving at
+        # 0, once however many departures agree; (3, 0) opens at 50;
+        # (2, 0) keeps its order, and (4, 0) has one departure
+        assert cost.fifo_witness() == 2
+
+    def test_fifo_witness_sees_a_fast_tidal_channel(self):
+        # 0.4 m/s of tide reversing every 12 h against a 0.3 m/s glider:
+        # legs open and close with the tide, and the prefetch times some
+        # fan-outs at labels that later fall
+        grid = make_tidal_grid(amplitude=0.4, period=43_200.0)
+        graph = build_graph(Rect(0.0, 0.0, 100_000.0, 100_000.0), 10_000.0,
+                            16, BlockedRegions(grid=grid))
+        start, goal = connect_terminals(graph, (5_000.0, 50_000.0),
+                                        (95_000.0, 50_000.0))
+        cost = make_edge_cost(grid, V03, (DiveProfile(0.0, 100.0),), h=1.0,
+                              n_sub=1, graph=graph)
+        path = tve_dijkstra(graph, start, goal, 20_000.0, cost)
+        assert path.fifo_violations == cost.fifo_witness() == 6
 
     def test_blocking_wall_makes_goal_unreachable(self):
         grid = make_land_grid(extent=50_000.0, n=6)
@@ -717,7 +757,7 @@ class TestPrefetch:
         cost = make_edge_cost(grid, V03, self.FAMILY, 0.5, n_sub=2,
                               graph=graph)
         path = tve_dijkstra(graph, start, goal, 0.0, cost)
-        assert len(kernel.calls) == 28
+        assert len(kernel.calls) == 21  # 28 in Dijkstra's order
         kernel.calls.clear()
         assert recompute_arrivals(path.waypoints, 0.0, cost) == \
             path.arrival_times
@@ -725,59 +765,70 @@ class TestPrefetch:
 
     def traced_search(self, monkeypatch, grid, graph, start, goal):
         """Search with a prefetching cost, checking every kernel call as
-        it is made; returns the legs timed, the legs read, the kernel
-        calls and the settles whose vertex had no live head."""
+        it is made; returns the legs timed and the legs read, as (tail,
+        head, departure), the kernel calls and the settles whose vertex
+        had no live head."""
         args = (grid, V03, self.FAMILY, 0.5)
         one_at_a_time = tve_dijkstra(graph, start, goal, 0.0,
                                      make_edge_cost(*args, n_sub=2))
-        settled, idle, timed, reads = [], [], [], []
+        settled, idle, timed, reads = {}, [], [], []
         counting = CountingKernel(search_mod.profile_times)
 
-        def kernel(tails, heads, *rest):
+        def kernel(tails, heads, departs, *rest):
             tails = list(map(tuple, np.reshape(tails, (-1, 2))))
             # each call leads with the fan-out of the vertex now settling
             # and times no head that has settled
-            assert tails[0] == settled[-1]
+            assert tails[0] == list(settled)[-1]
             assert set(settled).isdisjoint(heads)
-            timed.extend(zip(tails, heads))
-            return counting(tails, heads, *rest)
+            timed.extend(zip(tails, heads, np.reshape(departs, -1).tolist()))
+            return counting(tails, heads, departs, *rest)
 
         monkeypatch.setattr(search_mod, "profile_times", kernel)
         cost = make_edge_cost(*args, n_sub=2, graph=graph)
 
         def read(a_xy, b_xy, depart):
-            reads.append((a_xy, b_xy))
+            reads.append((a_xy, b_xy, depart))
             return cost(a_xy, b_xy, depart)
 
         def prefetch(a, depart, frontier, live):
-            settled.append(graph.vertex_xy[a])
+            settled[graph.vertex_xy[a]] = depart
             if not live(a, depart):
                 idle.append(a)
             cost.prefetch(a, depart, frontier, live)
 
-        read.prefetch = prefetch
+        read.prefetch, read.speed_bound = prefetch, cost.speed_bound
         assert tve_dijkstra(graph, start, goal, 0.0, read) == one_at_a_time
-        assert sorted(timed) == sorted(reads)  # each timed leg read once
+        # each leg is timed once and read at most once; a leg goes unread
+        # only when a label fell after its prefetch: its tail settles at
+        # another departure, or its head settles before its tail
+        assert len(set(timed)) == len(timed)
+        assert len(set(reads)) == len(reads) and set(reads) <= set(timed)
+        rank = {xy: k for k, xy in enumerate(settled)}
+        assert all(settled.get(a) != depart
+                   or rank.get(b, math.inf) < rank[a]
+                   for a, b, depart in set(timed) - set(reads))
         return timed, reads, counting.calls, idle
 
     def test_search_times_only_the_legs_it_reads(self, monkeypatch):
         timed, reads, _, _ = self.traced_search(monkeypatch,
                                                 *self.gyre_lattice())
-        # fan-outs of every out-edge would time 1,602 legs here
-        assert (len(timed), len(reads)) == (811, 811)
+        # fan-outs of every out-edge would time 1,602 legs here; 13 go
+        # unread, as labels fell after their prefetch
+        assert (len(timed), len(reads)) == (824, 811)
 
     def test_a_vertex_with_no_live_head_makes_no_kernel_call(self,
                                                             monkeypatch):
-        grid = make_uniform_grid(u0=0.035, v0=-0.035, extent=50_000.0)
+        grid = make_uniform_grid(u0=0.05, extent=50_000.0)
         graph = build_graph(Rect(0.0, 0.0, 50_000.0, 50_000.0), 5_000.0, 16,
                             BlockedRegions(grid=grid))
         start, goal = connect_terminals(graph, (1_000.0, 1_000.0),
                                         (49_000.0, 49_000.0))
         timed, reads, calls, idle = self.traced_search(monkeypatch, grid,
                                                        graph, start, goal)
-        assert len(idle) == 1
-        # the same topology as the gyre lattice, all of it settled
-        assert (len(calls), len(timed), len(reads)) == (16, 811, 811)
+        # the search heads for the goal: 32 of 123 vertices settle, and
+        # 286 legs go unread, as labels fell after their prefetch
+        assert (len(idle), len(calls), len(timed), len(reads)) == \
+            (1, 9, 618, 332)
 
     @pytest.mark.parametrize("n_climb", [100, 3])
     def test_no_kernel_call_exceeds_the_lane_cap(self, n_climb, still_grid,
@@ -802,7 +853,110 @@ class TestPrefetch:
         assert all(lanes <= MAX_BATCH_LANES or len(tails) == 1
                    for tails, lanes in counting.calls)
         widest = max(len(tails) for tails, _ in counting.calls)
-        assert widest == (1 if n_climb == 100 else 3)
+        assert widest == (1 if n_climb == 100 else 2)
+
+
+def overshooting_grid(rng, amplitude=0.1):
+    """Knots in close pairs whose values flip sign from pair to pair, on
+    every axis: Catmull-Rom and Akima overshoot the node speeds."""
+    axes, signs = [], []
+    for n, gap in ((8, 4_000.0), (7, 4_000.0), (5, 20.0), (6, 3_600.0)):
+        gaps = gap * rng.uniform(0.5, 1.0, n - 1)
+        gaps[1::2] *= 0.05
+        axes.append(np.concatenate(([0.0], np.cumsum(gaps))))
+        signs.append((-1.0) ** (np.arange(n) // 2))
+    pattern = np.einsum("a,b,c,d->abcd", *signs[::-1])
+    return FlowGrid(*axes, amplitude * pattern * rng.uniform(0.5, 1.0,
+                                                             pattern.shape),
+                    amplitude * pattern * rng.uniform(-1.0, 1.0,
+                                                      pattern.shape))
+
+
+SCHEMES = {"nearest": InterpScheme("nearest", "nearest", "nearest"),
+           "bilinear": InterpScheme(),
+           "bicubic": InterpScheme("bicubic", "cubic", "cubic"),
+           "akima": InterpScheme("bicubic", "akima", "akima")}
+
+
+class TestAStar:
+    FAMILY = TestPrefetch.FAMILY
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           field=st.sampled_from(["bilinear", "bicubic", "akima", "tidal"]),
+           neighbor_set=st.sampled_from([8, 16]),
+           mode=st.sampled_from(["fastest", "max_amplitude"]))
+    def test_arrival_equals_the_bound_less_search(self, seed, field,
+                                                  neighbor_set, mode):
+        try:
+            grid, scheme, graph, start, goal = random_mission(
+                seed, field, neighbor_set)
+        except ConfigError:  # a terminal on land or cut off
+            assume(False)
+        args = (grid, V03, self.FAMILY, 0.5, scheme, 1, mode, 1.1)
+        t0 = float(seed % 7_200)
+        astar = tve_dijkstra(graph, start, goal, t0,
+                             make_edge_cost(*args, graph=graph))
+        plain = make_edge_cost(*args)
+        dijkstra = tve_dijkstra(graph, start, goal, t0,
+                                lambda a, b, t: plain(a, b, t))
+        assert (astar is None) == (dijkstra is None)
+        if astar is not None:
+            assert abs(astar.arrival_times[-1]
+                       - dijkstra.arrival_times[-1]) <= 1e-9
+            assert astar.vertices_settled <= dijkstra.vertices_settled
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_sample_or_leg_beats_the_bound(self, seed, scheme,
+                                              monkeypatch):
+        rng = np.random.RandomState(seed)
+        grid = overshooting_grid(rng)
+        bound = current_bound(grid, SCHEMES[scheme])
+        x0, y0, x1, y1 = grid.horizontal_bounds()
+        n = 20_000
+        u, v, reason = sample_batch(
+            grid, rng.uniform(x0, x1, n), rng.uniform(y0, y1, n),
+            rng.uniform(0.0, grid.z_levels[-1], n),
+            rng.uniform(0.0, grid.t_steps[-1], n), SCHEMES[scheme])
+        speed = np.hypot(u, v)[reason == SAMPLE_OK]
+        assert speed.max() <= bound
+        assert (speed.max() > grid.max_speed()) == (scheme in ("bicubic",
+                                                               "akima"))
+
+        lanes, fly = [], search_mod.profile_times
+
+        def kernel(tails, heads, *rest):
+            out = fly(tails, heads, *rest)
+            gap = np.subtract(heads, np.reshape(tails, (-1, 2)))
+            lanes.append((np.hypot(gap[:, 0], gap[:, 1])[:, None], out))
+            return out
+
+        monkeypatch.setattr(search_mod, "profile_times", kernel)
+        graph = build_graph(Rect(x0, y0, x1, y1), (x1 - x0) / 6, 16,
+                            BlockedRegions(grid=grid))
+        start, goal = connect_terminals(graph, (x0 + 10.0, y0 + 10.0),
+                                        (x1 - 10.0, y1 - 10.0))
+        cost = make_edge_cost(grid, V03, self.FAMILY, 0.5, SCHEMES[scheme],
+                              n_sub=2, graph=graph)
+        assert cost.speed_bound == V03.speed_through_water + bound
+        tve_dijkstra(graph, start, goal, 0.0, cost)
+        dist, secs = (np.concatenate(part) for part in zip(*lanes))
+        flown = np.isfinite(secs)
+        assert flown.sum() > 100
+        assert (secs * cost.speed_bound >= dist)[flown].all()
+
+    def test_catmull_rom_bound_is_nearly_attained(self):
+        # tangents from close outer knots swing the spline past the two
+        # inner nodes by almost half their value
+        grid = FlowGrid([0.0, 1e-3, 1.0, 1.001], [0.0], [0.0], [0.0],
+                        np.array([-1.0, 1.0, 1.0, -1.0]).reshape(1, 1, 1, 4),
+                        np.zeros((1, 1, 1, 4)))
+        scheme = SCHEMES["bicubic"]
+        u, _, _ = sample_batch(grid, np.linspace(0.0, 1.001, 2_001), 0.0,
+                               0.0, 0.0, scheme)
+        assert current_bound(grid, scheme) == 1.5
+        assert 1.49 < np.abs(u).max() <= 1.5
 
 
 class TestBatchedSmoothing:

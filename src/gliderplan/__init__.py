@@ -1,5 +1,13 @@
 """Time-optimal route planning for underwater gliders in ocean currents."""
 
+import os
+
+# numpy's OpenBLAS starts a worker thread per extra core at import, and
+# an idle worker spins for about 0.1 s of CPU; the planner makes no BLAS
+# call.  The setting counts only before numpy's first import, and a value
+# the user has set stays.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (ConfigError, FlowFormatError, GliderPlanError,
                      LandContactError, OutOfDomainError)
 from .flowfield import (CurrentVector, DEFAULT_SCHEME, FlowGrid, InterpScheme,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +27,11 @@ FILL_DEFAULT = -9999.0
 FORMAT_VERSION = 1
 
 SYNTH_KINDS = ("uniform", "gyre", "tidal_channel")
+
+# inline u/v arrays are parsed and written in pieces of about this size
+_CHUNK_BYTES = 1 << 20
+_TOKEN = re.compile(rb'[][{}]|"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
 
 
 class CurrentVector(NamedTuple):
@@ -540,12 +546,17 @@ def save_flow_grid(grid: FlowGrid, path, encoding: str = "inline") -> None:
     if encoding not in ("inline", "binary"):
         raise ConfigError(f'encoding must be "inline" or "binary", got {encoding!r}')
     header = _header_dict(grid, encoding)
-    if encoding == "inline":
-        header["u"] = grid.u.ravel().tolist()
-        header["v"] = grid.v.ravel().tolist()
+    if encoding == "inline":  # json.dump's text, u and v a piece at a time
+        step = _CHUNK_BYTES // 16  # a value writes up to 24 characters
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(header, fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(header, separators=(",", ":"))[:-1])
+            for name, flat in (("u", grid.u.ravel()), ("v", grid.v.ravel())):
+                fh.write(f',"{name}":[')
+                fh.writelines("," * (i > 0) + json.dumps(
+                    flat[i:i + step].tolist(), separators=(",", ":"))[1:-1]
+                    for i in range(0, flat.size, step))
+                fh.write("]")
+            fh.write("}\n")
         return
     header["data_offset"] = 0
     while True:
@@ -585,59 +596,118 @@ def _parse_header(header: dict) -> tuple[np.ndarray, ...]:
     return (*out, float(fill))
 
 
+def _top_level_arrays(raw: bytes) -> dict:
+    """Map "u"/"v" of the outer JSON object to the (start, stop) of their
+    arrays' content where that holds no string, array or object.
+
+    The scan skips strings, stops where the outer object closes and
+    validates nothing; an escaped or repeated key splits nothing.
+    """
+    found, depth, pos = {}, 0, 0
+    while (tok := _TOKEN.search(raw, pos)) is not None:
+        pos, t = tok.end(), tok.group()
+        if t in (b"{", b"["):
+            depth += 1
+        elif t in (b"}", b"]"):
+            if (depth := depth - 1) <= 0:
+                break
+        elif depth == 1 and (colon := _COLON.match(raw, pos)):
+            key = t[1:-1].decode("utf-8", "replace")
+            if "\\" in key or key in found:
+                return {}
+            start = colon.end() + 1
+            stop = raw.find(b"]", start) if raw[start - 1:start] == b"[" else -1
+            if key in ("u", "v") and stop >= 0 and all(
+                    raw.find(ch, start, stop) < 0 for ch in b'[{"'):
+                found[key], pos = (start, stop), stop + 1
+    return found
+
+
+def _pieces(name: str, raw: bytes, lo: int, hi: int):
+    """Yield the array content raw[lo:hi] as JSON lists of about
+    _CHUNK_BYTES each, cut at commas."""
+    pos = lo
+    while True:
+        cut = raw.find(b",", min(pos + _CHUNK_BYTES, hi), hi)
+        stop = hi if cut < 0 else cut
+        try:
+            vals = json.loads("[" + raw[pos:stop].decode("utf-8") + "]")
+            if not vals and (pos > lo or cut >= 0):  # "[,1]" or "[1,]"
+                raise ValueError("empty value")
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise FlowFormatError(f"{name}: not a JSON array ({exc})") from exc
+        yield vals
+        if cut < 0:
+            return
+        pos = cut + 1
+
+
+def _gather(name: str, pieces, room: int, count: int) -> np.ndarray:
+    """Check JSON lists as one flat array of numbers and convert them
+    into count float64 values; room bounds the values they can hold."""
+    out = np.empty(min(room, count))
+    n, kinds = 0, set()
+    for vals in pieces:
+        # a list of JSON numbers infers an int or float array, where a
+        # bool among them reads 0 or 1; null, strings, objects and
+        # integers outside [-2**63, 2**64) infer other kinds
+        try:
+            arr = np.array(vals if isinstance(vals, list) else None)
+            numbers = arr.ndim == 1 and arr.dtype.kind in "iuf" and not any(
+                type(vals[i]) is bool
+                for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist())
+        except ValueError:  # ragged
+            numbers = False
+        if not numbers:  # NaN passes: it marks fill
+            raise FlowFormatError(f"{name}: must be a flat array of numbers")
+        kinds.add(arr.dtype.kind)
+        if n + arr.size <= out.size:
+            out[n:n + arr.size] = arr
+        n += arr.size
+    if kinds == {"u"}:  # integers in [2**63, 2**64) alone infer uint64
+        raise FlowFormatError(f"{name}: must be a flat array of numbers")
+    if n != count:
+        raise FlowFormatError(f"{name}: expected {count} values, got {n}")
+    return out
+
+
 def load_flow_grid(path) -> FlowGrid:
     """Read a grid archive written by save_flow_grid.
 
     Malformed files raise FlowFormatError naming the offending key;
-    loading never mutates the file.
+    loading never mutates the file.  Inline u and v are parsed from the
+    file's bytes a piece at a time, never held as Python floats.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    header = text = None
-    try:
-        text = raw.decode("utf-8")
-        raw = None  # the text holds the file; a binary archive re-encodes it
-        header = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        pass
-    if header is None:
-        if raw is None:
-            raw = text.encode("utf-8")
-        line, _, _ = raw.partition(b"\n")
+    spans = _top_level_arrays(raw)
+    cuts = [0, *(i for span in spans.values() for i in span), len(raw)]
+    try:  # the document with each array found read as []
+        header = json.loads(b"".join(raw[a:b] for a, b in zip(
+            cuts[::2], cuts[1::2])).decode("utf-8"))
+    except ValueError:  # also UnicodeDecodeError: a binary archive
+        spans = {}
         try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(raw.split(b"\n", 1)[0].decode("utf-8"))
+        except ValueError as exc:
             raise FlowFormatError(f"header: not parseable ({exc})") from exc
-    text = None  # parsed: the header holds what the archive needs
     if not isinstance(header, dict):
         raise FlowFormatError("header: must be an object")
     x, y, z, t, fill = _parse_header(header)
     encoding = _require(header, "encoding")
     shape = (t.size, z.size, y.size, x.size)
-    count = int(np.prod(shape))
+    count = math.prod(shape)
 
     if encoding == "inline":
         comps = []
         for name in ("u", "v"):
-            vals = _require(header, name)
-            del header[name]  # the list goes with vals once converted
-            # a list of JSON numbers infers an int or float array, where a
-            # bool among them reads 0 or 1; null, strings, objects and
-            # integers past int64 infer other kinds
-            try:
-                arr = np.array(vals if isinstance(vals, list) else None)
-                numbers = arr.ndim == 1 and arr.dtype.kind in "if" and not any(
-                    type(vals[i]) is bool
-                    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist())
-            except ValueError:  # ragged
-                numbers = False
-            if not numbers:  # NaN passes: it marks fill
-                raise FlowFormatError(f"{name}: must be a flat array of numbers")
-            if arr.size != count:
-                raise FlowFormatError(
-                    f"{name}: expected {count} values, got {arr.size}")
-            comps.append(arr.astype(np.float64, copy=False).reshape(shape))
-            del vals, arr
+            vals, span = _require(header, name), spans.get(name)
+            if span:  # a value takes a byte, and all but one a comma too
+                pieces = _pieces(name, raw, *span)
+                room = (span[1] - span[0] + 1) // 2
+            else:
+                pieces, room = [vals], len(vals) if isinstance(vals, list) else 0
+            comps.append(_gather(name, pieces, room, count).reshape(shape))
         return FlowGrid(x, y, z, t, comps[0], comps[1], fill_sentinel=fill)
     if encoding == "binary":
         offset = _require(header, "data_offset")

@@ -605,3 +605,67 @@ def path_report_reference(path, grid, vehicle, scheme, depth=None):
                              mag > vehicle.speed_through_water
                              and abs(psi) < 90.0, True))
     return out
+
+
+def load_flow_grid_reference(path):
+    """load_flow_grid as one decode of the whole file into Python lists.
+
+    The whole text is parsed by json.loads (a binary archive, which is
+    not one JSON document, by its first line), and each inline u/v list
+    is checked and converted by one np.array call.
+    """
+    import json
+
+    from gliderplan.errors import FlowFormatError
+    from gliderplan.flowfield import FlowGrid, _parse_header, _require
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        line, _, _ = raw.partition(b"\n")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FlowFormatError(f"header: not parseable ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FlowFormatError("header: must be an object")
+    x, y, z, t, fill = _parse_header(header)
+    encoding = _require(header, "encoding")
+    shape = (t.size, z.size, y.size, x.size)
+    count = int(np.prod(shape))
+    if encoding == "inline":
+        comps = []
+        for name in ("u", "v"):
+            vals = _require(header, name)
+            # a list of JSON numbers infers an int or float array, where a
+            # bool among them reads 0 or 1; null, strings, objects and
+            # integers past int64 infer other kinds
+            try:
+                arr = np.array(vals if isinstance(vals, list) else None)
+                numbers = arr.ndim == 1 and arr.dtype.kind in "if" and not any(
+                    type(vals[i]) is bool
+                    for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist())
+            except ValueError:  # ragged
+                numbers = False
+            if not numbers:
+                raise FlowFormatError(f"{name}: must be a flat array of numbers")
+            if arr.size != count:
+                raise FlowFormatError(
+                    f"{name}: expected {count} values, got {arr.size}")
+            comps.append(arr.astype(np.float64, copy=False).reshape(shape))
+        return FlowGrid(x, y, z, t, comps[0], comps[1], fill_sentinel=fill)
+    if encoding == "binary":
+        offset = _require(header, "data_offset")
+        if not isinstance(offset, int) or offset < 0:
+            raise FlowFormatError("data_offset: must be a non-negative integer")
+        need = offset + 2 * count * 4
+        if len(raw) != need:
+            raise FlowFormatError(
+                f"data_offset: file holds {len(raw)} bytes, expected {need}")
+        block = np.frombuffer(raw, dtype="<f4", count=2 * count, offset=offset)
+        u = block[:count].astype(np.float64).reshape(shape)
+        v = block[count:].astype(np.float64).reshape(shape)
+        return FlowGrid(x, y, z, t, u, v, fill_sentinel=fill)
+    raise FlowFormatError(f"encoding: unsupported value {encoding!r}")

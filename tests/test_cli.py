@@ -533,6 +533,29 @@ class TestEntryPoint:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "fly")[0] == EXIT_ERROR
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads in /proc")
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_import_leaves_one_thread(self, preset):
+        # numpy's OpenBLAS would start a worker per core, which spins idle
+        src = os.path.dirname(os.path.dirname(gliderplan.__file__))
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, gliderplan; print(os.environ['OPENBLAS_NUM_THREADS'],"
+             " len(os.listdir('/proc/self/task')))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split()
+        assert value == (preset or "1")
+        if preset is None:
+            assert threads == "1"
+
     def test_module_is_executable(self):
         # the child finds the package where this process imported it
         src = os.path.dirname(os.path.dirname(gliderplan.__file__))

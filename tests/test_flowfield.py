@@ -1,11 +1,19 @@
 """Flow grid container, synthetic fields, sampling, and archive I/O."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gliderplan import flowfield
 from gliderplan.errors import (ConfigError, FlowFormatError, LandContactError,
                                OutOfDomainError)
 from gliderplan.flowfield import (FlowGrid, InterpScheme, effective_scheme,
@@ -13,7 +21,7 @@ from gliderplan.flowfield import (FlowGrid, InterpScheme, effective_scheme,
                                   synth_field)
 
 from conftest import interp_xy, make_land_grid, make_uniform_grid, random_grid
-from oracles import max_speed_reference
+from oracles import load_flow_grid_reference, max_speed_reference
 
 
 def small_grid(**kwargs):
@@ -367,6 +375,28 @@ class TestArchiveRoundTrip:
         load_flow_grid(path)
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("chunk", [16, 48, 1 << 20])
+    @pytest.mark.parametrize("fill", [math.nan, -9999.0])
+    def test_inline_bytes_match_one_json_dump(self, tmp_path, chunk, fill):
+        # NaN fill, a fill sentinel, -0.0 and integer-valued nodes, written
+        # one value, three values and one piece at a time
+        grid = small_grid(seed=7)
+        u, v = grid.u.copy(), grid.v.copy()
+        u[0, 0, 0, :] = [fill, -0.0, 3.0, -2.0, 0.0]
+        v[1, 2, 3, :] = [fill, 1.0, -0.0, 5e-324, 1e300]
+        grid = FlowGrid(grid.x_coords, grid.y_coords, grid.z_levels,
+                        grid.t_steps, u, v, fill_sentinel=fill)
+        header = flowfield._header_dict(grid, "inline")
+        header["u"] = grid.u.ravel().tolist()
+        header["v"] = grid.v.ravel().tolist()
+        expected = io.StringIO()
+        json.dump(header, expected, separators=(",", ":"))
+        expected.write("\n")
+        path = tmp_path / "field.json"
+        with mock.patch.object(flowfield, "_CHUNK_BYTES", chunk):
+            save_flow_grid(grid, path, encoding="inline")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_unknown_encoding_on_save_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             save_flow_grid(small_grid(), tmp_path / "x", encoding="zip")
@@ -460,3 +490,125 @@ class TestArchiveValidation:
         path.write_bytes(raw[:-8])
         with pytest.raises(FlowFormatError, match="data_offset"):
             load_flow_grid(path)
+
+
+    def test_header_claiming_more_nodes_than_the_file_holds(self, tmp_path):
+        # 10**12 nodes at 8 bytes would be 8 TB: the loader must refuse
+        # before it allocates, under a 1 GB address-space limit
+        doc = self.good_header()
+        doc["axes"] = {k: list(range(1000)) for k in "xyzt"}
+        path = self.write(tmp_path, doc)
+        src = os.path.dirname(os.path.dirname(flowfield.__file__))
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from gliderplan import FlowFormatError, load_flow_grid\n"
+            "try:\n"
+            "    load_flow_grid(sys.argv[1])\n"
+            "except FlowFormatError as exc:\n"
+            "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "u: expected 1000000000000 values, got 4\n"
+
+
+NUMBERS = st.one_of(
+    st.floats(),  # NaN, infinities, -0.0 and subnormals among them
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.nan]),
+    st.integers(-10 ** 6, 10 ** 6))
+# integers past int64 read as numbers only beside another kind of
+# number; past uint64 never
+BIG_INTEGERS = st.sampled_from([2 ** 63, 2 ** 64 - 1, -2 ** 63,
+                                -2 ** 63 - 1, 2 ** 64])
+
+# (object open, member separator, key-value separator, object close,
+#  array open, element separator, array close)
+LAYOUTS = {
+    "compact": ("{", ",", ":", "}", "[", ",", "]"),
+    "indent": ("{\n  ", ",\n  ", ": ", "\n}\n", "[\n    ", ",\n    ",
+               "\n  ]"),
+    "spaced": (" \r\n{ ", " , ", " :\t", " }  ", "[ ", " ,\t", " ]"),
+}
+
+
+@st.composite
+def inline_archives(draw):
+    """The bytes of an inline archive, well formed or nearly so."""
+    shape = [draw(st.integers(1, 3)) for _ in range(4)]
+    count = math.prod(shape)
+    (o_open, o_sep, kv, o_close,
+     a_open, a_sep, a_close) = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+
+    def array(n):
+        size = draw(st.sampled_from([n] * 6 + [n - 1, n + 1]))
+        pool = draw(st.sampled_from([NUMBERS] * 7 + [NUMBERS | BIG_INTEGERS]))
+        items = [json.dumps(x) for x in draw(
+            st.lists(pool, min_size=size, max_size=size))]
+        flaw = draw(st.sampled_from([None] * 16 + ["", "true", "null"]))
+        if flaw is not None and items:  # "" makes "1,,2"
+            items[draw(st.integers(0, len(items) - 1))] = flaw
+        return a_open + a_sep.join(items) + a_close
+
+    axes = {k: list(range(n)) for k, n in zip("tzyx", shape)}
+    if draw(st.booleans()):
+        axes["u"] = [1.0, 2.0]
+    members = [('"version"', "1"), ('"encoding"', '"inline"'),
+               ('"fill_sentinel"', draw(st.sampled_from(
+                   ["-9999.0", "NaN", "0", "1e300"]))),
+               ('"axes"', json.dumps(axes)),
+               (draw(st.sampled_from(['"u"', '"u"', '"\\u0075"'])),
+                array(count)),
+               ('"v"', array(count))]
+    extras = draw(st.lists(st.sampled_from([
+        ('"u"', None),  # a duplicate key: JSON keeps the last
+        ('"v"', '"0.0"'), ('"u"', "[[0.0], [1.0]]"), ('"u"', "{}"),
+        ('"note"', json.dumps('"u":[1,2] and "v":[')),
+        (json.dumps('u":['), "[]")]), max_size=2))
+    members += [(k, array(count) if v is None else v) for k, v in extras]
+    members = draw(st.permutations(members))  # v before u among them
+    text = o_open + o_sep.join(k + kv + v for k, v in members) + o_close
+    if draw(st.sampled_from([False] * 9 + [True])):
+        text = text[:draw(st.integers(0, len(text) - 1))]  # truncated
+    return text.encode("utf-8")
+
+
+def _archive(u: bytes) -> bytes:
+    return (b'{"version":1,"encoding":"inline","fill_sentinel":0,'
+            b'"axes":{"x":[0,1],"y":[0,1],"z":[0],"t":[0]},'
+            b'"v":[0,0,0,0],"u":' + u + b"}")
+
+
+def _outcome(load, path):
+    try:
+        grid = load(path)
+    except FlowFormatError:
+        return "FlowFormatError"
+    return [a.tobytes() for a in (grid.x_coords, grid.y_coords,
+                                  grid.z_levels, grid.t_steps, grid.u,
+                                  grid.v, np.float64(grid.fill_sentinel))]
+
+
+class TestLoaderParity:
+    """The piecewise loader against the whole-document list loader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=inline_archives(), chunk=st.sampled_from([1, 2, 3, 5, 8, 64,
+                                                         1 << 20]))
+    # a replaced duplicate must still parse; an escaped key can replace u
+    @example(doc=_archive(b'[1,,2],"u":[0,0,0,0]'), chunk=1 << 20)
+    @example(doc=_archive(b'[1,2,3,4],"\\u0075":[5,6,7,8]'), chunk=1 << 20)
+    # uint64 integers pass beside int64 ones, in another piece too
+    @example(doc=_archive(b"[0,0,0,9223372036854775808]"), chunk=1)
+    @example(doc=_archive(b"[%s]" % b",".join([b"18446744073709551615"] * 4)),
+             chunk=1)
+    @example(doc=_archive(b"[1,2,3,4,]"), chunk=7)
+    def test_same_arrays_or_both_refuse(self, doc, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.json")
+            with open(path, "wb") as fh:
+                fh.write(doc)
+            with mock.patch.object(flowfield, "_CHUNK_BYTES", chunk):
+                got = _outcome(load_flow_grid, path)
+            assert got == _outcome(load_flow_grid_reference, path)

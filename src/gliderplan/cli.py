@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from .errors import GliderPlanError, LandContactError, OutOfDomainError
+from .errors import (ConfigError, GliderPlanError, LandContactError,
+                     OutOfDomainError)
 from .flowfield import (InterpScheme, SYNTH_KINDS, effective_scheme,
                         load_flow_grid, sample, save_flow_grid, synth_field)
 from .mission import (format_duration, export_waypoints, parse_mission,
@@ -190,6 +191,8 @@ def _flag_value(text: str):
         return json.loads(text)
     except ValueError:
         return text
+    except RecursionError as exc:
+        raise ConfigError(f"--values: {text[:10]}... is nested too deeply") from exc
 
 
 def _cmd_sweep(args) -> int:

@@ -370,53 +370,91 @@ def _stage(vals: np.ndarray, stencil) -> np.ndarray:
     return _weighted_sum(vals, weights)
 
 
+# Grid nodes per sample_batch gather: under 40 B each with index and sums
+MAX_GATHER_NODES = 1 << 14
+
+
+def _window(knots: list, shape):
+    """Knot windows of columns of points (C, K) from their stencils'
+    ascending knots: each column's first knot, the widest window's knot
+    count, and each stencil knot's slot in its column's window."""
+    slot = np.array(knots).reshape(len(knots), *shape)
+    lo = slot[0].min(axis=1, initial=2**31 - 1)
+    slot -= lo[:, None]
+    return lo, int(slot[-1].max(initial=0)) + 1, slot
+
+
+def _flat(a: np.ndarray, shape) -> np.ndarray:  # broadcast only if need be
+    return (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(-1)
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def sample_batch(grid: FlowGrid, x, y, z, t,
                  scheme: InterpScheme = DEFAULT_SCHEME):
     """Sample the current at N space-time points at once.
 
-    Interpolates each component through the four-stage pipeline
-    (horizontal per layer, then depth, then time) with fixed-width
-    stencils, summing knot by knot in the scalar order, so a point's
-    value does not depend on the rest of the batch.  Depth and time
-    clamp to the grid range.  Instead of raising, each point gets a
-    reason code: SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN or SAMPLE_LAND (a fill
-    value in the stencil); u and v of other points mean nothing.
+    x, y of shape (C, 1) with z, t of shape (C, K) are C columns of K
+    points sharing (x, y); 1-D inputs are columns of one point.  The
+    x-then-y stage runs once per (column, time knot, depth knot) of the
+    column's knot window, MAX_GATHER_NODES nodes at a time; each point
+    runs its own depth and time stages.  Sums run knot by knot in the
+    scalar order, so a point's value does not depend on the rest of the
+    batch.  Depth and time clamp to the grid range.  Instead of raising,
+    each point gets a reason code, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN or
+    SAMPLE_LAND (a fill value in the stencil); u, v mean nothing if not OK.
 
     Returns:
-        (u, v, reason): arrays of shape (N,), m/s and int8.
+        (u, v, reason) of the points' shape, (N,) or (C, K): m/s, int8.
     """
-    x, y, z, t = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.float64).reshape(-1) for a in (x, y, z, t)))
+    x, y, z, t = (np.asarray(a, dtype=np.float64) for a in (x, y, z, t))
+    out_shape = np.broadcast(x, y, z, t).shape
+    if len(out_shape) < 2:  # columns of one point
+        x, y, z, t = (a.reshape(-1, 1) for a in (x, y, z, t))
+        out_shape = (-1,)
+    shape = n_col, k = np.broadcast(x, y, z, t).shape
+    x, y = (_flat(a, (n_col, 1)) for a in (x, y))
     xs, ys, zs, ts = grid.x_coords, grid.y_coords, grid.z_levels, grid.t_steps
     inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
-    z = np.minimum(np.maximum(z, zs[0]), zs[-1])
-    t = np.minimum(np.maximum(t, ts[0]), ts[-1])
-    st_x = _axis_stencil(xs, x, scheme.xy_method)
-    st_y = _axis_stencil(ys, y, scheme.xy_method)
+    z = np.minimum(np.maximum(_flat(z, shape), zs[0]), zs[-1])
+    t = np.minimum(np.maximum(_flat(t, shape), ts[0]), ts[-1])
+    kx, wx, _ = _axis_stencil(xs, x, scheme.xy_method)
+    ky, wy, _ = _axis_stencil(ys, y, scheme.xy_method)
     st_z = _axis_stencil(zs, z, scheme.z_method)
     st_t = _axis_stencil(ts, t, scheme.t_method)
+    lo_z, n_wz, jz = _window(st_z[0], shape)
+    lo_t, n_wt, jt = _window(st_t[0], shape)
 
-    # flat (z, y, x) stencil node index within a time step, (Wz, Wy, Wx,
-    # N); gathering one time step at a time bounds wide stencils' memory
-    _, nz, ny, nx = grid.shape
-    zyx = np.stack(st_z[0])[:, None, :] * ny + np.stack(st_y[0])
-    zyx = zyx[:, :, None, :] * nx + np.stack(st_x[0])
-    idx = np.empty_like(zyx)
-    vals = np.empty((2,) + zyx.shape)
-    land = np.zeros(x.shape, dtype=bool)
-    layers = []
-    for it in st_t[0]:
-        np.add(zyx, it * (nz * ny * nx), out=idx)
-        np.take(grid._flat_u, idx, out=vals[0], mode="clip")
-        np.take(grid._flat_v, idx, out=vals[1], mode="clip")
+    # horizontal layers (2, n_wt, n_wz, C) in chunks of columns; a window
+    # slot past the axis end repeats the last knot
+    nt, nz, ny, nx = grid.shape
+    yx = np.array(ky)[:, None, :] * nx + np.array(kx)  # (Wy, Wx, C)
+    layers = np.empty((2, n_wt, n_wz, n_col))
+    fill = np.zeros(layers.shape[1:], dtype=bool)
+    step = max(1, MAX_GATHER_NODES // (n_wt * n_wz * yx.shape[0] * yx.shape[1]))
+    win_t, win_z = (np.arange(n, dtype=np.int32)[:, None] for n in (n_wt, n_wz))
+    for c in range(0, n_col, step):
+        cs = slice(c, c + step)
+        it = np.minimum(lo_t[cs] + win_t, nt - 1)
+        iz = np.minimum(lo_z[cs] + win_z, nz - 1)
+        idx = ((it[:, None, :] * nz + iz) * (ny * nx))[:, :, None, None, :] \
+            + yx[:, :, cs]  # (n_wt, n_wz, Wy, Wx, Cc)
+        vals = np.empty((2,) + idx.shape)
+        grid._flat_u.take(idx, out=vals[0], mode="clip")
+        grid._flat_v.take(idx, out=vals[1], mode="clip")
         if grid._flat_fill is not None:
-            land |= grid._flat_fill[idx].any(axis=(0, 1, 2))
-        layers.append(_stage(_stage(vals, st_x), st_y))
-    out = _stage(_stage(np.stack(layers, axis=1), st_z), st_t)
-    reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(np.int8)
-    reason[inside & land] = SAMPLE_LAND
-    return out[0], out[1], reason
+            fill[:, :, cs] = grid._flat_fill.take(idx).any(axis=(2, 3))
+        layers[:, :, :, cs] = _weighted_sum(_weighted_sum(
+            vals, [w[cs] for w in wx]), [w[cs] for w in wy])
+
+    # each point reads its (Wt, Wz) layers by flat index into the windows
+    li = ((jt[:, None] * n_wz + jz) * n_col + np.arange(
+        n_col, dtype=np.int32)[:, None]).reshape(len(jt), len(jz), -1)
+    out = _stage(_stage(layers.reshape(2, -1).take(li, axis=1), st_z), st_t)
+    reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(
+        np.int8).repeat(k)
+    if grid._flat_fill is not None:
+        reason[(reason == SAMPLE_OK) & fill.take(li).any(axis=(0, 1))] = SAMPLE_LAND
+    return tuple(a.reshape(out_shape) for a in (out[0], out[1], reason))
 
 
 def sample(grid: FlowGrid, x: float, y: float, z: float, t: float,
@@ -685,11 +723,11 @@ def load_flow_grid(path) -> FlowGrid:
     try:  # the document with each array found read as []
         header = json.loads(b"".join(raw[a:b] for a, b in zip(
             cuts[::2], cuts[1::2])).decode("utf-8"))
-    except ValueError:  # also UnicodeDecodeError: a binary archive
+    except (ValueError, RecursionError):  # ValueError: a binary archive
         spans = {}
         try:
             header = json.loads(raw.split(b"\n", 1)[0].decode("utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deeply
             raise FlowFormatError(f"header: not parseable ({exc})") from exc
     if not isinstance(header, dict):
         raise FlowFormatError("header: must be an object")

@@ -101,7 +101,8 @@ def over_ground_speed(vehicle: VehicleSpec, cu, cv, ux, uy):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
                  ze, t_start, scheme: InterpScheme, n_sub: int):
-    """Travel times of L straight 3-D legs (arrays (L,)), z positive down.
+    """Travel times of straight 3-D legs, z positive down: arrays (L,),
+    or sample_batch's columns (x, y (C, 1); z, t_start (C, K)).
 
     Each leg is split into n_sub equal sub-segments.  A sub-segment
     samples the current once -- at its starting horizontal position, its
@@ -146,9 +147,10 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     its dive floor, departing when the previous segment arrived, so
     later segments see the field at later times.  tails_2d is (H, 2) or
     one shared (x, y); t_start is (H,) or one shared departure.  The
-    H x P runs advance together, one sample_batch call per sub-step, and
-    a run's time does not depend on the rest of the batch.  Entries are
-    seconds or INFEASIBLE, as is every run of an INFEASIBLE departure.
+    H x P runs advance together, one sample_batch call per sub-step with
+    each head a column of its P lanes, and a run's time does not depend
+    on the rest of the batch.  Entries are seconds or INFEASIBLE, as is
+    every run of an INFEASIBLE departure.
     """
     profiles = list(profiles)
     heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
@@ -159,16 +161,13 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
         raise ConfigError(f"h must lie in (0, 1], got {h!r}")
     if n_sub < 1:
         raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
-    # lane k flies head k // P with profile k % P
-    x0 = np.repeat(tails[:, 0], shape[1])
-    y0 = np.repeat(tails[:, 1], shape[1])
-    dx = np.repeat(heads[:, 0], shape[1]) - x0
-    dy = np.repeat(heads[:, 1], shape[1]) - y0
-    zc = np.tile([p.z_climb_to for p in profiles], shape[0])
-    zd = np.tile([p.z_dive_to for p in profiles], shape[0])
+    # lane (k, j) flies head k with profile j: x, y (H, 1), z (P,), t (H, P)
+    (x0, y0), (dx, dy) = tails.T[:, :, None], (heads - tails).T[:, :, None]
+    zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in profiles],
+                        (-1, 2)).T
     # 1/h is taken with a small backoff so float noise cannot add a segment
     n_seg = math.ceil(1.0 / h - 1e-9)
-    t = t0 = np.repeat(departs, shape[1])
+    t = t0 = np.repeat(departs, shape[1]).reshape(shape)
     alive = np.isfinite(t0)
     for i in range(n_seg):
         if not alive.any():
@@ -180,7 +179,7 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
                               n_sub)
         alive &= ok
         t = t + dt
-    return np.where(alive, t - t0, INFEASIBLE).reshape(shape)
+    return np.where(alive, t - t0, INFEASIBLE)
 
 
 def glider_travel_time(p_start_2d, p_end_2d, profile: DiveProfile,

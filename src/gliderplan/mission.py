@@ -262,7 +262,7 @@ def parse_mission(path, values: dict | None = None,
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"mission file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise ConfigError(f"mission file: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError("mission file: top level must be an object")

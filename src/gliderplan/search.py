@@ -53,9 +53,9 @@ MAX_LATTICE_EDGES = 2_000_000
 # 5.7 MB of temporaries at the measured 87 B per point.
 MAX_SCREEN_POINTS = 65_536
 
-# Lanes (legs x profiles) per prefetching kernel call, sized so one
-# call holds under 8 MB of kernel temporaries at the measured 0.75 KB
-# (bilinear) to 1.8 KB (bicubic/Akima) per lane.
+# Lanes (legs x profiles) per prefetching kernel call: tracemalloc on a
+# 17 x 17 x 4 x 13 grid measured 2.5 KB (bicubic/Akima/Akima) and 0.44
+# KB (bilinear) of kernel temporaries per lane, up to 10 MB per call.
 MAX_BATCH_LANES = 4_096
 
 

@@ -371,6 +371,50 @@ def sample_reference(grid, x, y, z, t, scheme):
     return out[0], out[1]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def sample_batch_reference(grid, x, y, z, t, scheme):
+    """sample_batch with no column sharing: every point gathers its own
+    (Wz, Wy, Wx) stencil nodes, one time slot at a time, and runs all
+    four stages itself.  Takes and returns the kernel's point shapes."""
+    from gliderplan.flowfield import (SAMPLE_LAND, SAMPLE_OK,
+                                      SAMPLE_OUT_OF_DOMAIN, _axis_stencil,
+                                      _stage)
+
+    out_shape = np.broadcast_shapes(*(np.shape(a) for a in (x, y, z, t)))
+    x, y, z, t = (np.broadcast_to(np.asarray(a, dtype=np.float64),
+                                  out_shape).reshape(-1) for a in (x, y, z, t))
+    if len(out_shape) < 2:
+        out_shape = (-1,)
+    xs, ys, zs, ts = grid.x_coords, grid.y_coords, grid.z_levels, grid.t_steps
+    inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
+    z = np.minimum(np.maximum(z, zs[0]), zs[-1])
+    t = np.minimum(np.maximum(t, ts[0]), ts[-1])
+    st_x = _axis_stencil(xs, x, scheme.xy_method)
+    st_y = _axis_stencil(ys, y, scheme.xy_method)
+    st_z = _axis_stencil(zs, z, scheme.z_method)
+    st_t = _axis_stencil(ts, t, scheme.t_method)
+    # flat (z, y, x) stencil node index within a time step, (Wz, Wy, Wx, N)
+    _, nz, ny, nx = grid.shape
+    zyx = np.stack(st_z[0])[:, None, :] * ny + np.stack(st_y[0])
+    zyx = zyx[:, :, None, :] * nx + np.stack(st_x[0])
+    idx = np.empty_like(zyx)
+    vals = np.empty((2,) + zyx.shape)
+    land = np.zeros(x.shape, dtype=bool)
+    layers = []
+    for it in st_t[0]:
+        np.add(zyx, it * (nz * ny * nx), out=idx)
+        np.take(grid._flat_u, idx, out=vals[0], mode="clip")
+        np.take(grid._flat_v, idx, out=vals[1], mode="clip")
+        if grid._flat_fill is not None:
+            land |= grid._flat_fill[idx].any(axis=(0, 1, 2))
+        layers.append(_stage(_stage(vals, st_x), st_y))
+    out = _stage(_stage(np.stack(layers, axis=1), st_z), st_t)
+    reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(np.int8)
+    reason[inside & land] = SAMPLE_LAND
+    return (out[0].reshape(out_shape), out[1].reshape(out_shape),
+            reason.reshape(out_shape))
+
+
 def travel_time_reference(p_start, p_end, t_start, grid, vehicle, scheme,
                           n_sub):
     """Slant-leg time with one scalar sample per sub-segment, or inf."""

@@ -8,22 +8,33 @@ relative, which also covers the sqrt conditioning as c_perp -> speed.
 """
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import gliderplan.flowfield as flowfield_mod
+import gliderplan.kinematics as kinematics_mod
+import gliderplan.mission as mission_mod
+import gliderplan.search as search_mod
+from gliderplan.cli import EXIT_OK, main as cli_main
 
 from gliderplan.errors import LandContactError, OutOfDomainError
 from gliderplan.flowfield import (SAMPLE_LAND, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN,
                                   XY_METHODS, ZT_METHODS, FlowGrid,
-                                  InterpScheme, sample, sample_batch)
+                                  InterpScheme, sample, sample_batch,
+                                  save_flow_grid, synth_field)
 from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                                    glider_travel_time, make_dive_profiles,
                                    profile_times)
 
-from conftest import random_grid, travel_time
-from oracles import (glider_travel_time_reference, sample_reference,
-                     travel_time_reference)
+from conftest import random_grid, travel_time, write_gyre_mission
+from oracles import (glider_travel_time_reference, sample_batch_reference,
+                     sample_reference, travel_time_reference)
 
 SCHEMES = [InterpScheme(xy, z, t)
            for xy, z, t in itertools.product(XY_METHODS, ZT_METHODS, ZT_METHODS)]
@@ -206,3 +217,186 @@ def test_a_leg_times_the_same_alone_and_in_a_wide_batch():
                                        V03, 0.25, scheme, 2)
             assert alone == wide[i, j] or (math.isinf(alone)
                                            and math.isinf(wide[i, j]))
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and bool(np.all(a.view(np.int64)
+                                              == b.view(np.int64)))
+
+
+def assert_kernel_equals_reference(grid, x, y, z, t, scheme):
+    """The reason everywhere and u, v bit for bit where it is SAMPLE_OK."""
+    u, v, why = sample_batch(grid, x, y, z, t, scheme)
+    ru, rv, rwhy = sample_batch_reference(grid, x, y, z, t, scheme)
+    assert why.dtype == np.int8 and np.array_equal(why, rwhy)
+    ok = rwhy == SAMPLE_OK
+    assert same_bits(u[ok], ru[ok]) and same_bits(v[ok], rv[ok])
+
+
+@st.composite
+def column_cases(draw):
+    """A random grid (land columns, stray fill nodes, 1-8 knots per axis,
+    axes from 0) and C columns of K points: depths across several levels,
+    times across time cells, and NaN, inf, -0.0 or off-grid entries."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    nx, ny, nz, nt = (draw(st.integers(1, 8)) for _ in range(4))
+    axes = [np.concatenate(([0.0], np.cumsum(rng.uniform(lo, hi, n - 1))))
+            for n, lo, hi in ((nx, 500.0, 2_000.0), (ny, 500.0, 2_000.0),
+                              (nz, 5.0, 40.0), (nt, 600.0, 3_600.0))]
+    shape = (nt, nz, ny, nx)
+    u, v = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    fill = draw(st.sampled_from([-9999.0, math.nan]))
+    land = rng.uniform(size=(ny, nx)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    stray = rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.02]))
+    u[:, :, land] = fill
+    v[stray] = fill
+    grid = FlowGrid(*axes, u, v, fill_sentinel=fill)
+    scheme = draw(st.sampled_from(SCHEMES))
+    n_col, k = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+
+    def spread(ax, n, margin):
+        return rng.uniform(ax[0] - margin, ax[-1] + margin, n)
+
+    xs, ys, zs, ts = axes
+    x = spread(xs, n_col, 300.0).reshape(-1, 1)
+    y = spread(ys, n_col, 300.0).reshape(-1, 1)
+    on_knot = rng.uniform(size=n_col) < 0.3
+    x[on_knot, 0] = rng.choice(xs, on_knot.sum())
+    z = spread(zs, (n_col, k), 10.0)
+    cell = ts[-1] / max(1, nt - 1) if nt > 1 else 1_000.0
+    t = spread(ts, (n_col, 1), 900.0) + rng.uniform(-1.5, 1.5, (n_col, k)) * cell
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    for arr in (x, y, z, t):
+        hit = rng.uniform(size=arr.shape) < draw(st.sampled_from([0.0, 0.15]))
+        arr[hit] = rng.choice(specials, hit.sum())
+    return grid, x, y, z, t, scheme
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(column_cases())
+def test_column_kernel_equals_the_per_point_reference(case):
+    grid, x, y, z, t, scheme = case
+    assert_kernel_equals_reference(grid, x, y, z, t, scheme)
+    # the same points as columns of one point
+    flat = [np.broadcast_to(a, z.shape).reshape(-1) for a in (x, y, z, t)]
+    assert_kernel_equals_reference(grid, *flat, scheme)
+
+
+def test_column_kernel_shapes():
+    rng = np.random.RandomState(3)
+    grid = random_grid(rng, 5, 5, 3, 4)
+    u, v, why = sample_batch(grid, [[2_000.0], [3_000.0]], [[2_500.0], [1.0]],
+                             [5.0, 20.0, 40.0], [[900.0] * 3, [1e4] * 3])
+    assert u.shape == v.shape == why.shape == (2, 3)
+    assert sample_batch(grid, 2_000.0, 2_500.0, 5.0, 900.0)[0].shape == (1,)
+    assert sample_batch(grid, [], [], [], [])[0].shape == (0,)
+    with pytest.raises(ValueError):  # x must be one value per column
+        sample_batch(grid, np.ones((2, 3)), np.ones((2, 1)),
+                     np.ones((2, 3)), np.ones((2, 3)))
+
+
+def plan_outputs(mission, out, argv=()):
+    assert cli_main(["plan", str(mission), "--out", str(out), *argv]) == EXIT_OK
+    summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    return ((out / "waypoints.json").read_bytes(),
+            (out / "plan.svg").read_bytes(),
+            [ln for ln in summary if not ln.startswith("comp_time_s")])
+
+
+def write_akima_mission(tmp_path):
+    """A bicubic/Akima/Akima mission over a four-level gyre with an
+    island, so every Akima stencil is wide and some touch land."""
+    x = np.linspace(0.0, 40_000.0, 11)
+    grid = synth_field("gyre", x, x, (0.0, 40.0, 80.0, 120.0),
+                       np.linspace(0.0, 172_800.0, 9),
+                       params={"amplitude": 0.03, "period": 86_400.0})
+    u, v = grid.u.copy(), grid.v.copy()
+    u[:, :, 6:8, 3:5] = v[:, :, 6:8, 3:5] = grid.fill_sentinel
+    save_flow_grid(FlowGrid(x, x, grid.z_levels, grid.t_steps, u, v),
+                   tmp_path / "flow.json")
+    doc = {"flow": "flow.json", "start": {"x": 3_000.0, "y": 3_000.0},
+           "goal": {"x": 37_000.0, "y": 36_000.0}, "start_time": 3_600.0,
+           "grid_spacing": 8_000.0, "neighbor_set": 16, "h": 0.25,
+           "n_sub": 2,
+           "scheme": {"xy": "bicubic", "z": "akima", "t": "akima"},
+           "profile_family": {"z_min": 0.0, "z_climb_to_max": 20.0,
+                              "z_max": 120.0, "z_min_range": 20.0,
+                              "n_climb_to_levels": 2, "n_dive_to_levels": 3}}
+    path = tmp_path / "akima.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("which, argv", [("test8", ()),
+                                         ("test8", ("--no-smooth",)),
+                                         ("akima", ())])
+def test_missions_plan_the_same_with_the_per_point_kernel(tmp_path, capsys,
+                                                          monkeypatch, which,
+                                                          argv):
+    mission = (write_gyre_mission(tmp_path) if which == "test8"
+               else write_akima_mission(tmp_path))
+    columns = plan_outputs(mission, tmp_path / "columns", argv)
+    calls = []
+
+    def reference(grid, x, y, z, t, scheme):
+        calls.append(np.ndim(t))
+        return sample_batch_reference(grid, x, y, z, t, scheme)
+
+    for mod in (flowfield_mod, kinematics_mod, search_mod, mission_mod):
+        monkeypatch.setattr(mod, "sample_batch", reference)
+    per_point = plan_outputs(mission, tmp_path / "per_point", argv)
+    capsys.readouterr()
+    assert 2 in calls  # the leg kernel's columns went through the reference
+    assert columns == per_point
+
+
+def gyre_akima_grid():
+    """gyre-akima's field: a 17 x 17 x 4 x 13 double gyre over 32 km with
+    a 4 km island of fill."""
+    x = np.linspace(0.0, 32_000.0, 17)
+    grid = synth_field("gyre", x, x, (0.0, 40.0, 80.0, 120.0),
+                       np.linspace(0.0, 345_600.0, 13),
+                       params={"amplitude": 0.03, "period": 86_400.0})
+    u, v = grid.u.copy(), grid.v.copy()
+    island = (x[None, :] - 18_000.0) ** 2 + (x[:, None] - 10_000.0) ** 2
+    u[:, :, island <= 4_000.0 ** 2] = v[:, :, island <= 4_000.0 ** 2] = -9999.0
+    return FlowGrid(x, x, grid.z_levels, grid.t_steps, u, v)
+
+
+def traced_peak(fn, *args):
+    fn(*args)  # warm: first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks (bytes) of the same two calls, a 4,095-lane
+# profile_times and a plain 4,096-point sample_batch, when the kernel was
+# the per-point one (sample_batch_reference) and profile_times passed one
+# x, y per lane: 5.2 KB per bicubic/Akima/Akima lane, 0.73 KB bilinear
+PER_POINT_PEAKS = {"bicubic": (21_227_813, 20_288_608),
+                   "bilinear": (2_987_649, 2_044_936)}
+
+
+@pytest.mark.parametrize("scheme", [InterpScheme("bicubic", "akima", "akima"),
+                                    InterpScheme()], ids=lambda s: s.xy_method)
+def test_kernel_temporaries_stay_within_the_per_point_kernels(scheme):
+    grid = gyre_akima_grid()
+    family = make_dive_profiles(ProfileFamilySpec(0.0, 20.0, 120.0, 20.0, 2, 3))
+    rng = np.random.RandomState(0)
+    n_heads = 4_095 // len(family)
+    tails = rng.uniform(4_000.0, 28_000.0, (n_heads, 2))
+    heads = tails + rng.uniform(-8_000.0, 8_000.0, (n_heads, 2))
+    departs = rng.uniform(3_600.0, 100_000.0, n_heads)
+    x, y = rng.uniform(0.0, 32_000.0, (2, 4_096))
+    z, t = rng.uniform(0.0, 120.0, 4_096), rng.uniform(0.0, 345_600.0, 4_096)
+    lanes = traced_peak(profile_times, tails, heads, departs, family, grid,
+                        V03, 0.25, scheme, 2)
+    plain = traced_peak(sample_batch, grid, x, y, z, t, scheme)
+    assert lanes <= PER_POINT_PEAKS[scheme.xy_method][0], lanes
+    assert plain <= PER_POINT_PEAKS[scheme.xy_method][1], plain

@@ -12,6 +12,7 @@ import pytest
 
 import gliderplan
 from gliderplan.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+from gliderplan.errors import FlowFormatError
 from gliderplan.flowfield import load_flow_grid, save_flow_grid
 
 from conftest import make_land_grid, make_uniform_grid
@@ -516,6 +517,36 @@ class TestSweep:
                                "--vary", "h", "--values", "0.5")
         assert code == EXIT_ERROR
         assert "invalid choice" in err
+
+
+class TestDeepJson:
+    """JSON nested 100,000 levels deep ends in one error line, not a
+    RecursionError traceback, wherever src/ parses JSON."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("command", ["sample", "plan", "sweep"])
+    def test_deep_nesting_exits_1_with_one_error_line(self, capsys, tmp_path,
+                                                      mission_file, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"a":' + self.DEEP + "}", encoding="utf-8")
+        argv = {"sample": ["sample", str(deep), "--x", "0", "--y", "0"],
+                "plan": ["plan", str(deep)],
+                "sweep": ["sweep", str(mission_file), "--vary", "grid_spacing",
+                          "--values", "[" * 100_000]}[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_archive_fields_are_refused(self, tmp_path):
+        # the whole-document parse and the first-line header parse alike
+        for text in ('{"version": 1, "axes": ' + self.DEEP + "}",
+                     self.DEEP + "\n"):
+            path = tmp_path / "flow.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FlowFormatError, match="header: not parseable"):
+                load_flow_grid(path)
 
 
 class TestEntryPoint:

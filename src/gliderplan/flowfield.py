@@ -684,7 +684,7 @@ def _gather(name: str, pieces, room: int, count: int) -> np.ndarray:
     """Check JSON lists as one flat array of numbers and convert them
     into count float64 values; room bounds the values they can hold."""
     out = np.empty(min(room, count))
-    n, kinds = 0, set()
+    n = 0
     for vals in pieces:
         # a list of JSON numbers infers an int or float array, where a
         # bool among them reads 0 or 1; null, strings, objects and
@@ -698,12 +698,9 @@ def _gather(name: str, pieces, room: int, count: int) -> np.ndarray:
             numbers = False
         if not numbers:  # NaN passes: it marks fill
             raise FlowFormatError(f"{name}: must be a flat array of numbers")
-        kinds.add(arr.dtype.kind)
         if n + arr.size <= out.size:
             out[n:n + arr.size] = arr
         n += arr.size
-    if kinds == {"u"}:  # integers in [2**63, 2**64) alone infer uint64
-        raise FlowFormatError(f"{name}: must be a flat array of numbers")
     if n != count:
         raise FlowFormatError(f"{name}: expected {count} values, got {n}")
     return out

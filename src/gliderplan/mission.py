@@ -376,16 +376,15 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
 
     planned = tve_dijkstra(graph, start_idx, goal_idx, spec.start_time, cost)
 
-    # legs that bypass the lattice must pass the same blocked-geometry
-    # screen the graph applied to its edges
-    step = spec.grid_spacing / 4.0
+    # legs that bypass the lattice (their ends are route waypoints, so
+    # clear) pass the same exact screen as the lattice's edges
     clear: dict = {}  # (a, b) -> screened clear, one batch per screen
 
     def screen(legs: list) -> None:
         new = list(dict.fromkeys((a, b) for a, b, _ in legs
                                  if (a, b) not in clear))
         if new:
-            clear.update(zip(new, segments_clear(blocked, new, step)))
+            clear.update(zip(new, segments_clear(blocked, new)))
 
     def bypass_cost(a, b, t):
         screen([(a, b, t)])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
@@ -44,13 +45,13 @@ NEIGHBOR_OFFSETS_16 = NEIGHBOR_OFFSETS_8 + (
 )
 
 # Lattice size budget in directed edges, checked before anything is
-# allocated: tracemalloc on a 112,560-edge lattice measured 66 B per edge
-# at build_graph's peak, 15 B kept as CSR, and 55 B more in a full
-# search's leg table (~140 MB at the budget).
+# allocated: tracemalloc on a 112,560-edge lattice measured 67 B per edge
+# at build_graph's peak (87 B with land to screen), 15 B kept as CSR, and
+# 55 B more in a full search's leg table (~175 MB at the budget).
 MAX_LATTICE_EDGES = 2_000_000
 
-# Sample points per screen call when segments are screened: about
-# 5.7 MB of temporaries at the measured 87 B per point.
+# Cuts (segment ends and the land walls in their boxes) per land screen
+# call: about 4 MB of temporaries at the measured 62 B per cut.
 MAX_SCREEN_POINTS = 65_536
 
 # Lanes (legs x profiles) per prefetching kernel call: tracemalloc on a
@@ -79,6 +80,8 @@ class BlockedRegions:
     there), where the nearest flow node is land, and inside a polygon
     by the even-odd rule; a point on a polygon's boundary may land on
     either side, so keep-out polygons should carry their own margin.
+    Land is thus a union of cells, each around a land node with walls
+    midway between knots (a point on a wall is in the lower cell).
     """
 
     grid: FlowGrid | None = None
@@ -98,6 +101,18 @@ class BlockedRegions:
                             & (x < xi + (y - yi) * (xj - xi) / (yj - yi)))
             out |= odd
         return out
+
+    @cached_property
+    def land_cells(self):
+        """(x walls, y walls, land, columns, rows), or None without land:
+        the walls between cells lie midway between knots, and columns[i]
+        (rows[j]) counts the columns below i (rows below j) with land."""
+        land = None if self.grid is None else self.grid.land_mask
+        if land is None or not land.any():
+            return None
+        return (*(0.5 * (c[1:] + c[:-1]) for c in (
+            self.grid.x_coords, self.grid.y_coords)), land,
+            *(np.cumsum(np.append(0, land.any(axis=k))) for k in (0, 1)))
 
 
 @dataclass
@@ -126,36 +141,95 @@ class SearchGraph:
         return self.heads[self.indptr[a]:self.indptr[a + 1]].tolist()
 
 
-def _sample_count(dx: float, dy: float, step: float) -> int:
-    # math.hypot: np.hypot's last bit differs often enough to move a ceil
-    return max(1, math.ceil(math.hypot(dx, dy) / step))
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _meets_polygon(poly, ax, ay, dx, dy) -> np.ndarray:
+    """Whether each segment a -> a + d meets the polygon's boundary
+    strictly between its ends (0 < s < 1 along it, 0 <= r <= 1 along an
+    edge; parallel lines never meet) or has its midpoint inside, as a
+    chord between two points of the boundary does."""
+    out = BlockedRegions(polygons=(poly,)).mask(ax + 0.5 * dx, ay + 0.5 * dy)
+    for (x0, y0), (x1, y1) in zip(poly, (*poly[1:], poly[0])):
+        px, py, ex, ey = x0 - ax, y0 - ay, x1 - x0, y1 - y0
+        den = dx * ey - dy * ex  # 0: s and r are infinite or NaN
+        s, r = (px * ey - py * ex) / den, (px * dy - py * dx) / den
+        out |= (s > 0) & (s < 1) & (r >= 0) & (r <= 1)
+    return out
 
 
-def _segments_clear(blocked: BlockedRegions, ax, ay, bx, by, m) -> np.ndarray:
-    """Clear flags of N segments a -> b (arrays), segment i screened at
-    a + k / m[i] * (b - a), k = 1 .. m[i] - 1, MAX_SCREEN_POINTS at a time."""
-    dx, dy = bx - ax, by - ay
-    clear = np.ones(m.size, dtype=bool)
-    rows = max(1, MAX_SCREEN_POINTS // max(1, int(m.max(initial=1)) - 1))
-    for lo in range(0, m.size, rows):
-        inner = m[lo:lo + rows] - 1
-        seg = np.repeat(np.arange(lo, lo + inner.size), inner)
-        k = np.arange(1, seg.size + 1) - np.repeat(np.cumsum(inner) - inner,
-                                                   inner)
-        f = k / m[seg]
-        hit = blocked.mask(ax[seg] + f * dx[seg], ay[seg] + f * dy[seg])
-        clear[seg[hit]] = False
+def _enters_land(land, walls, ends) -> np.ndarray:
+    """Whether each segment passes through a land cell's interior.
+
+    ends holds, per axis, the segments' ends a, b and the number of
+    walls below min(a, b) (i0) and up to max(a, b) (i1).  A segment
+    meets wall w at t = (w - a) / (b - a), as Liang and Barsky clip it;
+    cut at these t, its pieces lie in the cells Amanatides and Woo walk,
+    and each piece longer than 1e-12 (in t) is in the cell that holds
+    its midpoint.  A segment along a wall (b = a) lies in the lower cell,
+    as its points do.
+    """
+    n = ends[0][0].size
+    seg, t = [np.arange(n).repeat(2)], [np.tile([0.0, 1.0], n)]
+    for w, (a, b, i0, i1) in zip(walls, ends):
+        count = np.where(a != b, i1 - i0, 0)  # the walls in [a, b]
+        s = np.repeat(np.arange(n), count)
+        k = np.arange(s.size) + np.repeat(i0 - np.cumsum(count) + count, count)
+        seg.append(s)
+        t.append((w[k] - a[s]) / (b - a)[s])
+    seg, t = np.concatenate(seg), np.concatenate(t)
+    rank = np.empty(t.size, dtype=int)
+    rank[np.argsort(t)] = np.arange(t.size)  # then one sort by segment
+    order = np.argsort(seg * t.size + rank)
+    seg, t = seg[order], t[order]
+    # a piece under 1e-12 of the segment is rounding at a grid corner
+    piece = (seg[1:] == seg[:-1]) & (t[1:] - t[:-1] > 1e-12)
+    seg, t = seg[1:][piece], 0.5 * (t[1:] + t[:-1])[piece]
+    i, j = (np.searchsorted(w, a[seg] + t * (b - a)[seg])
+            for w, (a, b, _, _) in zip(walls, ends))
+    return np.bincount(seg, land[j, i], n) > 0
+
+
+def _segments_clear(blocked: BlockedRegions, ax, ay, bx, by) -> np.ndarray:
+    """Clear flags of N segments a -> b (arrays) with clear ends.
+
+    Such a segment stays in the flow domain, a rectangle, and is blocked
+    when it passes through a land cell or meets a keep-out polygon whose
+    bounding box its own meets.  Land is clipped only for segments whose
+    columns and rows of cells both hold some, at most MAX_SCREEN_POINTS
+    cuts (the ends and the walls in its box) at a time, or one segment
+    that has more.
+    """
+    (x0, x1), (y0, y1) = ((np.minimum(a, b), np.maximum(a, b))
+                          for a, b in ((ax, bx), (ay, by)))
+    clear = np.ones(ax.size, dtype=bool)
+    for poly in blocked.polygons:
+        xs, ys = zip(*poly)
+        p = np.flatnonzero((x1 >= min(xs)) & (x0 <= max(xs))
+                           & (y1 >= min(ys)) & (y0 <= max(ys)))
+        if p.size:
+            clear[p[_meets_polygon(poly, ax[p], ay[p], bx[p] - ax[p],
+                                   by[p] - ay[p])]] = False
+    if blocked.land_cells is None:
+        return clear
+    xw, yw, land, cols, rows = blocked.land_cells
+    i0, i1 = np.searchsorted(xw, x0, "left"), np.searchsorted(xw, x1, "right")
+    j0, j1 = np.searchsorted(yw, y0, "left"), np.searchsorted(yw, y1, "right")
+    near = np.flatnonzero(clear & (cols[i1 + 1] > cols[i0])
+                          & (rows[j1 + 1] > rows[j0]))
+    total = np.cumsum(np.append(0, (i1 - i0 + j1 - j0 + 2)[near]))
+    lo = 0
+    while lo < near.size:
+        hi = max(lo + 1, np.searchsorted(total, total[lo] + MAX_SCREEN_POINTS,
+                                         "right") - 1)
+        p, lo = near[lo:hi], hi
+        ends = ((ax[p], bx[p], i0[p], i1[p]), (ay[p], by[p], j0[p], j1[p]))
+        clear[p[_enters_land(land, (xw, yw), ends)]] = False
     return clear
 
 
-def segments_clear(blocked: BlockedRegions, segments: list,
-                   step: float) -> list[bool]:
-    """Screen (a_xy, b_xy) segments in one pass, each by sampling its
-    interior points every `step` meters."""
+def segments_clear(blocked: BlockedRegions, segments: list) -> list[bool]:
+    """Screen (a_xy, b_xy) segments with clear ends in one pass."""
     ax, ay, bx, by = np.array(segments, dtype=np.float64).reshape(-1, 4).T
-    m = [_sample_count(b[0] - a[0], b[1] - a[1], step) for a, b in segments]
-    return _segments_clear(blocked, ax, ay, bx, by,
-                           np.array(m, dtype=np.int64)).tolist()
+    return _segments_clear(blocked, ax, ay, bx, by).tolist()
 
 
 def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
@@ -163,11 +237,11 @@ def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
     """Lay a lattice over the region and wire up neighborhood edges.
 
     Vertices sit every `spacing` meters from the region's lower-left
-    corner; blocked vertices are dropped, and each edge is screened by
-    sampling its segment at spacing/4 so no retained edge crosses
-    blocked geometry at that resolution.  Edges are directed and
-    symmetric; counts include both directions.  A vertex lists its arcs
-    in scan order: tail row, tail column, then neighbor offset.
+    corner; blocked vertices are dropped, and so is every edge that
+    enters land or meets a keep-out polygon (segments_clear).  Edges
+    are directed and symmetric; counts include both directions.  A
+    vertex lists its arcs in scan order: tail row, tail column, then
+    neighbor offset.
     """
     region = Rect(*region)
     if not (region.x_max > region.x_min and region.y_max > region.y_min):
@@ -196,9 +270,8 @@ def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
     vx, vy = gx[keep], gy[keep]
     n = vx.size
 
-    # screen each undirected pair (j, i) -> (j + dj, i + di) once per
-    # offset class, keyed by its scan position; then add both arcs
-    step = spacing / 4.0
+    # each undirected pair (j, i) -> (j + dj, i + di), keyed by its scan
+    # position, is screened once; then both arcs of a clear pair are added
     half = [(di, dj) for di, dj in offsets if dj > 0 or (dj == 0 and di > 0)]
     pairs = []
     for h, (di, dj) in enumerate(half):
@@ -206,15 +279,10 @@ def build_graph(region: Rect, spacing: float, neighbor_set: int = 16,
         hc = slice(max(0, di), nx + min(0, di))
         both = keep[:ny - dj, tc] & keep[dj:, hc]
         a, b = index[:ny - dj, tc][both], index[dj:, hc][both]
-        # sample counts of the few distinct coordinate differences
-        dx, dy = xs[hc] - xs[tc], ys[dj:] - ys[:ny - dj]
-        udx, udy = sorted(set(dx.tolist())), sorted(set(dy.tolist()))
-        counts = np.array([[_sample_count(ex, ey, step) for ex in udx]
-                           for ey in udy], dtype=np.int64, ndmin=2)
-        m = counts[np.searchsorted(udy, dy)[:, None], np.searchsorted(udx, dx)]
-        clear = _segments_clear(blocked, vx[a], vy[a], vx[b], vy[b], m[both])
-        pairs.append((a[clear], b[clear], a[clear] * len(half) + h))
+        pairs.append((a, b, a * len(half) + h))
     a, b, pos = (np.concatenate(part) for part in zip(*pairs))
+    clear = _segments_clear(blocked, vx[a], vy[a], vx[b], vy[b])
+    a, b, pos = a[clear], b[clear], pos[clear]
     src = np.concatenate((a, b))
     # one stable sort by (source, scan position) orders every row
     arcs = np.argsort(src * (len(half) * n) + np.concatenate((pos, pos)),
@@ -229,16 +297,15 @@ def connect_terminals(graph: SearchGraph, start_xy, goal_xy,
                       k: int | None = None) -> tuple[int, int]:
     """Insert start and goal into the graph; returns their indices.
 
-    Each terminal connects bidirectionally to its k nearest unblocked
-    lattice vertices (default k = the graph's neighborhood size), with
-    every connecting segment screened against blocked geometry at the
-    same spacing/4 resolution.  A terminal that coincides with a
-    lattice vertex reuses it.  Raises ConfigError for a blocked
-    terminal or one with no surviving connection.
+    Each terminal connects bidirectionally to those of its k nearest
+    unblocked lattice vertices (default k = the graph's neighborhood
+    size) that it reaches by a clear segment, screened as lattice edges
+    are.  A terminal that coincides with a lattice vertex reuses it.
+    Raises ConfigError for a blocked terminal or one with no surviving
+    connection.
     """
     if k is None:
         k = graph.neighbor_set
-    step = graph.spacing / 4.0
     vx, vy = np.array(graph.vertex_xy[:graph.lattice_size]).reshape(-1, 2).T
     out = []
     for name, (x, y) in (("start", tuple(start_xy)), ("goal", tuple(goal_xy))):
@@ -254,11 +321,9 @@ def connect_terminals(graph: SearchGraph, start_xy, goal_xy,
         # by pow() as Python's ** does (np.square can differ by an ulp)
         ranked = np.argsort(np.float_power(vx - x, 2)
                             + np.float_power(vy - y, 2), kind="stable")[:k]
-        m = [_sample_count(ex - x, ey - y, step)
-             for ex, ey in zip(vx[ranked].tolist(), vy[ranked].tolist())]
         linked = ranked[_segments_clear(
             graph.blocked, np.full(ranked.size, x), np.full(ranked.size, y),
-            vx[ranked], vy[ranked], np.array(m, dtype=np.int64))]
+            vx[ranked], vy[ranked])]
         if linked.size == 0:
             raise ConfigError(
                 f"{name} ({x:g}, {y:g}) cannot be connected to the lattice")

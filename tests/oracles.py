@@ -528,13 +528,58 @@ def blocks_reference(blocked, x, y):
                for poly in blocked.polygons)
 
 
-def segment_clear_reference(blocked, ax, ay, bx, by, step):
-    """Screen a segment at its interior points every `step` meters."""
-    length = math.hypot(bx - ax, by - ay)
-    m = max(1, math.ceil(length / step))
-    for k in range(1, m):
-        f = k / m
-        if blocks_reference(blocked, ax + f * (bx - ax), ay + f * (by - ay)):
+def segment_clear_reference(blocked, ax, ay, bx, by):
+    """Exact screen of a segment a -> b with clear, distinct ends.
+
+    Land: Liang-Barsky clips the segment against each land cell (walls
+    midway between knots, the outer cells unbounded; t = (wall - a) / d
+    along each axis), and a clip longer than 1e-12 blocks it, as in the
+    benchmark's checker (a shorter one is rounding at a grid corner).
+    Along a wall (d = 0) it lies in the lower cell, as the wall's points
+    do.
+    Polygons: a segment whose bounding box meets the polygon's is cut
+    where it meets an edge strictly between its ends (0 < s < 1,
+    0 <= r <= 1; parallel lines never meet), and a cut blocks it, as
+    touching the boundary does; uncut, it is one piece, blocked if its
+    midpoint is inside (even-odd), as a chord between two points of the
+    boundary is.
+    """
+    dx, dy = bx - ax, by - ay
+    land = [] if blocked.grid is None else blocked.grid.land_mask.tolist()
+    walls = [] if blocked.grid is None else [
+        [-math.inf] + [0.5 * (c[i] + c[i + 1]) for i in range(len(c) - 1)]
+        + [math.inf]
+        for c in (blocked.grid.x_coords.tolist(),
+                  blocked.grid.y_coords.tolist())]
+    for j, row in enumerate(land):
+        for i in range(len(row)):
+            if not row[i]:
+                continue
+            lo, hi = 0.0, 1.0
+            for p0, d, r0, r1 in ((ax, dx, walls[0][i], walls[0][i + 1]),
+                                  (ay, dy, walls[1][j], walls[1][j + 1])):
+                if d == 0.0:
+                    if not r0 < p0 <= r1:
+                        hi = -1.0
+                    continue
+                t0, t1 = (r0 - p0) / d, (r1 - p0) / d
+                lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
+            if hi - lo > 1e-12:  # less is rounding at a grid corner
+                return False
+    for poly in blocked.polygons:
+        xs, ys = zip(*poly)
+        if (max(ax, bx) < min(xs) or min(ax, bx) > max(xs)
+                or max(ay, by) < min(ys) or min(ay, by) > max(ys)):
+            continue  # their bounding boxes are apart
+        for (x0, y0), (x1, y1) in zip(poly, (*poly[1:], poly[0])):
+            ex, ey = x1 - x0, y1 - y0
+            den = dx * ey - dy * ex
+            if den != 0.0:
+                s = ((x0 - ax) * ey - (y0 - ay) * ex) / den
+                r = ((x0 - ax) * dy - (y0 - ay) * dx) / den
+                if 0.0 < s < 1.0 and 0.0 <= r <= 1.0:
+                    return False
+        if point_in_polygon_reference(ax + 0.5 * dx, ay + 0.5 * dy, poly):
             return False
     return True
 
@@ -557,7 +602,6 @@ def build_graph_reference(region, spacing, offsets, blocked):
             if not blocks_reference(blocked, x, y):
                 index[j][i] = len(vertex_xy)
                 vertex_xy.append((x, y))
-    step = spacing / 4.0
     heads = [[] for _ in vertex_xy]
     half = [(di, dj) for di, dj in offsets if dj > 0 or (dj == 0 and di > 0)]
     for j in range(ny):
@@ -570,21 +614,19 @@ def build_graph_reference(region, spacing, offsets, blocked):
                     continue
                 b = index[j + dj][i + di]
                 if b < 0 or not segment_clear_reference(
-                        blocked, *vertex_xy[a], *vertex_xy[b], step):
+                        blocked, *vertex_xy[a], *vertex_xy[b]):
                     continue
                 heads[a].append(b)
                 heads[b].append(a)
     return vertex_xy, heads
 
 
-def connect_terminals_reference(vertex_xy, heads, spacing, blocked,
-                                terminals, k):
+def connect_terminals_reference(vertex_xy, heads, blocked, terminals, k):
     """Insert terminals into a reference lattice (mutated in place):
     the k nearest vertices by (d^2, index) with clear segments, or a
     lattice vertex within 1e-9 m.  Returns the indices or the
     ConfigError message."""
     lattice_size = len(vertex_xy)
-    step = spacing / 4.0
     out = []
     for name, (x, y) in zip(("start", "goal"), terminals):
         if blocks_reference(blocked, x, y):
@@ -598,7 +640,7 @@ def connect_terminals_reference(vertex_xy, heads, spacing, blocked,
         ranked = sorted(range(lattice_size), key=lambda i: (
             (vertex_xy[i][0] - x) ** 2 + (vertex_xy[i][1] - y) ** 2, i))
         linked = [v for v in ranked[:k] if segment_clear_reference(
-            blocked, x, y, *vertex_xy[v], step)]
+            blocked, x, y, *vertex_xy[v])]
         if not linked:
             return f"{name} ({x:g}, {y:g}) cannot be connected to the lattice"
         idx = len(vertex_xy)
@@ -685,10 +727,10 @@ def load_flow_grid_reference(path):
             vals = _require(header, name)
             # a list of JSON numbers infers an int or float array, where a
             # bool among them reads 0 or 1; null, strings, objects and
-            # integers past int64 infer other kinds
+            # integers outside [-2**63, 2**64) infer other kinds
             try:
                 arr = np.array(vals if isinstance(vals, list) else None)
-                numbers = arr.ndim == 1 and arr.dtype.kind in "if" and not any(
+                numbers = arr.ndim == 1 and arr.dtype.kind in "iuf" and not any(
                     type(vals[i]) is bool
                     for i in np.flatnonzero((arr == 0) | (arr == 1)).tolist())
             except ValueError:  # ragged

@@ -1,0 +1,56 @@
+"""The benchmark's missions and its traced child, run from the tests.
+
+bench/ generates the benchmark's inputs and checks its outputs apart
+from the planner; these tests plan its missions in-process, so that a
+planner change that breaks them fails here rather than in a benchmark
+run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from gliderplan import FlowGrid, parse_mission, run_mission
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+sys.path.insert(0, BENCH)
+import checks  # noqa: E402
+from workloads import FILL, make_workload, write_inputs  # noqa: E402
+
+
+@pytest.mark.parametrize("seed", [165, 173])
+def test_strong_gyre_route_stays_off_land(tmp_path, seed):
+    # a leg screened at points every grid_spacing / 4 clipped a land
+    # cell's corner between two of them at these seeds
+    wl = make_workload("strong-gyre", seed)
+    fld = wl.flow
+    u, v = fld.stored()
+    path = tmp_path / "mission.json"
+    path.write_text(json.dumps(wl.mission), encoding="utf-8")
+    spec = parse_mission(path, grid=FlowGrid(fld.x, fld.y, fld.z, fld.t, u, v,
+                                             fill_sentinel=FILL))
+    result = run_mission(spec)
+    assert result.status == "ok"
+    land = checks.land_rectangles(fld.x, fld.y, u, v, FILL)
+    wp = result.final_path.waypoints
+    assert [i for i, (a, b) in enumerate(zip(wp, wp[1:]))
+            if checks.segment_hits_rectangles(a, b, land)] == []
+
+
+def test_traced_child_reports_layers(tmp_path):
+    # bench/spans.py wraps planner functions by name: renaming one must
+    # fail here, not leave the traced benchmark broken
+    mission = write_inputs(make_workload("drift-lattice", 1),
+                           str(tmp_path / "in"))
+    report = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "child.py"), "--src",
+         os.path.join(ROOT, "src"), "--mission", mission, "--out",
+         str(tmp_path / "out"), "--report", str(report), "--t0", "0",
+         "--trace"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text(encoding="utf-8"))["layers"]

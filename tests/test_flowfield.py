@@ -518,8 +518,8 @@ NUMBERS = st.one_of(
     st.floats(),  # NaN, infinities, -0.0 and subnormals among them
     st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.nan]),
     st.integers(-10 ** 6, 10 ** 6))
-# integers past int64 read as numbers only beside another kind of
-# number; past uint64 never
+# integers in [2**63, 2**64) read as numbers (float64) like any other;
+# outside [-2**63, 2**64) never
 BIG_INTEGERS = st.sampled_from([2 ** 63, 2 ** 64 - 1, -2 ** 63,
                                 -2 ** 63 - 1, 2 ** 64])
 
@@ -599,10 +599,12 @@ class TestLoaderParity:
     # a replaced duplicate must still parse; an escaped key can replace u
     @example(doc=_archive(b'[1,,2],"u":[0,0,0,0]'), chunk=1 << 20)
     @example(doc=_archive(b'[1,2,3,4],"\\u0075":[5,6,7,8]'), chunk=1 << 20)
-    # uint64 integers pass beside int64 ones, in another piece too
+    # uint64 integers load alone, beside int64 ones and in another piece
     @example(doc=_archive(b"[0,0,0,9223372036854775808]"), chunk=1)
     @example(doc=_archive(b"[%s]" % b",".join([b"18446744073709551615"] * 4)),
              chunk=1)
+    @example(doc=_archive(b"[%s]" % b",".join([b"9223372036854775808"] * 4)),
+             chunk=1 << 20)
     @example(doc=_archive(b"[1,2,3,4,]"), chunk=7)
     def test_same_arrays_or_both_refuse(self, doc, chunk):
         with tempfile.TemporaryDirectory() as tmp:
@@ -612,3 +614,12 @@ class TestLoaderParity:
             with mock.patch.object(flowfield, "_CHUNK_BYTES", chunk):
                 got = _outcome(load_flow_grid, path)
             assert got == _outcome(load_flow_grid_reference, path)
+
+    @pytest.mark.parametrize("u", [b"[0,0,0,9223372036854775808]",
+                                   b"[%s]" % b",".join(
+                                       [b"9223372036854775808"] * 4)])
+    def test_integers_in_uint64_range_load_whatever_beside_them(self, tmp_path,
+                                                                u):
+        path = tmp_path / "field.json"
+        path.write_bytes(_archive(u))
+        assert load_flow_grid(path).u[0, 0, 1, 1] == 2.0 ** 63

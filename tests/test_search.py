@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gliderplan.search as search_mod
 from gliderplan.errors import ConfigError
@@ -16,14 +16,16 @@ from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
 from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
                                NEIGHBOR_OFFSETS_16, BlockedRegions, Rect,
                                SearchGraph, build_graph, connect_terminals,
-                               make_edge_cost, path_report, tve_dijkstra)
+                               make_edge_cost, path_report, segments_clear,
+                               tve_dijkstra)
 from gliderplan.smoothing import recompute_arrivals, smooth_path
 
 from conftest import (make_gyre_grid, make_land_grid, make_tidal_grid,
                       make_uniform_grid, random_grid)
 from oracles import (blocks_reference, brute_force_arrival,
                      build_graph_reference, connect_terminals_reference,
-                     path_report_reference, static_shortest_time)
+                     path_report_reference, segment_clear_reference,
+                     static_shortest_time)
 
 V03 = VehicleSpec(0.3)
 
@@ -208,13 +210,16 @@ class TestConnectTerminals:
             connect_terminals(graph, (100.0, 2000.0), (3000.0, 2000.0), k=4)
 
 
+def _still_grid(xs, ys, land):
+    """A still grid on knots xs, ys with land[j][i] filled."""
+    u = np.where(np.asarray(land, dtype=bool), -9999.0, 0.0)[None, None]
+    return FlowGrid(xs, ys, (0.0,), (0.0,), u, np.zeros_like(u))
+
+
 def _grid_over(x_lo, x_hi, y_lo, y_hi, land):
     """A still grid on [x_lo, x_hi] x [y_lo, y_hi] with land[j][i] filled."""
-    land = np.asarray(land, dtype=bool)
-    u = np.where(land, -9999.0, 0.0)[None, None]
-    return FlowGrid(np.linspace(x_lo, x_hi, land.shape[1]),
-                    np.linspace(y_lo, y_hi, land.shape[0]), (0.0,), (0.0,),
-                    u, np.zeros_like(u))
+    return _still_grid(np.linspace(x_lo, x_hi, len(land[0])),
+                       np.linspace(y_lo, y_hi, len(land)), land)
 
 
 @st.composite
@@ -285,7 +290,7 @@ class TestScreenOracle:
         graph = build_graph(region, spacing, neighbor_set, blocked)
         assert_same_lattice(graph, vertex_xy, heads)
         expected = connect_terminals_reference(
-            vertex_xy, heads, spacing, blocked, (start, goal), neighbor_set)
+            vertex_xy, heads, blocked, (start, goal), neighbor_set)
         try:
             got = connect_terminals(graph, start, goal)
         except ConfigError as exc:
@@ -293,51 +298,6 @@ class TestScreenOracle:
             return
         assert got == expected
         assert_same_lattice(graph, vertex_xy, heads)
-
-    def test_one_offset_class_with_two_sample_counts(self):
-        # at spacing 0.1 from x = 0.1 the east edges of row 0 measure
-        # 0.1 and 0.10000000000000003 m: 4 and 5 interior steps.  One
-        # speck sits at the 1/4 point of the first (no 1/5 point hits
-        # it), one at the 1/5 point of the second (no 1/4 point does)
-        spacing = 0.1
-        xs = [0.1 + i * spacing for i in range(3)]
-        counts = [max(1, math.ceil(math.hypot(xs[i + 1] - xs[i], 0.0)
-                                   / (spacing / 4))) for i in range(2)]
-        assert counts == [4, 5]
-
-        def speck(x, y, r=0.002):
-            return ((x - r, y - r / 2), (x + r, y - r / 2), (x, y + r / 2))
-
-        blocked = BlockedRegions(polygons=(speck(0.125, 0.1),
-                                           speck(0.22, 0.1)))
-        region = Rect(0.1, 0.1, 0.5, 0.3)
-        graph = build_graph(region, spacing, 16, blocked)
-        assert_same_lattice(graph, *build_graph_reference(
-            region, spacing, NEIGHBOR_OFFSETS_16, blocked))
-        assert 1 not in graph.neighbors(0) and 2 not in graph.neighbors(1)
-
-    def test_terminal_sample_count_follows_math_hypot(self):
-        # this terminal edge is 4 steps long up to rounding: math.hypot
-        # makes it 5 interior steps, np.hypot 4; a speck at its 1/5
-        # point (no 1/4 point hits it) cuts it only at the right count
-        spacing = 0.3
-        (tx, ty), (vx, vy) = (0.1846153846153846, 0.02307692307692305), (0.3, 0.3)
-        step = spacing / 4.0
-        assert math.ceil(math.hypot(vx - tx, vy - ty) / step) == 5
-        assert math.ceil(float(np.hypot(vx - tx, vy - ty)) / step) == 4
-        px, py = tx + 0.2 * (vx - tx), ty + 0.2 * (vy - ty)
-        r = 0.002
-        blocked = BlockedRegions(polygons=((
-            (px - r, py - r), (px + r, py - r), (px, py + r)),))
-        region = Rect(0.0, 0.0, 1.2, 1.2)
-        graph = build_graph(region, spacing, 16, blocked)
-        vertex_xy, heads = build_graph_reference(region, spacing,
-                                                 NEIGHBOR_OFFSETS_16, blocked)
-        ends = ((tx, ty), (1.1, 1.1))
-        assert connect_terminals(graph, *ends) == connect_terminals_reference(
-            vertex_xy, heads, spacing, blocked, ends, 16)
-        assert_same_lattice(graph, vertex_xy, heads)
-        assert vertex_xy.index((vx, vy)) not in heads[-2]
 
     def test_terminal_ranking_squares_like_python(self):
         # x ** 2 is pow(), which differs from x * x by an ulp here and
@@ -354,7 +314,7 @@ class TestScreenOracle:
                                 kind="stable")[:16].tolist()
         ends = ((x, y), (1.1, 1.3))
         assert connect_terminals(graph, *ends) == connect_terminals_reference(
-            vertex_xy, heads, 0.3, BlockedRegions(), ends, 16)
+            vertex_xy, heads, BlockedRegions(), ends, 16)
         assert_same_lattice(graph, vertex_xy, heads)
         assert heads[graph.lattice_size] != by_product
 
@@ -403,6 +363,105 @@ class TestScreenOracle:
         assert BlockedRegions(grid=land_grid).mask(
             [25_000.0, 35_000.0, 50_000.0], [0.0, 0.0, 50_000.0]).tolist() == [
                 False, True, False]
+
+
+@st.composite
+def screen_cases(draw):
+    """Land on uneven knots, polygons (often concave or self-crossing)
+    and segments between clear points; points on the quarter lattice
+    fall on cell walls, grid corners and polygon vertices."""
+    def knots():
+        gaps = draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0))
+                             | st.floats(0.1, 3.0), min_size=1, max_size=5))
+        return np.cumsum([0.0] + gaps)
+
+    def coord(c):
+        return (st.integers(0, int(c[-1] * 4)).map(lambda i: i / 4)
+                | st.floats(0.0, float(c[-1])))
+
+    xs, ys = knots(), knots()
+    land = draw(st.lists(st.lists(st.sampled_from((False, False, True)),
+                                  min_size=xs.size, max_size=xs.size),
+                         min_size=ys.size, max_size=ys.size))
+    point = st.tuples(coord(xs), coord(ys))
+    polygons = tuple(tuple(draw(st.lists(point, min_size=3, max_size=7)))
+                     for _ in range(draw(st.integers(0, 2))))
+    blocked = BlockedRegions(grid=_still_grid(xs, ys, land),
+                             polygons=polygons)
+    segments = [(a, b) for a, b in draw(st.lists(st.tuples(point, point),
+                                                  min_size=1, max_size=8))
+                if a != b and not blocks_reference(blocked, *a)
+                and not blocks_reference(blocked, *b)]
+    assume(segments)
+    return blocked, segments
+
+
+def _on_knots(land, polygons=()):
+    """Knots 0, 2, 4 on both axes: cell walls at 1 and 3."""
+    return BlockedRegions(grid=_still_grid((0.0, 2.0, 4.0), (0.0, 2.0, 4.0),
+                                           land), polygons=polygons)
+
+
+_WATER = [[0, 0, 0]] * 3
+_CENTER = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+_SQUARE = ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0))
+# (blocked regions, segment, clear) on the boundaries of the one rule
+BOUNDARY_CASES = [
+    # along a cell wall it lies in the lower cell, as the wall's points
+    # do: clear beside land above it, blocked beside land below it
+    (_on_knots(_CENTER), ((1.0, 0.0), (1.0, 4.0)), True),
+    (_on_knots([[0, 0, 0], [1, 0, 0], [0, 0, 0]]), ((1.0, 0.0), (1.0, 4.0)),
+     False),
+    (_on_knots(_CENTER), ((0.0, 1.0), (4.0, 1.0)), True),
+    # through grid corners: land that only touches the corner is not
+    # entered, land the segment goes on into is
+    (_on_knots([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), ((0.0, 0.0), (4.0, 4.0)),
+     True),
+    (_on_knots([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), ((4.0, 0.0), (0.0, 4.0)),
+     True),
+    (_on_knots(_CENTER), ((0.0, 0.0), (4.0, 4.0)), False),
+    # through a corner that rounding moves by 1e-15 of the segment
+    # (strong-gyre's knots; the corner lies on the diagonal exactly)
+    (BlockedRegions(grid=_still_grid(
+        np.linspace(0.0, 120_000.0, 261)[40:71],
+        np.linspace(0.0, 120_000.0, 261)[170:201],
+        np.pad([[True]], ((11, 19), (12, 18))))),
+     ((20_000.0, 80_000.0), (30_000.0, 90_000.0)), True),
+    # axis-parallel, across a land cell
+    (_on_knots(_CENTER), ((0.5, 2.5), (3.5, 2.5)), False),
+    # touching a polygon vertex, or running along an edge, meets the
+    # boundary; a chord between two clear boundary points has its
+    # midpoint inside
+    (_on_knots(_WATER, (((2.0, 2.0), (3.0, 3.5), (1.0, 3.5)),)),
+     ((0.0, 2.0), (4.0, 2.0)), False),
+    (_on_knots(_WATER, (_SQUARE,)), ((0.0, 3.0), (4.0, 3.0)), False),
+    (_on_knots(_WATER, (_SQUARE,)), ((2.0, 3.0), (3.0, 2.0)), False),
+]
+
+
+def _boundary_examples(test):
+    for blocked, segment, _ in BOUNDARY_CASES:
+        test = example((blocked, [segment]))(test)
+    return test
+
+
+class TestExactScreen:
+    """segments_clear against the scalar exact clip: a segment between
+    clear points is blocked when it enters land's interior or meets a
+    keep-out polygon."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(screen_cases())
+    @_boundary_examples
+    def test_screen_matches_exact_oracle(self, case):
+        blocked, segments = case
+        assert segments_clear(blocked, segments) == [
+            segment_clear_reference(blocked, *a, *b) for a, b in segments]
+
+    @pytest.mark.parametrize("blocked, segment, clear", BOUNDARY_CASES)
+    def test_boundary_cases_follow_the_stated_rule(self, blocked, segment,
+                                                   clear):
+        assert segments_clear(blocked, [segment]) == [clear]
 
 
 class TestDijkstraStatic:

@@ -264,12 +264,11 @@ def _cell(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _nearest(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Index of the knot nearest each q; ties resolve to the lower knot,
-    and a NaN q (an infeasible lane's time) reads the last knot."""
-    ends = np.concatenate(([-np.inf], coords, [np.inf]))
-    i = np.searchsorted(coords, q, side="right")  # ends[i] <= q < ends[i + 1]
-    # NaN sorts past every knot and fails both comparisons: clamp it
-    return np.minimum(i - (q - ends[i] <= ends[i + 1] - q), coords.size - 1)
+    """Index of the knot nearest each q: the walls between knots lie at
+    their midpoints, 0.5 * (c_lo + c_hi), a q on a wall reads the lower
+    knot, and a NaN q (an infeasible lane's time) reads the last knot.
+    search.BlockedRegions.land_cells puts the land screen's walls there."""
+    return np.searchsorted(0.5 * (coords[1:] + coords[:-1]), q, side="left")
 
 
 def _axis_stencil(coords: np.ndarray, q: np.ndarray, method: str):
@@ -363,6 +362,16 @@ def _akima_stage(vals: np.ndarray, akima) -> np.ndarray:
     return ys[2] * b00 + ys[3] * b01 + t0 * h * b10 + t1 * h * b11
 
 
+def _points(stencil, ps: slice):
+    """The stencil of the points ps of a stencil's queries."""
+    knots, weights, akima = stencil
+    knots = [q[ps] for q in knots]
+    if weights is not None:
+        return knots, [w[ps] for w in weights], None
+    return knots, None, (akima[0][ps], *([a[ps] for a in part]
+                                         for part in akima[1:]))
+
+
 def _stage(vals: np.ndarray, stencil) -> np.ndarray:
     _, weights, akima = stencil
     if weights is None:
@@ -370,7 +379,7 @@ def _stage(vals: np.ndarray, stencil) -> np.ndarray:
     return _weighted_sum(vals, weights)
 
 
-# Grid nodes per sample_batch gather: under 40 B each with index and sums
+# Grid nodes per space_stage gather: under 40 B each with index and sums
 MAX_GATHER_NODES = 1 << 14
 
 
@@ -388,44 +397,36 @@ def _flat(a: np.ndarray, shape) -> np.ndarray:  # broadcast only if need be
     return (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(-1)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def sample_batch(grid: FlowGrid, x, y, z, t,
-                 scheme: InterpScheme = DEFAULT_SCHEME):
-    """Sample the current at N space-time points at once.
+class SpaceWindow(NamedTuple):
+    """Part one of the kernel (space_stage) for C columns of K points,
+    point j of column c being lane c * K + j."""
 
-    x, y of shape (C, 1) with z, t of shape (C, K) are C columns of K
-    points sharing (x, y); 1-D inputs are columns of one point.  The
-    x-then-y stage runs once per (column, time knot, depth knot) of the
-    column's knot window, MAX_GATHER_NODES nodes at a time; each point
-    runs its own depth and time stages.  Sums run knot by knot in the
-    scalar order, so a point's value does not depend on the rest of the
-    batch.  Depth and time clamp to the grid range.  Instead of raising,
-    each point gets a reason code, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN or
-    SAMPLE_LAND (a fill value in the stencil); u, v mean nothing if not OK.
+    layers: np.ndarray  # (2, n_wt, n_wz, C): u, v after the x-then-y stage
+    fill: np.ndarray | None  # (n_wt, n_wz, C): a fill node in that stencil
+    st_z: tuple  # the lanes' depth stencil (_axis_stencil)
+    jz: np.ndarray  # (Wz, C * K): each depth knot's slot in its window
+    col: np.ndarray  # (C * K,): each lane's column
+    reason: np.ndarray  # (C * K,) int8: SAMPLE_OK or SAMPLE_OUT_OF_DOMAIN
 
-    Returns:
-        (u, v, reason) of the points' shape, (N,) or (C, K): m/s, int8.
-    """
-    x, y, z, t = (np.asarray(a, dtype=np.float64) for a in (x, y, z, t))
-    out_shape = np.broadcast(x, y, z, t).shape
-    if len(out_shape) < 2:  # columns of one point
-        x, y, z, t = (a.reshape(-1, 1) for a in (x, y, z, t))
-        out_shape = (-1,)
-    shape = n_col, k = np.broadcast(x, y, z, t).shape
-    x, y = (_flat(a, (n_col, 1)) for a in (x, y))
-    xs, ys, zs, ts = grid.x_coords, grid.y_coords, grid.z_levels, grid.t_steps
+
+def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
+                scheme: InterpScheme = DEFAULT_SCHEME) -> SpaceWindow:
+    """Part one of the kernel: the x-then-y stage of C columns of K points
+    sharing (x, y), x and y (C,) with z (C, K), once per (column, time
+    knot, depth knot) of the column's windows, MAX_GATHER_NODES nodes at
+    a time.  Column c's time window holds knots lo[c] + s for slots
+    s < n_wt (a slot past the axis end repeats its last knot), its depth
+    window the knots its points' depth stencils span."""
+    n_col, k = z.shape
+    xs, ys, zs = grid.x_coords, grid.y_coords, grid.z_levels
     inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
-    z = np.minimum(np.maximum(_flat(z, shape), zs[0]), zs[-1])
-    t = np.minimum(np.maximum(_flat(t, shape), ts[0]), ts[-1])
     kx, wx, _ = _axis_stencil(xs, x, scheme.xy_method)
     ky, wy, _ = _axis_stencil(ys, y, scheme.xy_method)
-    st_z = _axis_stencil(zs, z, scheme.z_method)
-    st_t = _axis_stencil(ts, t, scheme.t_method)
-    lo_z, n_wz, jz = _window(st_z[0], shape)
-    lo_t, n_wt, jt = _window(st_t[0], shape)
+    st_z = _axis_stencil(zs, np.minimum(np.maximum(z, zs[0]), zs[-1]).reshape(
+        -1), scheme.z_method)
+    lo_z, n_wz, jz = _window(st_z[0], (n_col, k))
 
-    # horizontal layers (2, n_wt, n_wz, C) in chunks of columns; a window
-    # slot past the axis end repeats the last knot
+    # horizontal layers (2, n_wt, n_wz, C) in chunks of columns
     nt, nz, ny, nx = grid.shape
     yx = np.array(ky)[:, None, :] * nx + np.array(kx)  # (Wy, Wx, C)
     layers = np.empty((2, n_wt, n_wz, n_col))
@@ -434,7 +435,7 @@ def sample_batch(grid: FlowGrid, x, y, z, t,
     win_t, win_z = (np.arange(n, dtype=np.int32)[:, None] for n in (n_wt, n_wz))
     for c in range(0, n_col, step):
         cs = slice(c, c + step)
-        it = np.minimum(lo_t[cs] + win_t, nt - 1)
+        it = np.minimum(lo[cs] + win_t, nt - 1)
         iz = np.minimum(lo_z[cs] + win_z, nz - 1)
         idx = ((it[:, None, :] * nz + iz) * (ny * nx))[:, :, None, None, :] \
             + yx[:, :, cs]  # (n_wt, n_wz, Wy, Wx, Cc)
@@ -445,16 +446,71 @@ def sample_batch(grid: FlowGrid, x, y, z, t,
             fill[:, :, cs] = grid._flat_fill.take(idx).any(axis=(2, 3))
         layers[:, :, :, cs] = _weighted_sum(_weighted_sum(
             vals, [w[cs] for w in wx]), [w[cs] for w in wy])
-
-    # each point reads its (Wt, Wz) layers by flat index into the windows
-    li = ((jt[:, None] * n_wz + jz) * n_col + np.arange(
-        n_col, dtype=np.int32)[:, None]).reshape(len(jt), len(jz), -1)
-    out = _stage(_stage(layers.reshape(2, -1).take(li, axis=1), st_z), st_t)
     reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(
         np.int8).repeat(k)
-    if grid._flat_fill is not None:
-        reason[(reason == SAMPLE_OK) & fill.take(li).any(axis=(0, 1))] = SAMPLE_LAND
-    return tuple(a.reshape(out_shape) for a in (out[0], out[1], reason))
+    return SpaceWindow(layers, None if grid._flat_fill is None else fill,
+                       st_z, jz.reshape(len(jz), -1),
+                       np.arange(n_col, dtype=np.int32).repeat(k), reason)
+
+
+def time_stage(space: SpaceWindow, st_t, jt, lanes: slice | None = None):
+    """Part two of the kernel: the depth and time stages of space's lanes
+    in lanes (a slice, or None for all), each reading its layers by flat
+    index at its time stencil st_t (_axis_stencil over the lanes' clamped
+    times), whose knots sit at slots jt (Wt, lanes) of its column's time
+    window.
+
+    Returns (u, v, reason) per lane, reason SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN
+    or SAMPLE_LAND (a fill value in the stencil); a lane whose slots
+    leave its window gets values that mean nothing.
+    """
+    layers, fill, st_z, jz, col, reason = space
+    if lanes is not None:
+        st_z, jz, col, reason = (_points(st_z, lanes), jz[:, lanes],
+                                 col[lanes], reason[lanes])
+    reason = reason.copy()
+    n_wz, n_col = layers.shape[2:]
+    li = (jt[:, None] * n_wz + jz) * n_col + col
+    out = _stage(_stage(layers.reshape(2, -1).take(li, axis=1, mode="clip"),
+                        st_z), st_t)
+    if fill is not None:
+        reason[(reason == SAMPLE_OK) & fill.take(li, mode="clip").any(
+            axis=(0, 1))] = SAMPLE_LAND
+    return out[0], out[1], reason
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def sample_batch(grid: FlowGrid, x, y, z, t,
+                 scheme: InterpScheme = DEFAULT_SCHEME):
+    """Sample the current at N space-time points at once.
+
+    x, y of shape (C, 1) with z, t of shape (C, K) are C columns of K
+    points sharing (x, y); 1-D inputs are columns of one point.  Runs the
+    kernel's two parts: space_stage over each column's window, the time
+    knots its points' stencils span (padded to the widest), then
+    time_stage for every point.  Sums run knot by knot in the scalar
+    order, so a point's value does not depend on the rest of the batch.
+    Depth and time clamp to the grid range.  Instead of raising, each
+    point gets a reason code, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN or
+    SAMPLE_LAND (a fill value in the stencil); u, v mean nothing if not OK.
+
+    Returns:
+        (u, v, reason) of the points' shape, (N,) or (C, K): m/s, int8.
+    """
+    x, y, z, t = (np.asarray(a, dtype=np.float64) for a in (x, y, z, t))
+    out_shape = np.broadcast(x, y, z, t).shape
+    if len(out_shape) < 2:  # columns of one point
+        x, y, z, t = (a.reshape(-1, 1) for a in (x, y, z, t))
+        out_shape = (-1,)
+    shape = n_col, _ = np.broadcast(x, y, z, t).shape
+    ts = grid.t_steps
+    st_t = _axis_stencil(ts, np.minimum(np.maximum(_flat(t, shape), ts[0]),
+                                        ts[-1]), scheme.t_method)
+    lo, n_wt, jt = _window(st_t[0], shape)
+    space = space_stage(grid, _flat(x, (n_col, 1)), _flat(y, (n_col, 1)),
+                        np.broadcast_to(z, shape), lo, n_wt, scheme)
+    return tuple(a.reshape(out_shape) for a in time_stage(
+        space, st_t, jt.reshape(len(jt), -1)))
 
 
 def sample(grid: FlowGrid, x: float, y: float, z: float, t: float,

@@ -16,9 +16,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
-                        sample, sample_batch)  # sample: for bench/spans.py
+                        _axis_stencil, sample, sample_batch,
+                        space_stage, time_stage)  # sample: for bench/spans.py
 
 INFEASIBLE = math.inf
+
+# Lanes plus window nodes (column, time knot, depth knot) that one
+# profile_times call may hoist into a space stage: a lane keeps its depth
+# stencil, slots and column, under 160 B with Akima, and a node 17 B (u,
+# v, fill), so at most about 2.6 MB beside flowfield.MAX_GATHER_NODES'
+# gather chunks
+MAX_HOISTED = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,43 +107,6 @@ def over_ground_speed(vehicle: VehicleSpec, cu, cv, ux, uy):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _slant_times(grid: FlowGrid, vehicle: VehicleSpec, xs, ys, zs, xe, ye,
-                 ze, t_start, scheme: InterpScheme, n_sub: int):
-    """Travel times of straight 3-D legs, z positive down: arrays (L,),
-    or sample_batch's columns (x, y (C, 1); z, t_start (C, K)).
-
-    Each leg is split into n_sub equal sub-segments.  A sub-segment
-    samples the current once -- at its starting horizontal position, its
-    mid depth, and the clock time accumulated so far -- and holds the
-    resulting over_ground_speed constant across the sub-segment; the
-    legs advance together, one sample_batch call per sub-step.  Returns
-    (seconds, ok); where ok is False a sub-segment left the domain,
-    touched land or was infeasible, and the seconds mean nothing.
-    """
-    dx = xe - xs
-    dy = ye - ys
-    dz = ze - zs
-    length = np.sqrt(dx * dx + dy * dy + dz * dz)
-    inv = 1.0 / length
-    ux = dx * inv
-    uy = dy * inv
-    step = length / n_sub
-    ok = length > 0.0
-    t = t_start
-    for i in range(n_sub):
-        f = i / n_sub
-        fm = (i + 0.5) / n_sub
-        cu, cv, reason = sample_batch(grid, xs + f * dx, ys + f * dy,
-                                      zs + fm * dz, t, scheme)
-        v, feasible = over_ground_speed(vehicle, cu, cv, ux, uy)
-        ok &= (reason == SAMPLE_OK) & feasible
-        t = t + step / v
-    # a zero-length leg takes no time and samples nothing
-    zero = length == 0.0
-    return np.where(zero, 0.0, t - t_start), ok | zero
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
                   vehicle: VehicleSpec, h: float = 0.25,
                   scheme: InterpScheme = DEFAULT_SCHEME,
@@ -145,40 +116,119 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     A run is divided into ceil(1/h) equal segments, 0 < h <= 1, each
     flown as one straight slant from the profile's climb apex down to
     its dive floor, departing when the previous segment arrived, so
-    later segments see the field at later times.  tails_2d is (H, 2) or
-    one shared (x, y); t_start is (H,) or one shared departure.  The
-    H x P runs advance together, one sample_batch call per sub-step with
-    each head a column of its P lanes, and a run's time does not depend
-    on the rest of the batch.  Entries are seconds or INFEASIBLE, as is
-    every run of an INFEASIBLE departure.
+    later segments see the field at later times.  A segment is split
+    into n_sub equal sub-steps; each samples the current once, at its
+    starting horizontal position, its mid depth and the clock so far,
+    and flies at the over_ground_speed that gives.  tails_2d is (H, 2) or
+    one shared (x, y); t_start is (H,) or one shared departure.
+
+    A run's positions are fixed before it flies; only its clock depends
+    on the field, and the clock only picks the time knots whose layers
+    the depth and time stages read.  So the x-then-y stage
+    (flowfield.space_stage) runs once for all sub-steps, each (sub-step,
+    head) a column of its P lanes, over a window of time knots per head:
+    from its departure's first stencil knot to the last knot of the
+    stencil of departure + |leg| / speed_through_water.  The clock loop
+    then runs only the depth and time stages (flowfield.time_stage); a
+    live lane whose stencil leaves its window, its clock set back by the
+    current, is sampled again through sample_batch, alone.  A call with
+    one sub-step, a window wider than twice the time stencil (time cells
+    shorter than a leg) or more than MAX_HOISTED lanes and window nodes
+    hoists nothing and calls sample_batch once per sub-step.  Sums keep
+    that order, and a run's time does not depend on the rest of the
+    batch.  Entries are seconds or INFEASIBLE, as is every run of an
+    INFEASIBLE departure.
     """
     profiles = list(profiles)
     heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
     tails = np.broadcast_to(np.reshape(tails_2d, (-1, 2)), heads.shape)
     departs = np.broadcast_to(np.reshape(t_start, -1), heads.shape[:1])
-    shape = (heads.shape[0], len(profiles))
+    shape = n_h, n_p = heads.shape[0], len(profiles)
     if not (0.0 < h <= 1.0):
         raise ConfigError(f"h must lie in (0, 1], got {h!r}")
     if n_sub < 1:
         raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
-    # lane (k, j) flies head k with profile j: x, y (H, 1), z (P,), t (H, P)
-    (x0, y0), (dx, dy) = tails.T[:, :, None], (heads - tails).T[:, :, None]
-    zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in profiles],
-                        (-1, 2)).T
+    t = t0 = np.repeat(departs, n_p).reshape(shape)
+    alive = np.isfinite(t0)
+    if not alive.any():
+        return np.full(shape, INFEASIBLE)
     # 1/h is taken with a small backoff so float noise cannot add a segment
     n_seg = math.ceil(1.0 / h - 1e-9)
-    t = t0 = np.repeat(departs, shape[1]).reshape(shape)
-    alive = np.isfinite(t0)
+    n_col = n_seg * n_sub
+    # segment i slants from (xs[i], ys[i], zc) by (sx[i], sy[i], dz), each
+    # (H,) or (P,); its sub-step s starts s / n_sub of the way along, at
+    # depths zc + (s + 0.5) / n_sub * dz
+    (x0, y0), (dx, dy) = tails.T, (heads - tails).T
+    f = np.arange(n_seg + 1)[:, None] / n_seg
+    xs, ys = x0 + f * dx, y0 + f * dy
+    sx, sy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+    zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in profiles],
+                        (-1, 2)).T
+    dz = zd - zc
+
+    ts = grid.t_steps
+
+    def clamp(q):  # as sample_batch clamps times
+        return np.minimum(np.maximum(q, ts[0]), ts[-1])
+
+    space = None
+    if n_col > 1:  # each head's window, as wide as the widest head's
+        # (an INFEASIBLE or NaN departure's is its departure's stencil)
+        reach = departs + np.hypot(dx, dy) / vehicle.speed_through_water
+        first, last = (_axis_stencil(ts, clamp(q), scheme.t_method)[0]
+                       for q in (departs, reach))
+        n_wt = int((last[-1] - first[0]).max()) + 1
+        if n_wt <= 2 * len(first) and n_col * n_h * (
+                n_p + n_wt * grid.z_levels.size) <= MAX_HOISTED:
+            # column g * H + k is head k at sub-step g = i * n_sub + s
+            f = np.arange(n_sub)[:, None] / n_sub
+            x, y = ((a[:-1, None] + f * b[:, None]).reshape(n_col, n_h)
+                    for a, b in ((xs, sx), (ys, sy)))
+            z = zc + (np.arange(n_col)[:, None] % n_sub + 0.5) / n_sub * dz
+            space = space_stage(grid, x.reshape(-1), y.reshape(-1),
+                                z.repeat(n_h, axis=0),
+                                np.tile(first[0], n_col), n_wt, scheme)
+            lo = first[0].repeat(n_p)  # each lane's first window knot
+    n_lanes = n_h * n_p
     for i in range(n_seg):
         if not alive.any():
             break
-        f0 = i / n_seg
-        f1 = (i + 1) / n_seg
-        dt, ok = _slant_times(grid, vehicle, x0 + f0 * dx, y0 + f0 * dy, zc,
-                              x0 + f1 * dx, y0 + f1 * dy, zd, t, scheme,
-                              n_sub)
-        alive &= ok
-        t = t + dt
+        ddx, ddy = sx[i, :, None], sy[i, :, None]
+        length = np.sqrt(ddx * ddx + ddy * ddy + dz * dz)
+        inv = 1.0 / length
+        ux, uy = ddx * inv, ddy * inv
+        step = length / n_sub
+        ok = alive & (length > 0.0)
+        t_seg = t
+        for s in range(n_sub):
+            g = i * n_sub + s
+            if space is None:  # x[g], y[g] and z[g], one sub-step at a time
+                cu, cv, reason = sample_batch(
+                    grid, (xs[i] + s / n_sub * sx[i])[:, None],
+                    (ys[i] + s / n_sub * sy[i])[:, None],
+                    zc + (s + 0.5) / n_sub * dz, t, scheme)
+            else:
+                st_t = _axis_stencil(ts, clamp(t.reshape(-1)),
+                                     scheme.t_method)
+                jt = np.array(st_t[0]) - lo
+                cu, cv, reason = time_stage(space, st_t, jt, slice(
+                    g * n_lanes, (g + 1) * n_lanes))
+                # a live lane's clock never falls below its departure, and
+                # one past the float range can only end INFEASIBLE
+                miss = (ok & (t < math.inf)).reshape(-1) & (jt[-1] >= n_wt)
+                if miss.any():  # one more gather, for just those lanes
+                    kk, jj = np.divmod(np.flatnonzero(miss), n_p)
+                    cu[miss], cv[miss], reason[miss] = sample_batch(
+                        grid, x[g, kk], y[g, kk], z[g, jj],
+                        t.reshape(-1)[miss], scheme)
+            v, feasible = over_ground_speed(vehicle, cu.reshape(shape),
+                                            cv.reshape(shape), ux, uy)
+            ok &= (reason.reshape(shape) == SAMPLE_OK) & feasible
+            t = t + step / v
+        # a zero-length segment takes no time and samples nothing
+        zero = length == 0.0
+        alive &= ok | zero
+        t = t_seg + np.where(zero, 0.0, t - t_seg)
     return np.where(alive, t - t0, INFEASIBLE)
 
 

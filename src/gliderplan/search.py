@@ -81,7 +81,8 @@ class BlockedRegions:
     by the even-odd rule; a point on a polygon's boundary may land on
     either side, so keep-out polygons should carry their own margin.
     Land is thus a union of cells, each around a land node with walls
-    midway between knots (a point on a wall is in the lower cell).
+    midway between knots, where FlowGrid.blocked_at switches knots (a
+    point on a wall is in the lower cell).
     """
 
     grid: FlowGrid | None = None
@@ -105,8 +106,9 @@ class BlockedRegions:
     @cached_property
     def land_cells(self):
         """(x walls, y walls, land, columns, rows), or None without land:
-        the walls between cells lie midway between knots, and columns[i]
-        (rows[j]) counts the columns below i (rows below j) with land."""
+        the walls between cells lie midway between knots, as
+        flowfield._nearest places points, and columns[i] (rows[j]) counts
+        the columns below i (rows below j) with land."""
         land = None if self.grid is None else self.grid.land_mask
         if land is None or not land.any():
             return None

@@ -1,5 +1,6 @@
 """Shared fixtures: small flow grids with known analytic structure, and
-one-point views of the batched kernels (sample_batch, _slant_times)."""
+one-point views of the batched kernels (sample_batch, and the leg
+timer as tests/oracles.py keeps it)."""
 
 import collections
 import json
@@ -14,7 +15,9 @@ from gliderplan.errors import OutOfDomainError
 from gliderplan.flowfield import (DEFAULT_SCHEME, SAMPLE_OUT_OF_DOMAIN,
                                   FlowGrid, InterpScheme, sample_batch,
                                   save_flow_grid, synth_field)
-from gliderplan.kinematics import INFEASIBLE, _slant_times
+from gliderplan.kinematics import INFEASIBLE
+
+from oracles import slant_times_reference
 
 
 def make_uniform_grid(u0=0.0, v0=0.0, extent=100_000.0, depth=200.0,
@@ -187,10 +190,11 @@ def interp_xy(layer, x_coords, y_coords, x: float, y: float,
 
 def travel_time(p_start, p_end, t_start: float, grid, vehicle,
                 scheme=DEFAULT_SCHEME, n_sub: int = 4) -> float:
-    """One straight 3-D leg's time through _slant_times, or INFEASIBLE."""
+    """One straight 3-D leg's time through slant_times_reference, which
+    samples through sample_batch, or INFEASIBLE."""
     if math.isinf(t_start):
         return INFEASIBLE
-    dt, ok = _slant_times(grid, vehicle,
-                          *(np.array([float(c)]) for c in (*p_start, *p_end)),
-                          t_start, scheme, n_sub)
+    dt, ok = slant_times_reference(
+        grid, vehicle, *(np.array([float(c)]) for c in (*p_start, *p_end)),
+        t_start, scheme, n_sub)
     return float(dt[0]) if ok[0] else INFEASIBLE

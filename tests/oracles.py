@@ -193,7 +193,8 @@ def _nearest_index(coords, q):
         return 0
     if i >= n - 1:
         return n - 1
-    return i if (q - coords[i]) <= (coords[i + 1] - q) else i + 1
+    # the wall between two knots is their midpoint; on it, the lower knot
+    return i if q <= 0.5 * (coords[i] + coords[i + 1]) else i + 1
 
 
 def _cell_index(coords, q):
@@ -469,6 +470,81 @@ def glider_travel_time_reference(p_start_2d, p_end_2d, profile, t_start,
             return math.inf
         t += dt
     return t - t_start
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def slant_times_reference(grid, vehicle, xs, ys, zs, xe, ye, ze, t_start,
+                          scheme, n_sub):
+    """Travel times of straight 3-D legs, z positive down: arrays (L,),
+    or sample_batch's columns (x, y (C, 1); z, t_start (C, K)).
+
+    Each leg is split into n_sub equal sub-segments.  A sub-segment
+    samples the current once -- at its starting horizontal position, its
+    mid depth, and the clock time accumulated so far -- and holds the
+    resulting over_ground_speed constant across the sub-segment; the
+    legs advance together, one flowfield.sample_batch call per sub-step
+    (looked up at each call, so a test can swap the sampler).  Returns
+    (seconds, ok); where ok is False a sub-segment left the domain,
+    touched land or was infeasible, and the seconds mean nothing.
+    """
+    from gliderplan import flowfield
+    from gliderplan.kinematics import over_ground_speed
+
+    dx = xe - xs
+    dy = ye - ys
+    dz = ze - zs
+    length = np.sqrt(dx * dx + dy * dy + dz * dz)
+    inv = 1.0 / length
+    ux = dx * inv
+    uy = dy * inv
+    step = length / n_sub
+    ok = length > 0.0
+    t = t_start
+    for i in range(n_sub):
+        f = i / n_sub
+        fm = (i + 0.5) / n_sub
+        cu, cv, reason = flowfield.sample_batch(
+            grid, xs + f * dx, ys + f * dy, zs + fm * dz, t, scheme)
+        v, feasible = over_ground_speed(vehicle, cu, cv, ux, uy)
+        ok &= (reason == flowfield.SAMPLE_OK) & feasible
+        t = t + step / v
+    # a zero-length leg takes no time and samples nothing
+    zero = length == 0.0
+    return np.where(zero, 0.0, t - t_start), ok | zero
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def profile_times_reference(tails_2d, heads_2d, t_start, profiles, grid,
+                            vehicle, h, scheme, n_sub):
+    """kinematics.profile_times as one sample_batch call per sub-step:
+    each segment's H x P slants advance together through
+    slant_times_reference, each head a column of its P lanes, every lane
+    sampled whether or not it is still alive."""
+    from gliderplan.kinematics import INFEASIBLE
+
+    profiles = list(profiles)
+    heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
+    tails = np.broadcast_to(np.reshape(tails_2d, (-1, 2)), heads.shape)
+    departs = np.broadcast_to(np.reshape(t_start, -1), heads.shape[:1])
+    shape = (heads.shape[0], len(profiles))
+    # lane (k, j) flies head k with profile j: x, y (H, 1), z (P,), t (H, P)
+    (x0, y0), (dx, dy) = tails.T[:, :, None], (heads - tails).T[:, :, None]
+    zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in profiles],
+                        (-1, 2)).T
+    n_seg = math.ceil(1.0 / h - 1e-9)
+    t = t0 = np.repeat(departs, shape[1]).reshape(shape)
+    alive = np.isfinite(t0)
+    for i in range(n_seg):
+        if not alive.any():
+            break
+        f0 = i / n_seg
+        f1 = (i + 1) / n_seg
+        dt, ok = slant_times_reference(
+            grid, vehicle, x0 + f0 * dx, y0 + f0 * dy, zc, x0 + f1 * dx,
+            y0 + f1 * dy, zd, t, scheme, n_sub)
+        alive &= ok
+        t = t + dt
+    return np.where(alive, t - t0, INFEASIBLE)
 
 
 def choose_profile_reference(profiles, times, mode, slack_factor):

@@ -7,6 +7,7 @@ tests/oracles.py exactly; the leg check still only asks for 1e-10
 relative, which also covers the sqrt conditioning as c_perp -> speed.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ import gliderplan.kinematics as kinematics_mod
 import gliderplan.mission as mission_mod
 import gliderplan.search as search_mod
 from gliderplan.cli import EXIT_OK, main as cli_main
+from gliderplan.mission import parse_mission, run_mission
 
 from gliderplan.errors import LandContactError, OutOfDomainError
 from gliderplan.flowfield import (SAMPLE_LAND, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN,
@@ -33,8 +35,9 @@ from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                                    profile_times)
 
 from conftest import random_grid, travel_time, write_gyre_mission
-from oracles import (glider_travel_time_reference, sample_batch_reference,
-                     sample_reference, travel_time_reference)
+from oracles import (glider_travel_time_reference, profile_times_reference,
+                     sample_batch_reference, sample_reference,
+                     travel_time_reference)
 
 SCHEMES = [InterpScheme(xy, z, t)
            for xy, z, t in itertools.product(XY_METHODS, ZT_METHODS, ZT_METHODS)]
@@ -297,6 +300,124 @@ def test_column_kernel_shapes():
                      np.ones((2, 3)), np.ones((2, 3)))
 
 
+@st.composite
+def leg_cases(draw):
+    """A random grid (land columns, stray fill, 1-6 knots per space axis
+    and 1-12 in time, time cells of 1-11 minutes, so that a leg spans
+    many, or of 1-11 hours, so that its window fits) with
+    currents up to twice the glider's speed, at times over a westward
+    drift that sets clocks back past their window, H tails and heads
+    partly outside the domain, P dive bands partly outside the depth
+    axis, and departures partly INFEASIBLE, NaN or off the time axis."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    nx, ny, nz = (draw(st.integers(1, 6)) for _ in range(3))
+    nt = draw(st.integers(1, 12))
+    cell = draw(st.sampled_from([60.0, 3_600.0]))
+    axes = [np.concatenate(([0.0], np.cumsum(rng.uniform(lo, hi, n - 1))))
+            for n, lo, hi in ((nx, 500.0, 2_000.0), (ny, 500.0, 2_000.0),
+                              (nz, 5.0, 40.0), (nt, cell, 11 * cell))]
+    shape = (nt, nz, ny, nx)
+    scale = draw(st.sampled_from([0.05, 0.3, 0.6]))
+    u, v = (rng.uniform(-scale, scale, shape) for _ in range(2))
+    u += draw(st.sampled_from([0.0, -0.25]))
+    land = rng.uniform(size=(ny, nx)) < draw(st.sampled_from([0.0, 0.2]))
+    u[:, :, land] = v[:, :, land] = -9999.0
+    v[rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.02]))] = -9999.0
+    grid = FlowGrid(*axes, u, v)
+    xs, ys, zs, ts = axes
+    n_h, n_p = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    tails = np.column_stack([rng.uniform(a[0] - 300.0, a[-1] + 300.0, n_h)
+                             for a in (xs, ys)])
+    heads = np.column_stack([rng.uniform(a[0] - 300.0, a[-1] + 300.0, n_h)
+                             for a in (xs, ys)])
+    tops = rng.uniform(zs[0] - 10.0, zs[-1] + 5.0, n_p)
+    profiles = [DiveProfile(c, c + d) for c, d in
+                zip(tops, rng.uniform(1.0, 60.0, n_p))]
+    departs = rng.uniform(ts[0] - 900.0, ts[-1] + 900.0, n_h)
+    dead = rng.uniform(size=n_h) < 0.2
+    departs[dead] = rng.choice([math.inf, math.nan], dead.sum())
+    h = draw(st.sampled_from([1.0, 0.5, 0.25, 0.3]))
+    return (tails, heads, departs, profiles, grid, V03, h,
+            draw(st.sampled_from(SCHEMES)), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(leg_cases())
+def test_leg_kernel_equals_one_sample_batch_call_per_sub_step(case):
+    assert same_bits(profile_times(*case), profile_times_reference(*case))
+
+
+def count_gathers(monkeypatch):
+    """Record the leg kernel's space stages (their window widths) and its
+    sample_batch gathers (their point counts)."""
+    seen = {"space": [], "extra": []}
+    space, extra = kinematics_mod.space_stage, kinematics_mod.sample_batch
+
+    def spied_space(grid, x, y, z, lo, n_wt, scheme):
+        seen["space"].append(n_wt)
+        return space(grid, x, y, z, lo, n_wt, scheme)
+
+    def spied_extra(grid, x, y, z, t, scheme):
+        seen["extra"].append(np.size(t))
+        return extra(grid, x, y, z, t, scheme)
+
+    monkeypatch.setattr(kinematics_mod, "space_stage", spied_space)
+    monkeypatch.setattr(kinematics_mod, "sample_batch", spied_extra)
+    return seen
+
+
+def adverse_grid():
+    """8-hour time cells under a current that sets a glider flying east
+    back to 0.1 m/s near the surface and across at 0.45 m/s, past its
+    speed, below 60 m."""
+    x = np.linspace(0.0, 40_000.0, 9)
+    z = np.array([0.0, 60.0, 100.0])
+    t = np.arange(0.0, 400_000.0, 28_800.0)
+    u = np.broadcast_to(np.array([-0.2, -0.2, 0.0])[:, None, None],
+                        (t.size, 3, 9, 9))
+    v = np.broadcast_to(np.array([0.0, 0.45, 0.45])[:, None, None],
+                        (t.size, 3, 9, 9))
+    return FlowGrid(x, x, z, t, u, v)
+
+
+def test_clocks_that_leave_the_window_gather_again_and_time_the_same(
+        monkeypatch):
+    grid = adverse_grid()
+    seen = count_gathers(monkeypatch)
+    args = ([(2_000.0, 5_000.0 * k) for k in range(1, 7)],
+            [(30_000.0, 5_000.0 * k) for k in range(1, 7)],
+            np.linspace(0.0, 3_000.0, 6), [DiveProfile(0.0, 10.0)], grid,
+            V03, 0.25, InterpScheme("bicubic", "akima", "akima"), 2)
+    times = profile_times(*args)
+    assert seen["space"] and seen["extra"] and np.isfinite(times).all()
+    assert same_bits(times, profile_times_reference(*args))
+
+
+def test_dead_lanes_widen_no_window_and_gather_nothing(monkeypatch):
+    # the deep band's cross current leaves its clock NaN after the first
+    # sub-step; the INFEASIBLE and NaN departures fly nothing; the last
+    # leg starts outside the domain, and its clock runs on at 0.1 m/s
+    grid = adverse_grid()
+    seen = count_gathers(monkeypatch)
+    scheme = InterpScheme("bilinear", "linear", "akima")
+    tails = [(2_000.0, 5_000.0 * k) for k in range(1, 4)]
+    heads = [(30_000.0, 5_000.0 * k) for k in range(1, 4)]
+    shallow, deep = DiveProfile(0.0, 20.0), DiveProfile(70.0, 100.0)
+    live = profile_times(tails, heads, 0.0, [shallow], grid, V03, 0.25,
+                         scheme, 2)
+    alone = dict(seen)
+    seen["space"], seen["extra"] = [], []
+    mixed = profile_times(
+        tails + tails[:2] + [(41_000.0, 5_000.0)],
+        heads + heads[:2] + [(69_000.0, 5_000.0)],
+        [0.0, 0.0, 0.0, math.inf, math.nan, 0.0], [shallow, deep], grid,
+        V03, 0.25, scheme, 2)
+    assert seen == alone and alone["extra"]
+    assert same_bits(mixed[:3, 0], live[:, 0])
+    assert np.isinf(mixed[:, 1]).all() and np.isinf(mixed[3:]).all()
+
+
 def plan_outputs(mission, out, argv=()):
     assert cli_main(["plan", str(mission), "--out", str(out), *argv]) == EXIT_OK
     summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
@@ -346,10 +467,58 @@ def test_missions_plan_the_same_with_the_per_point_kernel(tmp_path, capsys,
 
     for mod in (flowfield_mod, kinematics_mod, search_mod, mission_mod):
         monkeypatch.setattr(mod, "sample_batch", reference)
+    # the leg kernel as one sample_batch call per sub-step
+    monkeypatch.setattr(search_mod, "profile_times", profile_times_reference)
     per_point = plan_outputs(mission, tmp_path / "per_point", argv)
     capsys.readouterr()
     assert 2 in calls  # the leg kernel's columns went through the reference
     assert columns == per_point
+
+
+def count_kernel_work(monkeypatch, mission):
+    """Plan mission in-process; return its leg-kernel calls, hoisted
+    space stages, sample_batch gathers and time-axis stencils."""
+    counts = collections.Counter()
+
+    def spy(mod, name, key):
+        fn = getattr(mod, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+
+    spy(search_mod, "profile_times", "calls")
+    spy(kinematics_mod, "space_stage", "space")
+    spy(kinematics_mod, "sample_batch", "sample_batch")
+    spy(kinematics_mod, "_axis_stencil", "time stencils")
+    assert run_mission(parse_mission(mission)).status == "ok"
+    return counts
+
+
+def test_one_space_stage_per_leg_kernel_call_on_the_akima_mission(
+        tmp_path, monkeypatch):
+    # one sample_batch call per sub-step made up to 8 per kernel call here
+    # (h 0.25, n_sub 2), 102 in all; one extra gather covers clocks that
+    # a current set back past their window, and each call takes the time
+    # stencils of its heads' departures and window ends and one per
+    # sub-step (102)
+    counts = count_kernel_work(monkeypatch, write_akima_mission(tmp_path))
+    assert counts == {"calls": 13, "space": 13, "sample_batch": 1,
+                      "time stencils": 13 * 2 + 102}
+
+
+def test_a_one_sub_step_leg_gathers_once_with_no_window_pass(
+        tmp_path, monkeypatch):
+    # h 1 and n_sub 1: nothing to hoist, so one sample_batch call and no
+    # window stencil per kernel call
+    mission = write_gyre_mission(tmp_path)
+    doc = json.loads(mission.read_text(encoding="utf-8"))
+    doc.update(h=1.0, n_sub=1)
+    mission.write_text(json.dumps(doc), encoding="utf-8")
+    counts = count_kernel_work(monkeypatch, mission)
+    assert counts["calls"] > 0 and counts == {
+        "calls": counts["calls"], "sample_batch": counts["calls"]}
 
 
 def gyre_akima_grid():
@@ -400,3 +569,50 @@ def test_kernel_temporaries_stay_within_the_per_point_kernels(scheme):
     plain = traced_peak(sample_batch, grid, x, y, z, t, scheme)
     assert lanes <= PER_POINT_PEAKS[scheme.xy_method][0], lanes
     assert plain <= PER_POINT_PEAKS[scheme.xy_method][1], plain
+
+
+def gyre_grid_with_time_cells(cell):
+    x = np.linspace(0.0, 32_000.0, 17)
+    return synth_field("gyre", x, x, (0.0, 40.0, 80.0, 120.0),
+                       np.arange(0.0, 172_800.0 + cell, cell),
+                       params={"amplitude": 0.03, "period": 86_400.0})
+
+
+@pytest.mark.parametrize("cell", [600.0, 28_800.0], ids=["10min", "8h"])
+def test_a_leg_kernel_call_gathers_at_most_twice_the_per_sub_step_windows(
+        cell, monkeypatch):
+    # 8 heads x 5 profiles of 8 km legs, about 7.4 hours each: on 10-minute
+    # time cells a leg's window would span about 50 knots (within
+    # MAX_HOISTED), so the call hoists nothing and runs as one sample_batch
+    # call per sub-step; on 8-hour cells it hoists one space stage
+    grid = gyre_grid_with_time_cells(cell)
+    family = make_dive_profiles(ProfileFamilySpec(0.0, 20.0, 120.0, 20.0, 2, 3))
+    rng = np.random.RandomState(1)
+    tails = rng.uniform(4_000.0, 20_000.0, (8, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 8)
+    heads = tails + 8_000.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+    args = (tails, heads, rng.uniform(3_600.0, 90_000.0, 8), family, grid,
+            V03, 0.25, InterpScheme("bicubic", "akima", "akima"), 2)
+    nodes, hoisted = [], []
+    stage = flowfield_mod.space_stage
+
+    def spied(*a):  # layer nodes (column, time knot, depth knot) gathered
+        space = stage(*a)
+        nodes.append(space.layers[0].size)
+        return space
+    monkeypatch.setattr(flowfield_mod, "space_stage", spied)
+    monkeypatch.setattr(kinematics_mod, "space_stage",
+                        lambda *a: hoisted.append(a[5]) or spied(*a))
+    times = profile_times(*args)
+    work = sum(nodes)
+    nodes.clear()
+    assert same_bits(times, profile_times_reference(*args))
+    assert bool(hoisted) == (cell > 600.0)
+    assert work <= 2 * sum(nodes), (work, sum(nodes))
+    monkeypatch.undo()
+    # a hoisted stage keeps at most MAX_HOISTED lanes' depth stencils and
+    # window nodes, under 160 B each (the MAX_HOISTED comment)
+    peaks = [traced_peak(f, *args)
+             for f in (profile_times, profile_times_reference)]
+    assert peaks[0] <= peaks[1] + (160 * kinematics_mod.MAX_HOISTED
+                                   if hoisted else peaks[1] // 10), peaks

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import gliderplan.search as search_mod
 from gliderplan.errors import ConfigError
 from gliderplan.flowfield import (SAMPLE_OK, FlowGrid, InterpScheme,
-                                  current_bound, sample_batch, synth_field)
+                                  _nearest, current_bound, sample_batch,
+                                  synth_field)
 from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                                    make_dive_profiles)
 from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
@@ -462,6 +463,43 @@ class TestExactScreen:
     def test_boundary_cases_follow_the_stated_rule(self, blocked, segment,
                                                    clear):
         assert segments_clear(blocked, [segment]) == [clear]
+
+    def test_a_leg_lies_in_the_cell_its_points_lie_in(self):
+        # knots 0, 0.1, 0.3 with land around 0.1: the wall is the midpoint
+        # 0.2, where 0.2 - 0.1 rounds above 0.3 - 0.2, yet the point x = 0.2
+        # reads the knot 0.1 and is land, as a leg along x = 0.2 is; the
+        # next float up is clear, and so is a leg along it
+        grid = FlowGrid((0.0, 0.1, 0.3), (0.0, 1.0, 2.0), (0.0,), (0.0,),
+                        np.where([[0, 1, 0]] * 3, -9999.0, 0.0)[None, None],
+                        np.zeros((1, 1, 3, 3)))
+        blocked = BlockedRegions(grid=grid)
+        above = np.nextafter(0.2, 1.0)
+        assert blocked.mask([0.2, 0.2, above], [0.5, 1.5, 1.0]).tolist() == [
+            True, True, False]
+        assert [blocks_reference(blocked, px, 1.0) for px in (0.2, above)] == [
+            True, False]
+        assert segments_clear(blocked, [((0.2, 0.5), (0.2, 1.5)),
+                                        ((above, 0.5), (above, 1.5))]) == [
+            False, True]
+        assert not segment_clear_reference(blocked, 0.2, 0.5, 0.2, 1.5)
+        assert segment_clear_reference(blocked, above, 0.5, above, 1.5)
+
+    @settings(max_examples=300, deadline=None)
+    @example([-1.0, 1.0])
+    @example([0.0, 0.1, 0.3])
+    @given(st.lists(st.floats(-1e300, 1e300) | st.integers(-50, 50).map(
+        lambda k: k / 10.0), min_size=2, max_size=8, unique=True))
+    def test_walls_sit_where_the_nearest_knot_switches(self, knots):
+        coords = np.sort(np.array(knots, dtype=np.float64))
+        w = BlockedRegions(grid=FlowGrid(
+            coords, (0.0,), (0.0,), (0.0,),
+            np.full((1, 1, 1, coords.size), -9999.0),
+            np.zeros((1, 1, 1, coords.size)))).land_cells[0]
+        # a knot within an ulp or two of both neighbours owns no float
+        assume(np.all(np.diff(w) > 0))
+        assert _nearest(coords, w).tolist() == list(range(coords.size - 1))
+        assert _nearest(coords, np.nextafter(w, np.inf)).tolist() == list(
+            range(1, coords.size))
 
 
 class TestDijkstraStatic:

@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .flowfield import (SAMPLE_OK, FlowGrid, InterpScheme, load_flow_grid,
                         sample, sample_batch)  # sample: for bench/spans.py
@@ -327,6 +329,9 @@ def parse_mission(path, values: dict | None = None,
         log.warning("start_time %g precedes the first flow step %g; clamped",
                     f["start_time"], t0)
         f["start_time"] = t0
+    if abs(f["start_time"]) >= 2.0 ** 32:  # float64 seconds lose microseconds
+        raise ConfigError("start_time: must lie within 2^32 s of 0, got "
+                          f"{f['start_time']:g} s")
     return MissionSpec(**f, grid=grid)
 
 
@@ -582,63 +587,56 @@ def render_svg(result: MissionResult, grid: FlowGrid, path,
         f'fill="#eaf4fb" stroke="#7a8a99" stroke-width="1"/>',
     ]
 
-    # land cells, drawn as node-centered squares
+    # land cells, drawn as node-centered squares reaching half way to
+    # the neighbouring knots (none past an axis end)
     xs, ys = grid.x_coords, grid.y_coords
-    for jy, jx in zip(*grid.land_mask.nonzero()):  # row-major order
-        cx, cy = float(xs[jx]), float(ys[jy])
-        if not reg.contains(cx, cy):
-            continue
-        dx0 = (xs[jx] - xs[jx - 1]) / 2 if jx > 0 else 0.0
-        dx1 = (xs[jx + 1] - xs[jx]) / 2 if jx < xs.size - 1 else 0.0
-        dy0 = (ys[jy] - ys[jy - 1]) / 2 if jy > 0 else 0.0
-        dy1 = (ys[jy + 1] - ys[jy]) / 2 if jy < ys.size - 1 else 0.0
-        parts.append(
-            f'<rect x="{fmt(sx(cx - dx0))}" y="{fmt(sy(cy + dy1))}" '
-            f'width="{fmt((dx0 + dx1) * scale)}" '
-            f'height="{fmt((dy0 + dy1) * scale)}" fill="#b9a98c"/>')
+
+    def in_region(cx, cy):  # Rect.contains, on arrays
+        return ((reg.x_min <= cx) & (cx <= reg.x_max)
+                & (reg.y_min <= cy) & (cy <= reg.y_max))
+
+    jy, jx = grid.land_mask.nonzero()  # row-major order
+    keep = in_region(xs[jx], ys[jy])
+    jx, jy = jx[keep], jy[keep]
+    half_x, half_y = (np.concatenate(([0.0], np.diff(a) / 2, [0.0]))
+                      for a in (xs, ys))
+    dx0, dx1, dy0, dy1 = half_x[jx], half_x[jx + 1], half_y[jy], half_y[jy + 1]
+    parts += [f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
+              f'height="{ch:.2f}" fill="#b9a98c"/>'
+              for x, y, cw, ch in zip(*(a.tolist() for a in (
+                  sx(xs[jx] - dx0), sy(ys[jy] + dy1),
+                  (dx0 + dx1) * scale, (dy0 + dy1) * scale)))]
 
     for poly in spec.restricted_areas:
         pts = " ".join(f"{fmt(sx(px))},{fmt(sy(py))}" for px, py in poly)
         parts.append(f'<polygon points="{pts}" fill="#d98c8c" '
                      f'fill-opacity="0.5" stroke="#a33" stroke-width="1"/>')
 
-    # sub-sampled current arrows, sampled in one batch
+    # sub-sampled current arrows, sampled in one batch; math.hypot, not
+    # np.hypot, which can differ in the last bit
     n_arrows = 22
-    step_x = max(1, grid.x_coords.size // n_arrows)
-    step_y = max(1, grid.y_coords.size // n_arrows)
-    nodes = [(float(grid.x_coords[jx]), float(grid.y_coords[jy]))
-             for jy in range(0, grid.y_coords.size, step_y)
-             for jx in range(0, grid.x_coords.size, step_x)]
-    nodes = [(cx, cy) for cx, cy in nodes if reg.contains(cx, cy)]
-    arrows = []
-    max_mag = 0.0
-    if nodes:
-        cxs, cys = zip(*nodes)
-        us, vs, reason = sample_batch(grid, cxs, cys, depth, at_time,
-                                      spec.scheme)
-        for cx, cy, cu, cv, why in zip(cxs, cys, us.tolist(), vs.tolist(),
-                                       reason.tolist()):
-            mag = math.hypot(cu, cv)
-            if why == SAMPLE_OK and mag > 0.0:
-                arrows.append((cx, cy, cu, cv, mag))
-                max_mag = max(max_mag, mag)
-    if arrows and max_mag > 0.0:
-        unit = min(step_x * (grid.x_coords[1] - grid.x_coords[0])
-                   if grid.x_coords.size > 1 else w / n_arrows,
+    step_x = max(1, xs.size // n_arrows)
+    step_y = max(1, ys.size // n_arrows)
+    cx, cy = (a.ravel() for a in np.meshgrid(xs[::step_x], ys[::step_y]))
+    keep = in_region(cx, cy)
+    cx, cy = cx[keep], cy[keep]
+    us, vs, reason = sample_batch(grid, cx, cy, depth, at_time, spec.scheme)
+    mag = np.array([math.hypot(cu, cv)
+                    for cu, cv in zip(us.tolist(), vs.tolist())], dtype=float)
+    keep = (reason == SAMPLE_OK) & (mag > 0.0)
+    if keep.any():
+        cx, cy, us, vs, mag = (a[keep] for a in (cx, cy, us, vs, mag))
+        unit = min(step_x * (xs[1] - xs[0]) if xs.size > 1 else w / n_arrows,
                    w / n_arrows) * 0.9
-        for cx, cy, cu, cv, mag in arrows:
-            f = (mag / max_mag) * unit / mag
-            ex, ey = cx + cu * f, cy + cv * f
-            arrows_len = math.hypot(sx(ex) - sx(cx), sy(ey) - sy(cy))
-            if arrows_len < 1.0:
+        f = (mag / mag.max()) * unit / mag
+        x1, y1, x2, y2 = sx(cx), sy(cy), sx(cx + us * f), sy(cy + vs * f)
+        for a, b, c, d in zip(*(e.tolist() for e in (x1, y1, x2, y2))):
+            if math.hypot(c - a, d - b) < 1.0:
                 continue
-            parts.append(
-                f'<line x1="{fmt(sx(cx))}" y1="{fmt(sy(cy))}" '
-                f'x2="{fmt(sx(ex))}" y2="{fmt(sy(ey))}" stroke="#4a7dab" '
-                f'stroke-width="1"/>')
-            parts.append(
-                f'<circle cx="{fmt(sx(ex))}" cy="{fmt(sy(ey))}" r="1.6" '
-                f'fill="#4a7dab"/>')
+            parts.append(f'<line x1="{a:.2f}" y1="{b:.2f}" x2="{c:.2f}" '
+                         f'y2="{d:.2f}" stroke="#4a7dab" stroke-width="1"/>')
+            parts.append(f'<circle cx="{c:.2f}" cy="{d:.2f}" r="1.6" '
+                         f'fill="#4a7dab"/>')
 
     def polyline(wps, color: str, swidth: float, dash: str = "") -> str:
         pts = " ".join(f"{fmt(sx(px))},{fmt(sy(py))}" for px, py in wps)

@@ -831,3 +831,129 @@ def load_flow_grid_reference(path):
         v = block[count:].astype(np.float64).reshape(shape)
         return FlowGrid(x, y, z, t, u, v, fill_sentinel=fill)
     raise FlowFormatError(f"encoding: unsupported value {encoding!r}")
+
+
+def render_svg_reference(result, grid, path, depth=None, at_time=None,
+                         width=900):
+    """render_svg one land cell and one arrow at a time: Python
+    arithmetic on each cell's numpy scalars, a region test per node,
+    and four formatted numbers per cell.  Writes the same bytes."""
+    from gliderplan.flowfield import SAMPLE_OK, sample_batch
+    from gliderplan.mission import format_duration
+
+    spec = result.spec
+    reg = spec.region
+    if depth is None:
+        depth = float(grid.z_levels[0])
+    if at_time is None:
+        at_time = spec.start_time
+    w = reg.x_max - reg.x_min
+    hgt = reg.y_max - reg.y_min
+    margin = 40.0
+    scale = (width - 2 * margin) / w
+    height = int(hgt * scale + 2 * margin)
+
+    def sx(x: float) -> float:
+        return margin + (x - reg.x_min) * scale
+
+    def sy(y: float) -> float:
+        return height - margin - (y - reg.y_min) * scale
+
+    def fmt(v: float) -> str:
+        return f"{v:.2f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="{fmt(sx(reg.x_min))}" y="{fmt(sy(reg.y_max))}" '
+        f'width="{fmt(w * scale)}" height="{fmt(hgt * scale)}" '
+        f'fill="#eaf4fb" stroke="#7a8a99" stroke-width="1"/>',
+    ]
+
+    # land cells, drawn as node-centered squares
+    xs, ys = grid.x_coords, grid.y_coords
+    for jy, jx in zip(*grid.land_mask.nonzero()):  # row-major order
+        cx, cy = float(xs[jx]), float(ys[jy])
+        if not reg.contains(cx, cy):
+            continue
+        dx0 = (xs[jx] - xs[jx - 1]) / 2 if jx > 0 else 0.0
+        dx1 = (xs[jx + 1] - xs[jx]) / 2 if jx < xs.size - 1 else 0.0
+        dy0 = (ys[jy] - ys[jy - 1]) / 2 if jy > 0 else 0.0
+        dy1 = (ys[jy + 1] - ys[jy]) / 2 if jy < ys.size - 1 else 0.0
+        parts.append(
+            f'<rect x="{fmt(sx(cx - dx0))}" y="{fmt(sy(cy + dy1))}" '
+            f'width="{fmt((dx0 + dx1) * scale)}" '
+            f'height="{fmt((dy0 + dy1) * scale)}" fill="#b9a98c"/>')
+
+    for poly in spec.restricted_areas:
+        pts = " ".join(f"{fmt(sx(px))},{fmt(sy(py))}" for px, py in poly)
+        parts.append(f'<polygon points="{pts}" fill="#d98c8c" '
+                     f'fill-opacity="0.5" stroke="#a33" stroke-width="1"/>')
+
+    # sub-sampled current arrows, sampled in one batch
+    n_arrows = 22
+    step_x = max(1, grid.x_coords.size // n_arrows)
+    step_y = max(1, grid.y_coords.size // n_arrows)
+    nodes = [(float(grid.x_coords[jx]), float(grid.y_coords[jy]))
+             for jy in range(0, grid.y_coords.size, step_y)
+             for jx in range(0, grid.x_coords.size, step_x)]
+    nodes = [(cx, cy) for cx, cy in nodes if reg.contains(cx, cy)]
+    arrows = []
+    max_mag = 0.0
+    if nodes:
+        cxs, cys = zip(*nodes)
+        us, vs, reason = sample_batch(grid, cxs, cys, depth, at_time,
+                                      spec.scheme)
+        for cx, cy, cu, cv, why in zip(cxs, cys, us.tolist(), vs.tolist(),
+                                       reason.tolist()):
+            mag = math.hypot(cu, cv)
+            if why == SAMPLE_OK and mag > 0.0:
+                arrows.append((cx, cy, cu, cv, mag))
+                max_mag = max(max_mag, mag)
+    if arrows and max_mag > 0.0:
+        unit = min(step_x * (grid.x_coords[1] - grid.x_coords[0])
+                   if grid.x_coords.size > 1 else w / n_arrows,
+                   w / n_arrows) * 0.9
+        for cx, cy, cu, cv, mag in arrows:
+            f = (mag / max_mag) * unit / mag
+            ex, ey = cx + cu * f, cy + cv * f
+            arrows_len = math.hypot(sx(ex) - sx(cx), sy(ey) - sy(cy))
+            if arrows_len < 1.0:
+                continue
+            parts.append(
+                f'<line x1="{fmt(sx(cx))}" y1="{fmt(sy(cy))}" '
+                f'x2="{fmt(sx(ex))}" y2="{fmt(sy(ey))}" stroke="#4a7dab" '
+                f'stroke-width="1"/>')
+            parts.append(
+                f'<circle cx="{fmt(sx(ex))}" cy="{fmt(sy(ey))}" r="1.6" '
+                f'fill="#4a7dab"/>')
+
+    def polyline(wps, color: str, swidth: float, dash: str = "") -> str:
+        pts = " ".join(f"{fmt(sx(px))},{fmt(sy(py))}" for px, py in wps)
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'stroke-width="{swidth}"{extra}/>')
+
+    if result.planned is not None:
+        parts.append(polyline(result.planned.waypoints, "#999999", 1.2, "4 3"))
+    if result.smoothed is not None:
+        parts.append(polyline(result.smoothed.waypoints, "#c8401a", 2.2))
+
+    (x0, y0), (x1, y1) = spec.start_xy, spec.goal_xy
+    parts.append(f'<circle cx="{fmt(sx(x0))}" cy="{fmt(sy(y0))}" r="5" '
+                 f'fill="#1a7d36" stroke="#fff" stroke-width="1.5"/>')
+    parts.append(f'<rect x="{fmt(sx(x1) - 4.5)}" y="{fmt(sy(y1) - 4.5)}" '
+                 f'width="9" height="9" fill="#1d3f8f" stroke="#fff" '
+                 f'stroke-width="1.5"/>')
+
+    final = result.final_path
+    label = ("travel time " + format_duration(final.total_time)
+             if final is not None else "infeasible")
+    parts.append(f'<text x="{fmt(margin)}" y="{fmt(margin - 12)}" '
+                 f'font-family="sans-serif" font-size="13" '
+                 f'fill="#222">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+        fh.write("\n")

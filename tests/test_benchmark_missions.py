@@ -14,6 +14,9 @@ import sys
 import pytest
 
 from gliderplan import FlowGrid, parse_mission, run_mission
+from gliderplan.mission import render_svg
+
+from oracles import render_svg_reference
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -31,14 +34,19 @@ def test_strong_gyre_route_stays_off_land(tmp_path, seed):
     u, v = fld.stored()
     path = tmp_path / "mission.json"
     path.write_text(json.dumps(wl.mission), encoding="utf-8")
-    spec = parse_mission(path, grid=FlowGrid(fld.x, fld.y, fld.z, fld.t, u, v,
-                                             fill_sentinel=FILL))
-    result = run_mission(spec)
+    grid = FlowGrid(fld.x, fld.y, fld.z, fld.t, u, v, fill_sentinel=FILL)
+    result = run_mission(parse_mission(path, grid=grid))
     assert result.status == "ok"
     land = checks.land_rectangles(fld.x, fld.y, u, v, FILL)
     wp = result.final_path.waypoints
     assert [i for i, (a, b) in enumerate(zip(wp, wp[1:]))
             if checks.segment_hits_rectangles(a, b, land)] == []
+    # the map of about 1,200 land cells, drawn from arrays and one cell
+    # at a time
+    svgs = tmp_path / "plan.svg", tmp_path / "reference.svg"
+    render_svg(result, grid, svgs[0])
+    render_svg_reference(result, grid, svgs[1])
+    assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
 
 def test_traced_child_reports_layers(tmp_path):

@@ -336,6 +336,16 @@ class TestPlan:
         assert out == ""
         assert err.startswith("error: ") and f"{key}: must be" in err
 
+    def test_start_time_beyond_the_clock_exits_1(self, capsys, tmp_path):
+        # at 1e300 s every leg rounded away: travel_time_s read 0.000
+        path = write_mission(tmp_path, make_uniform_grid(
+            0.1, 0.0, extent=50000.0, depth=200.0), {"start_time": 1e300})
+        code, out, err = run_cli(capsys, "plan", str(path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: start_time: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("overrides,message", [
         ({"profile_family": {"z_min": 0.0, "z_climb_to_max": 0.0,
                              "z_max": 100.0, "z_min_range": 40.0,

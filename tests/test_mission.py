@@ -1,25 +1,33 @@
 """Mission parsing, orchestration, and export tests."""
 
 import copy
+import itertools
 import json
 import logging
 import math
+import os
+import tempfile
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gliderplan.mission as mission_mod
 from gliderplan.errors import ConfigError, GliderPlanError
-from gliderplan.flowfield import save_flow_grid
+from gliderplan.flowfield import (XY_METHODS, ZT_METHODS, FlowGrid,
+                                  InterpScheme, save_flow_grid)
 from gliderplan.kinematics import make_dive_profiles, optimal_profile_cost
 from gliderplan.mission import (export_waypoints, format_duration,
                                 parse_mission, project, render_svg,
                                 run_mission, summary_lines, unproject)
+from gliderplan.search import Rect
 
 from conftest import (count_kernel_calls, make_land_grid, make_uniform_grid,
                       write_gyre_mission)
+from oracles import render_svg_reference
 
 
 def write_flow(tmp_path, grid, name="flow.json"):
@@ -213,6 +221,21 @@ class TestParseMissionDefaults:
             spec = parse_mission(path)
         assert spec.start_time == 0.0
         assert any("clamp" in rec.message for rec in caplog.records)
+
+    def test_start_time_within_the_clock(self, tmp_path):
+        # past 2^32 s a float64 clock no longer holds the microseconds
+        # arrivals are written with
+        below = math.nextafter(2.0 ** 32, 0.0)
+        spec = parse_mission(write_mission(tmp_path, {"start_time": below}))
+        assert spec.start_time == below
+        with pytest.raises(ConfigError, match="^start_time: "):
+            parse_mission(write_mission(tmp_path, {"start_time": 2.0 ** 32}))
+        # a time axis that starts past it, through the default
+        late = make_uniform_grid(0.1, 0.0)
+        late = FlowGrid(late.x_coords, late.y_coords, late.z_levels,
+                        late.t_steps + 2.0 ** 33, late.u, late.v)
+        with pytest.raises(ConfigError, match="^start_time: "):
+            parse_mission(write_mission(tmp_path, grid=late))
 
 
 class TestParseMissionErrors:
@@ -868,3 +891,102 @@ class TestRenderSvg:
                         width=500, depth=100.0, at_time=1800.0)
         root = ET.parse(out).getroot()
         assert root.get("width") == "500"
+
+
+SVG_SCHEMES = [InterpScheme(xy, z, t) for xy, z, t in
+               itertools.product(XY_METHODS, ZT_METHODS, ZT_METHODS)]
+
+
+def svg_case(xs, ys, u, v, region, kind="feasible", scheme=InterpScheme(),
+             zs=(0.0,), ts=(0.0,), fill=-9999.0, polygons=(), waypoints=None,
+             start_time=0.0, **kwargs):
+    """(grid, result, render kwargs) for render_svg without planning.
+
+    u and v broadcast to the grid's (t, z, y, x) shape; kind is
+    "feasible" (raw and smoothed tracks), "unsmoothed" or "infeasible".
+    """
+    shape = (len(ts), len(zs), len(ys), len(xs))
+    grid = FlowGrid(xs, ys, zs, ts, np.broadcast_to(u, shape).copy(),
+                    np.broadcast_to(v, shape).copy(), fill_sentinel=fill)
+    x0, y0, x1, y1 = region
+    track = SimpleNamespace(waypoints=waypoints or [(x0, y0), (x1, y1)],
+                            total_time=98765.4)
+    planned = None if kind == "infeasible" else track
+    smoothed = track if kind == "feasible" else None
+    spec = SimpleNamespace(
+        region=Rect(*region), start_time=start_time, scheme=scheme,
+        restricted_areas=polygons, start_xy=track.waypoints[0],
+        goal_xy=track.waypoints[-1])
+    result = SimpleNamespace(spec=spec, planned=planned, smoothed=smoothed,
+                             final_path=smoothed or planned)
+    return grid, result, kwargs
+
+
+@st.composite
+def svg_cases(draw):
+    def axis():
+        gaps = draw(st.lists(st.floats(20.0, 4000.0), max_size=7))
+        return draw(st.floats(-5000.0, 5000.0)) + np.concatenate(
+            ([0.0], np.cumsum(gaps)))
+
+    def bounds(ax):
+        # knots themselves, so the region's edges run through land
+        # cells and arrow nodes
+        pick = st.one_of(st.sampled_from(ax.tolist()),
+                         st.floats(ax[0] - 3000.0, ax[-1] + 3000.0))
+        lo, hi = sorted((draw(pick), draw(pick)))
+        if hi - lo < 1.0:
+            hi = lo + draw(st.floats(1.0, 9e3))
+        return lo, hi
+
+    xs, ys = axis(), axis()
+    zs = (0.0, 40.0, 200.0)[:draw(st.integers(1, 3))]
+    ts = (0.0, 3600.0, 9000.0)[:draw(st.integers(1, 3))]
+    shape = (len(ts), len(zs), ys.size, xs.size)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # speeds over three decades, so that some arrows fall under a pixel
+    u, v = rng.normal(size=(2,) + shape) * 10.0 ** rng.uniform(-3, 0, shape)
+    fill = draw(st.sampled_from([-9999.0, 1e20, math.nan]))
+    land = rng.random((ys.size, xs.size)) < draw(st.floats(0.0, 1.0))
+    for comp in (u, v):  # still water, land in sentinel or NaN, stray fill
+        comp[rng.random(shape) < 0.1] = 0.0
+        comp[:, :, land] = np.where(rng.random(land.sum()) < 0.5,
+                                    fill, math.nan)
+        comp[rng.random(shape) < 0.03] = fill
+    (x0, x1), (y0, y1) = bounds(xs), bounds(ys)
+    pts = st.tuples(st.floats(x0, x1), st.floats(y0, y1))
+    kwargs = {name: draw(strat) for name, strat in (
+        ("width", st.integers(120, 1600)), ("depth", st.floats(-10.0, 250.0)),
+        ("at_time", st.floats(-100.0, 9500.0))) if draw(st.booleans())}
+    return svg_case(
+        xs, ys, u, v, (x0, y0, x1, y1),
+        kind=draw(st.sampled_from(["feasible", "unsmoothed", "infeasible"])),
+        scheme=draw(st.sampled_from(SVG_SCHEMES)), zs=zs, ts=ts, fill=fill,
+        polygons=draw(st.lists(st.lists(pts, min_size=3, max_size=4),
+                               max_size=1)),
+        waypoints=draw(st.lists(pts, min_size=2, max_size=5)),
+        start_time=draw(st.floats(0.0, 9000.0)), **kwargs)
+
+
+class TestRenderSvgArrays:
+    @settings(max_examples=250, deadline=None)
+    @given(case=svg_cases())
+    # every node land, the region's edges on knots: the closed interval
+    # keeps the cells on them, the axis ends have no outer half-width
+    @example(case=svg_case([0.0, 300.0, 1000.0], [-50.0, 0.0, 700.0, 900.0],
+                           -9999.0, -9999.0, (0.0, -50.0, 1000.0, 700.0)))
+    # one knot on each axis: a zero-size cell and one arrow
+    @example(case=svg_case([5.0], [7.0], 0.2, -0.1, (0.0, 0.0, 10.0, 10.0),
+                           kind="unsmoothed", width=300))
+    # an arrow of 1 - 1 ulp pixels, which np.hypot rounds up to 1.0
+    @example(case=svg_case([0.0, 135.50135501355442], [0.0, 100.0],
+                           -0.384597, 0.319507, (0.0, 0.0, 1e5, 1e5),
+                           kind="infeasible"))
+    def test_matches_the_per_cell_reference(self, case):
+        grid, result, kwargs = case
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = (os.path.join(tmp, name) for name in ("a", "b"))
+            render_svg(result, grid, got, **kwargs)
+            render_svg_reference(result, grid, want, **kwargs)
+            with open(got, "rb") as a, open(want, "rb") as b:
+                assert a.read() == b.read()

@@ -22,3 +22,14 @@ def test_demo_gyre_mission_plans(tmp_path, capsys):
     assert "status: ok" in stdout.splitlines()
     assert "status: ok" in (tmp_path / "summary.txt").read_text(
         encoding="utf-8").splitlines()
+
+
+def test_compare_outputs_finds_a_tree_equal_to_itself(tmp_path, capsys):
+    compare = load_script("compare_outputs")
+    src = str(SCRIPTS.parent / "src")
+    assert compare.main(["--parent", src, "--change", src, "--workload",
+                         "drift-lattice:1", "--work", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("exit", "waypoints.json", "plan.svg", "summary.txt"):
+        assert f"drift-lattice:1/{name}: same" in lines
+    assert lines[-1] == "differences: 0"

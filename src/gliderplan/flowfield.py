@@ -10,6 +10,7 @@ across time, independently for u and v.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -30,6 +31,8 @@ SYNTH_KINDS = ("uniform", "gyre", "tidal_channel")
 
 # inline u/v arrays are parsed and written in pieces of about this size
 _CHUNK_BYTES = 1 << 20
+# nodes per chunk of FlowGrid.max_speed: no temporary as large as the grid
+MAX_SPEED_CHUNK = 1 << 16
 _TOKEN = re.compile(rb'[][{}]|"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 _COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
 
@@ -139,17 +142,23 @@ class FlowGrid:
     def max_speed(self) -> float:
         """Largest current speed |c| over the data nodes, m/s."""
         if self._max_speed is None:
-            data = True if self._flat_fill is None else ~self._flat_fill
-            u, v = self._flat_u, self._flat_v
-            sq = u * u + v * v
-            # u*u + v*v rounds within ~1e-16 relative, so hypot at the
-            # nodes within 1e-12 of its max gives the same float as hypot
-            # everywhere (less the least normal float, for squares that
-            # underflow)
-            top = np.max(sq, where=data, initial=0.0)
-            near = data & (sq >= top * (1.0 - 1e-12) - np.finfo(float).tiny)
-            self._max_speed = float(np.max(np.hypot(u[near], v[near]),
-                                           initial=0.0))
+            u, v, fill = self._flat_u, self._flat_v, self._flat_fill
+            top = best = 0.0
+            for i in range(0, u.size, MAX_SPEED_CHUNK):
+                c = slice(i, i + MAX_SPEED_CHUNK)
+                sq = u[c] * u[c] + v[c] * v[c]
+                if fill is not None:
+                    sq[fill[c]] = -1.0
+                # u*u + v*v rounds within ~1e-16 relative, so hypot at
+                # the nodes within 1e-12 of its max so far (a superset of
+                # those near the final max) gives the same float as hypot
+                # everywhere (less the least normal float, for squares
+                # that underflow)
+                top = max(top, np.max(sq, initial=0.0))
+                near = sq >= top * (1.0 - 1e-12) - np.finfo(float).tiny
+                best = max(best, np.max(np.hypot(u[c][near], v[c][near]),
+                                        initial=0.0))
+            self._max_speed = float(best)
         return self._max_speed
 
     def horizontal_bounds(self) -> tuple[float, float, float, float]:
@@ -256,13 +265,6 @@ SAMPLE_OUT_OF_DOMAIN = 1
 SAMPLE_LAND = 2
 
 
-def _cell(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Left knot of the cell containing each q, clamped to [0, n-2]
-    (int32: half the index temporaries; no loadable grid overflows it)."""
-    i = np.searchsorted(coords, q, side="right").astype(np.int32) - 1
-    return np.minimum(np.maximum(i, 0), coords.size - 2)
-
-
 def _nearest(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Index of the knot nearest each q: the walls between knots lie at
     their midpoints, 0.5 * (c_lo + c_hi), a q on a wall reads the lower
@@ -271,52 +273,78 @@ def _nearest(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.searchsorted(0.5 * (coords[1:] + coords[:-1]), q, side="left")
 
 
+@functools.lru_cache(maxsize=64)
+def _cell_table(raw: bytes, method: str):
+    """The cell-constant parts of _axis_stencil for a method other than
+    nearest, on the axis whose float64 knots are raw, a column per cell:
+    (interior knots, knots, x0 and h then Akima's knot widths or
+    Catmull-Rom's tangent reciprocals, Akima's ghost or Catmull-Rom's end
+    flags).  Callers take copies."""
+    coords = np.frombuffer(raw)
+    n = coords.size
+    i = np.arange(n - 1, dtype=np.int32)
+    lo = {"akima": -2, "cubic": -1, "bicubic": -1}.get(method, 0)
+    knots = np.clip(i + np.arange(lo, 2 - lo, dtype=np.int32)[:, None], 0,
+                    n - 1)
+    real, flags = [coords[:-1], np.diff(coords)], []
+    if method == "akima":
+        real += list(np.diff(coords[knots], axis=0))
+        flags = [i < 2, i < 1, i + 1 > n - 2, i + 2 > n - 2]
+    elif lo:  # Catmull-Rom
+        real += list(1.0 / (coords[knots[2:]] - coords[knots[:2]]))
+        flags = [i > 0, i + 2 <= n - 1]
+    return (coords[1:-1], knots, np.array(real),
+            np.array(flags, dtype=bool).reshape(-1, n - 1))
+
+
+def _axis_knots(coords: np.ndarray, q: np.ndarray, method: str) -> np.ndarray:
+    """The knots (W, N) of _axis_stencil(coords, q, method)."""
+    method = effective_method(method, coords.size)
+    if method == "nearest":
+        return _nearest(coords, q)[None]
+    inner, knots, _, _ = _cell_table(coords.tobytes(), method)
+    return knots.take(np.searchsorted(inner, q, side="right"), axis=1)
+
+
 def _axis_stencil(coords: np.ndarray, q: np.ndarray, method: str):
     """Fixed-width stencil of one axis over N queries: (knots, weights,
-    akima), knots being W index arrays in ascending knot order.
+    akima), knots (W, N) in ascending knot order.
 
-    Cubic spans knots i-1 .. i+2 and Akima j-2 .. j+3, clamped to the
-    axis; a clamped slot repeats a knot of the stencil and, for cubic,
-    carries weight zero.  For Akima, weights is None and akima holds
-    what _akima_stage needs.
+    Cubic spans knots i-1 .. i+2 and Akima i-2 .. i+3 around the cell i
+    of q (clamped to [0, n-2]), clamped to the axis; a clamped slot
+    repeats a knot of the stencil and, for cubic, carries weight zero.
+    For Akima, weights is None and akima holds what _akima_stage needs.
+    Everything but q's place in its cell comes from _cell_table.
     """
-    n = coords.size
-    method = effective_method(method, n)
+    method = effective_method(method, coords.size)
     if method == "nearest":
-        return [_nearest(coords, q)], [np.ones(q.shape)], None
-    i = _cell(coords, q)
-    x0 = coords[i]
-    x1 = coords[i + 1]
-    h = x1 - x0
+        return _nearest(coords, q)[None], [np.ones(q.shape)], None
+    inner, *table = _cell_table(coords.tobytes(), method)
+    i = np.searchsorted(inner, q, side="right")
+    knots, (x0, h, *real), flags = (a.take(i, axis=1) for a in table)
     s = (q - x0) / h
     if method in ("linear", "bilinear"):
-        return [i, i + 1], [1.0 - s, s], None
+        return knots, [1.0 - s, s], None
     s2 = s * s
     s3 = s2 * s
     if method == "akima":
-        # i-2 .. i+3; i+1 never passes the last knot
-        knots = [np.maximum(i - 2, 0), np.maximum(i - 1, 0), i, i + 1,
-                 np.minimum(i + 2, n - 1), np.minimum(i + 3, n - 1)]
         basis = (2.0 * s3 - 3.0 * s2 + 1.0, 3.0 * s2 - 2.0 * s3,
                  s3 - 2.0 * s2 + s, s3 - s2)
-        dx = [coords[knots[k + 1]] - coords[knots[k]] for k in range(5)]
-        ghost = (i < 2, i < 1, i + 1 > n - 2, i + 2 > n - 2)
-        return knots, None, (h, basis, dx, ghost)
+        return knots, None, (h, basis, real, tuple(flags))
     # Catmull-Rom: tangents are centered differences, one-sided at the
     # axis ends, so the stencil stays inside the grid
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
     h01 = 3.0 * s2 - 2.0 * s3
     h10 = (s3 - 2.0 * s2 + s) * h
     h11 = (s3 - s2) * h
-    im1 = np.maximum(i - 1, 0)
-    ip2 = np.minimum(i + 2, n - 1)
-    left = i > 0
-    right = i + 2 <= n - 1
-    t1 = h10 * (1.0 / (x1 - coords[im1]))
-    t2 = h11 * (1.0 / (coords[ip2] - x0))
+    left, right = flags
+    t1 = h10 * real[0]
+    t2 = h11 * real[1]
     w01 = h01 + t1
-    return ([im1, i, i + 1, ip2],
-            [np.where(left, -t1, 0.0),
+    # t1 * -1.0 is -t1 but keeps a NaN's sign, so a NaN query's weights
+    # share one NaN and its sample does not depend on the batch's shape
+    return (knots,
+            [np.where(left, t1 * -1.0, 0.0),
              np.where(left, h00, h00 - t1) - t2,
              np.where(right, w01, w01 + t2),
              np.where(right, t2, 0.0)],
@@ -362,16 +390,6 @@ def _akima_stage(vals: np.ndarray, akima) -> np.ndarray:
     return ys[2] * b00 + ys[3] * b01 + t0 * h * b10 + t1 * h * b11
 
 
-def _points(stencil, ps: slice):
-    """The stencil of the points ps of a stencil's queries."""
-    knots, weights, akima = stencil
-    knots = [q[ps] for q in knots]
-    if weights is not None:
-        return knots, [w[ps] for w in weights], None
-    return knots, None, (akima[0][ps], *([a[ps] for a in part]
-                                         for part in akima[1:]))
-
-
 def _stage(vals: np.ndarray, stencil) -> np.ndarray:
     _, weights, akima = stencil
     if weights is None:
@@ -379,18 +397,20 @@ def _stage(vals: np.ndarray, stencil) -> np.ndarray:
     return _weighted_sum(vals, weights)
 
 
-# Grid nodes per space_stage gather: under 40 B each with index and sums
+# Grid nodes per space_stage gather, and layer values per depth-stage
+# gather: under 60 B each with indices, sums and temporaries
 MAX_GATHER_NODES = 1 << 14
 
 
-def _window(knots: list, shape):
+def _window(knots: np.ndarray, shape):
     """Knot windows of columns of points (C, K) from their stencils'
-    ascending knots: each column's first knot, the widest window's knot
-    count, and each stencil knot's slot in its column's window."""
+    ascending knots (W, C * K): each column's first knot, the widest
+    window's knot count, and each stencil knot's slot in its column's
+    window, (W, C * K)."""
     slot = np.array(knots).reshape(len(knots), *shape)
     lo = slot[0].min(axis=1, initial=2**31 - 1)
     slot -= lo[:, None]
-    return lo, int(slot[-1].max(initial=0)) + 1, slot
+    return lo, int(slot[-1].max(initial=0)) + 1, slot.reshape(len(slot), -1)
 
 
 def _flat(a: np.ndarray, shape) -> np.ndarray:  # broadcast only if need be
@@ -399,36 +419,34 @@ def _flat(a: np.ndarray, shape) -> np.ndarray:  # broadcast only if need be
 
 class SpaceWindow(NamedTuple):
     """Part one of the kernel (space_stage) for C columns of K points,
-    point j of column c being lane c * K + j."""
+    point j of column c being lane c * K + j, over n_wt time slots."""
 
-    layers: np.ndarray  # (2, n_wt, n_wz, C): u, v after the x-then-y stage
-    fill: np.ndarray | None  # (n_wt, n_wz, C): a fill node in that stencil
-    st_z: tuple  # the lanes' depth stencil (_axis_stencil)
-    jz: np.ndarray  # (Wz, C * K): each depth knot's slot in its window
-    col: np.ndarray  # (C * K,): each lane's column
+    series: np.ndarray  # (2, n_wt, C * K): u, v after the depth stage
+    fill: np.ndarray | None  # (n_wt, C * K): a fill node in that stencil
     reason: np.ndarray  # (C * K,) int8: SAMPLE_OK or SAMPLE_OUT_OF_DOMAIN
 
 
 def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
                 scheme: InterpScheme = DEFAULT_SCHEME) -> SpaceWindow:
-    """Part one of the kernel: the x-then-y stage of C columns of K points
-    sharing (x, y), x and y (C,) with z (C, K), once per (column, time
-    knot, depth knot) of the column's windows, MAX_GATHER_NODES nodes at
-    a time.  Column c's time window holds knots lo[c] + s for slots
-    s < n_wt (a slot past the axis end repeats its last knot), its depth
-    window the knots its points' depth stencils span."""
+    """Part one of the kernel for C columns of K points sharing (x, y),
+    x and y (C,) with z (C, K): the x-then-y stage once per (column,
+    time knot, depth knot) of the column's windows, then each point's
+    depth stage at each of its column's time knots, each stage
+    MAX_GATHER_NODES values at a time.  Column c's time window holds
+    knots lo[c] + s for slots s < n_wt (a slot past the axis end repeats
+    its last knot), its depth window the knots its points' depth
+    stencils span."""
     n_col, k = z.shape
     xs, ys, zs = grid.x_coords, grid.y_coords, grid.z_levels
     inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
     kx, wx, _ = _axis_stencil(xs, x, scheme.xy_method)
     ky, wy, _ = _axis_stencil(ys, y, scheme.xy_method)
-    st_z = _axis_stencil(zs, np.minimum(np.maximum(z, zs[0]), zs[-1]).reshape(
-        -1), scheme.z_method)
-    lo_z, n_wz, jz = _window(st_z[0], (n_col, k))
+    zq = np.minimum(np.maximum(z, zs[0]), zs[-1]).reshape(-1)
+    lo_z, n_wz, jz = _window(_axis_knots(zs, zq, scheme.z_method), (n_col, k))
 
     # horizontal layers (2, n_wt, n_wz, C) in chunks of columns
     nt, nz, ny, nx = grid.shape
-    yx = np.array(ky)[:, None, :] * nx + np.array(kx)  # (Wy, Wx, C)
+    yx = ky[:, None, :] * nx + kx  # (Wy, Wx, C)
     layers = np.empty((2, n_wt, n_wz, n_col))
     fill = np.zeros(layers.shape[1:], dtype=bool)
     step = max(1, MAX_GATHER_NODES // (n_wt * n_wz * yx.shape[0] * yx.shape[1]))
@@ -446,36 +464,44 @@ def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
             fill[:, :, cs] = grid._flat_fill.take(idx).any(axis=(2, 3))
         layers[:, :, :, cs] = _weighted_sum(_weighted_sum(
             vals, [w[cs] for w in wx]), [w[cs] for w in wy])
+    vals = idx = None  # the last chunk's, before the depth stage's own
+
+    # each lane's depth stage at its depth knots' slots li (Wz, C * K)
+    li = jz * n_col + np.arange(n_col, dtype=jz.dtype).repeat(k)
+    layers, fill = layers.reshape(2, n_wt, -1), fill.reshape(n_wt, -1)
+    series = np.empty((2, n_wt, zq.size))
+    land = None if grid._flat_fill is None else np.empty((n_wt, zq.size),
+                                                          dtype=bool)
+    step = max(1, MAX_GATHER_NODES // (n_wt * len(li)))
+    for p in range(0, zq.size, step):
+        ps = slice(p, p + step)
+        series[:, :, ps] = _stage(layers.take(li[:, ps], axis=2),
+                                  _axis_stencil(zs, zq[ps], scheme.z_method))
+        if land is not None:
+            land[:, ps] = fill.take(li[:, ps], axis=1).any(axis=1)
     reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(
         np.int8).repeat(k)
-    return SpaceWindow(layers, None if grid._flat_fill is None else fill,
-                       st_z, jz.reshape(len(jz), -1),
-                       np.arange(n_col, dtype=np.int32).repeat(k), reason)
+    return SpaceWindow(series, land, reason)
 
 
-def time_stage(space: SpaceWindow, st_t, jt, lanes: slice | None = None):
-    """Part two of the kernel: the depth and time stages of space's lanes
-    in lanes (a slice, or None for all), each reading its layers by flat
-    index at its time stencil st_t (_axis_stencil over the lanes' clamped
-    times), whose knots sit at slots jt (Wt, lanes) of its column's time
-    window.
+def time_stage(space: SpaceWindow, st_t, jt, lanes: slice = slice(None)):
+    """Part two of the kernel: the time stage of space's lanes in lanes,
+    each reading its series at its time stencil st_t (_axis_stencil over
+    the lanes' clamped times), whose knots sit at slots jt (Wt, lanes)
+    of its column's time window.
 
     Returns (u, v, reason) per lane, reason SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN
     or SAMPLE_LAND (a fill value in the stencil); a lane whose slots
     leave its window gets values that mean nothing.
     """
-    layers, fill, st_z, jz, col, reason = space
-    if lanes is not None:
-        st_z, jz, col, reason = (_points(st_z, lanes), jz[:, lanes],
-                                 col[lanes], reason[lanes])
-    reason = reason.copy()
-    n_wz, n_col = layers.shape[2:]
-    li = (jt[:, None] * n_wz + jz) * n_col + col
-    out = _stage(_stage(layers.reshape(2, -1).take(li, axis=1, mode="clip"),
-                        st_z), st_t)
+    series, fill, reason = space
+    n = series.shape[2]
+    li = jt * n + np.arange(*lanes.indices(n), dtype=np.int32)
+    out = _stage(series.reshape(2, -1).take(li, axis=1, mode="clip"), st_t)
+    reason = reason[lanes].copy()
     if fill is not None:
-        reason[(reason == SAMPLE_OK) & fill.take(li, mode="clip").any(
-            axis=(0, 1))] = SAMPLE_LAND
+        reason[(reason == SAMPLE_OK)
+               & fill.take(li, mode="clip").any(axis=0)] = SAMPLE_LAND
     return out[0], out[1], reason
 
 
@@ -509,8 +535,7 @@ def sample_batch(grid: FlowGrid, x, y, z, t,
     lo, n_wt, jt = _window(st_t[0], shape)
     space = space_stage(grid, _flat(x, (n_col, 1)), _flat(y, (n_col, 1)),
                         np.broadcast_to(z, shape), lo, n_wt, scheme)
-    return tuple(a.reshape(out_shape) for a in time_stage(
-        space, st_t, jt.reshape(len(jt), -1)))
+    return tuple(a.reshape(out_shape) for a in time_stage(space, st_t, jt))
 
 
 def sample(grid: FlowGrid, x: float, y: float, z: float, t: float,

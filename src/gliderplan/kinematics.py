@@ -16,17 +16,18 @@ import numpy as np
 
 from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
-                        _axis_stencil, sample, sample_batch,
+                        _axis_knots, _axis_stencil, sample, sample_batch,
                         space_stage, time_stage)  # sample: for bench/spans.py
 
 INFEASIBLE = math.inf
 
-# Lanes plus window nodes (column, time knot, depth knot) that one
-# profile_times call may hoist into a space stage: a lane keeps its depth
-# stencil, slots and column, under 160 B with Akima, and a node 17 B (u,
-# v, fill), so at most about 2.6 MB beside flowfield.MAX_GATHER_NODES'
+# Units of 20 B that one profile_times call may hoist into a space stage:
+# one per lane and time slot for its series (u, v and fill, 17 B), three
+# more per lane for its depth, depth slots and reason (under 60 B), and
+# one per node (column, time slot, depth knot) of the transient layers
+# (17 B), so at most about 2.6 MB beside flowfield.MAX_GATHER_NODES'
 # gather chunks
-MAX_HOISTED = 1 << 14
+MAX_HOISTED = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -123,19 +124,19 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     one shared (x, y); t_start is (H,) or one shared departure.
 
     A run's positions are fixed before it flies; only its clock depends
-    on the field, and the clock only picks the time knots whose layers
-    the depth and time stages read.  So the x-then-y stage
-    (flowfield.space_stage) runs once for all sub-steps, each (sub-step,
+    on the field, and the clock only picks the time knots whose values
+    the time stage reads.  So the x-then-y and depth stages
+    (flowfield.space_stage) run once for all sub-steps, each (sub-step,
     head) a column of its P lanes, over a window of time knots per head:
     from its departure's first stencil knot to the last knot of the
     stencil of departure + |leg| / speed_through_water.  The clock loop
-    then runs only the depth and time stages (flowfield.time_stage); a
-    live lane whose stencil leaves its window, its clock set back by the
-    current, is sampled again through sample_batch, alone.  A call with
-    one sub-step, a window wider than twice the time stencil (time cells
-    shorter than a leg) or more than MAX_HOISTED lanes and window nodes
-    hoists nothing and calls sample_batch once per sub-step.  Sums keep
-    that order, and a run's time does not depend on the rest of the
+    then runs only the time stage (flowfield.time_stage); a live lane
+    whose stencil leaves its window, its clock set back by the current,
+    is sampled again through sample_batch, alone.  A call with one
+    sub-step, a window wider than twice the time stencil (time cells
+    shorter than a leg) or more than MAX_HOISTED units of series, lanes
+    and layers hoists nothing and calls sample_batch once per sub-step.  Sums
+    keep that order, and a run's time does not depend on the rest of the
     batch.  Entries are seconds or INFEASIBLE, as is every run of an
     INFEASIBLE departure.
     """
@@ -175,11 +176,11 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     if n_col > 1:  # each head's window, as wide as the widest head's
         # (an INFEASIBLE or NaN departure's is its departure's stencil)
         reach = departs + np.hypot(dx, dy) / vehicle.speed_through_water
-        first, last = (_axis_stencil(ts, clamp(q), scheme.t_method)[0]
+        first, last = (_axis_knots(ts, clamp(q), scheme.t_method)
                        for q in (departs, reach))
         n_wt = int((last[-1] - first[0]).max()) + 1
         if n_wt <= 2 * len(first) and n_col * n_h * (
-                n_p + n_wt * grid.z_levels.size) <= MAX_HOISTED:
+                n_p * (n_wt + 3) + n_wt * grid.z_levels.size) <= MAX_HOISTED:
             # column g * H + k is head k at sub-step g = i * n_sub + s
             f = np.arange(n_sub)[:, None] / n_sub
             x, y = ((a[:-1, None] + f * b[:, None]).reshape(n_col, n_h)
@@ -210,7 +211,7 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
             else:
                 st_t = _axis_stencil(ts, clamp(t.reshape(-1)),
                                      scheme.t_method)
-                jt = np.array(st_t[0]) - lo
+                jt = st_t[0] - lo
                 cu, cv, reason = time_stage(space, st_t, jt, slice(
                     g * n_lanes, (g + 1) * n_lanes))
                 # a live lane's clock never falls below its departure, and

@@ -35,6 +35,7 @@ from .smoothing import SmoothingTrace, smooth_path
 log = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6_371_000.0
+MAX_REGION_ASPECT = 1000.0  # plan.svg's height over its fixed width
 
 
 def project(lat: float, lon: float, lat0: float, lon0: float
@@ -292,6 +293,11 @@ def parse_mission(path, values: dict | None = None,
         region = f["region"] = Rect(gx0, gy0, gx1, gy1)
     elif not (region.x_max > region.x_min and region.y_max > region.y_min):
         raise ConfigError("region: x_max/y_max must exceed x_min/y_min")
+    width = region.x_max - region.x_min
+    if not (math.isfinite(width) and region.y_max - region.y_min
+            <= MAX_REGION_ASPECT * width):
+        raise ConfigError(f"region: must be finite and at most "
+                          f"{MAX_REGION_ASPECT:g} times as tall as it is wide")
     origin = f["projection_origin"]
     for name in ("start", "goal"):
         pos = f[name + "_xy"]  # as read: x/y or lat/lon
@@ -382,8 +388,10 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
     planned = tve_dijkstra(graph, start_idx, goal_idx, spec.start_time, cost)
 
     # legs that bypass the lattice (their ends are route waypoints, so
-    # clear) pass the same exact screen as the lattice's edges
-    clear: dict = {}  # (a, b) -> screened clear, one batch per screen
+    # clear) pass the same exact screen as the lattice's edges, which the
+    # route's own legs are: (a, b) -> screened clear, one batch per screen
+    wp = planned.waypoints if planned is not None else []
+    clear: dict = dict.fromkeys(zip(wp, wp[1:]), True)
 
     def screen(legs: list) -> None:
         new = list(dict.fromkeys((a, b) for a, b, _ in legs

@@ -372,6 +372,54 @@ def sample_reference(grid, x, y, z, t, scheme):
     return out[0], out[1]
 
 
+def axis_stencil_reference(coords, q, method):
+    """flowfield._axis_stencil computing every part per query: the cell
+    by searchsorted over all knots, then the clamped knots, widths and
+    ghost flags (Akima) or tangent reciprocals and end flags (Catmull-Rom)
+    from the knots it reads."""
+    from gliderplan.flowfield import _nearest, effective_method
+
+    n = coords.size
+    method = effective_method(method, n)
+    if method == "nearest":
+        return [_nearest(coords, q)], [np.ones(q.shape)], None
+    i = np.searchsorted(coords, q, side="right").astype(np.int32) - 1
+    i = np.minimum(np.maximum(i, 0), n - 2)
+    x0 = coords[i]
+    x1 = coords[i + 1]
+    h = x1 - x0
+    s = (q - x0) / h
+    if method in ("linear", "bilinear"):
+        return [i, i + 1], [1.0 - s, s], None
+    s2 = s * s
+    s3 = s2 * s
+    if method == "akima":
+        knots = [np.maximum(i - 2, 0), np.maximum(i - 1, 0), i, i + 1,
+                 np.minimum(i + 2, n - 1), np.minimum(i + 3, n - 1)]
+        basis = (2.0 * s3 - 3.0 * s2 + 1.0, 3.0 * s2 - 2.0 * s3,
+                 s3 - 2.0 * s2 + s, s3 - s2)
+        dx = [coords[knots[k + 1]] - coords[knots[k]] for k in range(5)]
+        ghost = (i < 2, i < 1, i + 1 > n - 2, i + 2 > n - 2)
+        return knots, None, (h, basis, dx, ghost)
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h01 = 3.0 * s2 - 2.0 * s3
+    h10 = (s3 - 2.0 * s2 + s) * h
+    h11 = (s3 - s2) * h
+    im1 = np.maximum(i - 1, 0)
+    ip2 = np.minimum(i + 2, n - 1)
+    left = i > 0
+    right = i + 2 <= n - 1
+    t1 = h10 * (1.0 / (x1 - coords[im1]))
+    t2 = h11 * (1.0 / (coords[ip2] - x0))
+    w01 = h01 + t1
+    return ([im1, i, i + 1, ip2],
+            [np.where(left, -t1, 0.0),
+             np.where(left, h00, h00 - t1) - t2,
+             np.where(right, w01, w01 + t2),
+             np.where(right, t2, 0.0)],
+            None)
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def sample_batch_reference(grid, x, y, z, t, scheme):
     """sample_batch with no column sharing: every point gathers its own

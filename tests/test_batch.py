@@ -477,7 +477,8 @@ def test_missions_plan_the_same_with_the_per_point_kernel(tmp_path, capsys,
 
 def count_kernel_work(monkeypatch, mission):
     """Plan mission in-process; return its leg-kernel calls, hoisted
-    space stages, sample_batch gathers and time-axis stencils."""
+    space stages, sample_batch gathers, window-end knot lookups and
+    time-axis stencils."""
     counts = collections.Counter()
 
     def spy(mod, name, key):
@@ -491,6 +492,7 @@ def count_kernel_work(monkeypatch, mission):
     spy(search_mod, "profile_times", "calls")
     spy(kinematics_mod, "space_stage", "space")
     spy(kinematics_mod, "sample_batch", "sample_batch")
+    spy(kinematics_mod, "_axis_knots", "window ends")
     spy(kinematics_mod, "_axis_stencil", "time stencils")
     assert run_mission(parse_mission(mission)).status == "ok"
     return counts
@@ -500,12 +502,12 @@ def test_one_space_stage_per_leg_kernel_call_on_the_akima_mission(
         tmp_path, monkeypatch):
     # one sample_batch call per sub-step made up to 8 per kernel call here
     # (h 0.25, n_sub 2), 102 in all; one extra gather covers clocks that
-    # a current set back past their window, and each call takes the time
-    # stencils of its heads' departures and window ends and one per
-    # sub-step (102)
+    # a current set back past their window, and each call looks up the
+    # knots of its heads' departures and window ends and takes one time
+    # stencil per sub-step (102)
     counts = count_kernel_work(monkeypatch, write_akima_mission(tmp_path))
     assert counts == {"calls": 13, "space": 13, "sample_batch": 1,
-                      "time stencils": 13 * 2 + 102}
+                      "window ends": 13 * 2, "time stencils": 102}
 
 
 def test_a_one_sub_step_leg_gathers_once_with_no_window_pass(
@@ -596,9 +598,9 @@ def test_a_leg_kernel_call_gathers_at_most_twice_the_per_sub_step_windows(
     nodes, hoisted = [], []
     stage = flowfield_mod.space_stage
 
-    def spied(*a):  # layer nodes (column, time knot, depth knot) gathered
+    def spied(*a):  # series entries (lane, time knot) computed
         space = stage(*a)
-        nodes.append(space.layers[0].size)
+        nodes.append(space.series[0].size)
         return space
     monkeypatch.setattr(flowfield_mod, "space_stage", spied)
     monkeypatch.setattr(kinematics_mod, "space_stage",
@@ -610,9 +612,9 @@ def test_a_leg_kernel_call_gathers_at_most_twice_the_per_sub_step_windows(
     assert bool(hoisted) == (cell > 600.0)
     assert work <= 2 * sum(nodes), (work, sum(nodes))
     monkeypatch.undo()
-    # a hoisted stage keeps at most MAX_HOISTED lanes' depth stencils and
-    # window nodes, under 160 B each (the MAX_HOISTED comment)
+    # a hoisted stage keeps at most MAX_HOISTED units of series, lanes and
+    # window nodes, under 20 B each (the MAX_HOISTED comment)
     peaks = [traced_peak(f, *args)
              for f in (profile_times, profile_times_reference)]
-    assert peaks[0] <= peaks[1] + (160 * kinematics_mod.MAX_HOISTED
+    assert peaks[0] <= peaks[1] + (20 * kinematics_mod.MAX_HOISTED
                                    if hoisted else peaks[1] // 10), peaks

@@ -336,6 +336,31 @@ class TestPlan:
         assert out == ""
         assert err.startswith("error: ") and f"{key}: must be" in err
 
+    @pytest.mark.parametrize("region, spacing", [
+        ((0.0, 0.0, 1e-300, 5e4), 1e4), ((0.0, 0.0, 1e-305, 5e4), 1e4),
+        ((-1e308, -1e308, 1e308, 1e308), None)],
+        ids=["1e-300_wide", "1e-305_wide", "infinite"])
+    def test_region_the_map_cannot_draw_exits_1(self, capsys, tmp_path,
+                                                region, spacing):
+        # a hair-wide region gave a plan.svg hundreds of digits tall or an
+        # OverflowError; sides that overflow, with grid_spacing left to
+        # its default (None here), a ValueError
+        path = write_mission(tmp_path, make_uniform_grid(
+            0.1, 0.0, extent=50000.0, depth=200.0), {
+                "region": dict(zip(("x_min", "y_min", "x_max", "y_max"),
+                                   region)),
+                "start": {"x": 0.0, "y": 10000.0},
+                "goal": {"x": 0.0, "y": 40000.0}, "grid_spacing": spacing})
+        if spacing is None:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            del doc["grid_spacing"]
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "plan", str(path), "--out",
+                                 str(tmp_path / "out"))
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: region: must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_start_time_beyond_the_clock_exits_1(self, capsys, tmp_path):
         # at 1e300 s every leg rounded away: travel_time_s read 0.000
         path = write_mission(tmp_path, make_uniform_grid(

@@ -125,6 +125,24 @@ class TestMaxSpeed:
         for g in (grid, tied):
             assert g.max_speed() == max_speed_reference(g)
 
+    def test_chunks_keep_the_max(self, monkeypatch):
+        # chunks of 7 nodes, some all fill: node 60 has the larger square
+        # and node 447 the larger hypot, so both chunks must be read
+        monkeypatch.setattr(flowfield, "MAX_SPEED_CHUNK", 7)
+        cu = [-0.39742022358603424, 0.24790445547194112]
+        cv = [0.30340923829841854, 0.43421582301565237]
+        assert cu[0] ** 2 + cv[0] ** 2 > cu[1] ** 2 + cv[1] ** 2
+        assert math.hypot(cu[0], cv[0]) < math.hypot(cu[1], cv[1])
+        for seed in range(5):
+            grid = random_grid(np.random.RandomState(seed), 8, 7, 2, 4)
+            land = grid._isfill(grid.u)
+            u, v = np.where(land, grid.u, 0.25), np.where(land, grid.v, 0.0)
+            u.flat[[60, 447]], v.flat[[60, 447]] = cu, cv
+            u[0, 0] = v[0, 0] = -9999.0
+            for g in (grid, FlowGrid(grid.x_coords, grid.y_coords,
+                                     grid.z_levels, grid.t_steps, u, v)):
+                assert g.max_speed() == max_speed_reference(g)
+
     def test_a_square_that_underflows_keeps_the_hypot_max(self):
         # u*u + v*v is subnormal here: the first node has the larger
         # square but the second the larger hypot

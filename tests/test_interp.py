@@ -9,13 +9,14 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gliderplan.errors import OutOfDomainError
-from gliderplan.flowfield import effective_method
+from gliderplan.flowfield import (XY_METHODS, ZT_METHODS, _axis_knots,
+                                  _axis_stencil, effective_method)
 
 from conftest import interp_1d, interp_xy
-from oracles import akima_reference, bilinear_reference
+from oracles import akima_reference, axis_stencil_reference, bilinear_reference
 
 # classic step-like dataset: long flat run, then a sharp rise
 STEP_X = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
@@ -271,3 +272,55 @@ class TestPlanarInterpolation:
             interp_xy(layer, [0, 1], [0, 1], 1.5, 0.5)
         with pytest.raises(OutOfDomainError):
             interp_xy(layer, [0, 1], [0, 1], 0.5, -0.1)
+
+
+def stencil_parts(stencil):
+    """An _axis_stencil result as a flat list of arrays."""
+    knots, weights, akima = stencil
+    parts = [np.asarray(k) for k in knots] + list(weights or [])
+    if akima is not None:
+        h, basis, dx, ghost = akima
+        parts += [h, *basis, *dx, *ghost]
+    return parts
+
+
+@st.composite
+def stencil_queries(draw):
+    """An axis of 1-8 uneven knots and queries across it: in every cell,
+    on knots, past both ends, and NaN, inf or -0.0."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    coords = np.concatenate(([0.0], np.cumsum(rng.uniform(1.0, 900.0, n - 1))))
+    q = rng.uniform(coords[0] - 300.0, coords[-1] + 300.0, 40)
+    q[:8] = rng.choice(coords, 8)
+    q[8:12] = [math.nan, math.inf, -math.inf, -0.0]
+    return coords, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(stencil_queries())
+# the first and last two cells, where Akima's ghost slopes and the
+# clamped knots of both stencils apply
+@example((np.array([0.0, 1.0, 3.0, 6.0, 10.0, 15.0, 21.0]),
+          np.array([0.0, 0.5, 1.0, 2.0, 3.0, 15.0, 18.0, 21.0, -1.0, 22.0])))
+# 2- and 3-knot axes, where effective_method degrades the method
+@example((np.array([0.0, 2.0]), np.array([-1.0, 0.0, 0.7, 2.0, 3.0])))
+@example((np.array([0.0, 2.0, 5.0]), np.array([0.0, 1.0, 2.0, 4.0, 5.0])))
+def test_table_stencil_equals_the_per_query_reference(case):
+    # bit for bit, but a NaN equals any NaN: the table's Catmull-Rom
+    # weight keeps a NaN query's NaN sign where the reference flips it
+    coords, q = case
+    for method in XY_METHODS + ZT_METHODS:
+        with np.errstate(invalid="ignore"):  # inf queries
+            got = _axis_stencil(coords, q, method)
+            ref = stencil_parts(axis_stencil_reference(coords, q, method))
+        assert np.array_equal(_axis_knots(coords, q, method), got[0])
+        got = stencil_parts(got)
+        assert len(got) == len(ref), method
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape, method
+            if a.dtype.kind == "f":
+                assert ((a.view(np.int64) == b.view(np.int64))
+                        | (np.isnan(a) & np.isnan(b))).all(), method
+            else:
+                assert np.array_equal(a, b), method

@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
+# Grid nodes `synth` may make, checked before any array: tracemalloc
+# measured 240 B per node at its peak; strong-gyre's archive has 681k.
+MAX_SYNTH_NODES = 1_000_000
+
 # the mission keys each `sweep --vary` choice sets
 SWEEP_KEYS = {"vehicle_speed": ("vehicle.speed_through_water",),
               "grid_spacing": ("grid_spacing",), "xy_method": ("scheme.xy",),
@@ -166,6 +170,9 @@ def _cmd_sample(args) -> int:
 def _cmd_synth(args) -> int:
     _check_flags(args, ("nx", "ny", "nz", "nt"), "must be at least 1",
                  lambda n: n >= 1)
+    if (nodes := args.nx * args.ny * args.nz * args.nt) > MAX_SYNTH_NODES:
+        raise ConfigError(f"--nx * --ny * --nz * --nt: {nodes:,} nodes exceed "
+                          f"the {MAX_SYNTH_NODES:,} allowed")
     params = {key: val for key in ("u0", "v0", "amplitude", "epsilon",
                                    "period")
               if (val := getattr(args, key)) is not None}

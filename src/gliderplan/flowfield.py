@@ -660,7 +660,8 @@ def save_flow_grid(grid: FlowGrid, path, encoding: str = "inline") -> None:
     The text variant stores u and v as flat row-major [t][z][y][x]
     JSON arrays and round-trips float64 exactly.  The binary variant
     appends little-endian float32 blocks (u then v) after the header
-    line and records their byte offset in the header.
+    line and records their byte offset in the header; a finite value
+    beyond float32's range raises ConfigError before anything is written.
     """
     if encoding not in ("inline", "binary"):
         raise ConfigError(f'encoding must be "inline" or "binary", got {encoding!r}')
@@ -684,11 +685,18 @@ def save_flow_grid(grid: FlowGrid, path, encoding: str = "inline") -> None:
         if header["data_offset"] == offset:
             break
         header["data_offset"] = offset
+    comps = (grid.u, grid.v)
+    with np.errstate(over="ignore"):
+        blocks = [np.ascontiguousarray(c, dtype="<f4") for c in comps]
+    for name, comp, block in zip("uv", comps, blocks):
+        if (np.isinf(block) & np.isfinite(comp)).any():
+            raise ConfigError(f"{name}: a value beyond float32's range cannot "
+                              "be stored in a binary archive")
     with open(path, "wb") as fh:
         fh.write(blob)
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(grid.u, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(grid.v, dtype="<f4").tobytes())
+        for block in blocks:
+            fh.write(block.tobytes())
 
 
 def _require(header: dict, key: str):

@@ -27,8 +27,7 @@ from .kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
                          make_dive_profiles)
 from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
 from .search import (BlockedRegions, PlannedPath, Rect, build_graph,
-                     connect_terminals, make_edge_cost, segments_clear,
-                     tve_dijkstra)
+                     connect_terminals, make_edge_cost, tve_dijkstra)
 from .search import path_report  # noqa: F401  for bench/spans.py
 from .smoothing import SmoothingTrace, smooth_path
 
@@ -369,8 +368,8 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
     Builds the lattice, inserts the terminals, runs the time-varying
     search with optimal-profile edge costs, smooths the route (unless
     disabled), and times the two straight-line baselines (direct leg
-    through the field, and plain distance over speed; the direct leg is
-    screened like every edge).
+    through the field, and plain distance over speed).  The edge cost,
+    built with the graph, screens smoothing's merges and the direct leg.
     An unreachable goal yields status "infeasible" with the baselines
     still filled in.  The grid defaults to the one parse_mission loaded.
     """
@@ -387,32 +386,6 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
 
     planned = tve_dijkstra(graph, start_idx, goal_idx, spec.start_time, cost)
 
-    # legs that bypass the lattice (their ends are route waypoints, so
-    # clear) pass the same exact screen as the lattice's edges, which the
-    # route's own legs are: (a, b) -> screened clear, one batch per screen
-    wp = planned.waypoints if planned is not None else []
-    clear: dict = dict.fromkeys(zip(wp, wp[1:]), True)
-
-    def screen(legs: list) -> None:
-        new = list(dict.fromkeys((a, b) for a, b, _ in legs
-                                 if (a, b) not in clear))
-        if new:
-            clear.update(zip(new, segments_clear(blocked, new)))
-
-    def bypass_cost(a, b, t):
-        screen([(a, b, t)])
-        return cost(a, b, t) if clear[a, b] else (None, math.inf)
-
-    def time_legs(legs: list) -> None:
-        screen(legs)
-        if clear[legs[0][:2]]:
-            cost.time_legs([leg for leg in legs if clear[leg[:2]]])
-
-    if hasattr(cost, "time_legs"):  # not when wrapped in a plain function
-        bypass_cost.time_legs = time_legs
-        bypass_cost.lookup = lambda a, b, t: (
-            cost.lookup(a, b, t) if clear.get((a, b)) else None)
-
     smoothed = None
     trace = None
     status = "infeasible"
@@ -420,11 +393,11 @@ def run_mission(spec: MissionSpec, grid: FlowGrid | None = None
         status = "ok"
         if spec.smooth and len(planned.waypoints) > 2:
             wp_s, tt_s, trace = smooth_path(planned.waypoints,
-                                            spec.start_time, bypass_cost)
+                                            spec.start_time, cost)
             smoothed = PlannedPath(wp_s, tt_s, trace.profiles,
                                    fifo_violations=planned.fifo_violations)
     # after smoothing, which often times this very leg
-    straight_profile, straight_time = bypass_cost(
+    straight_profile, straight_time = cost(
         spec.start_xy, spec.goal_xy, spec.start_time)
     dist = math.hypot(spec.goal_xy[0] - spec.start_xy[0],
                       spec.goal_xy[1] - spec.start_xy[1])

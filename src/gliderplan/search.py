@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
                         current_bound, sample,  # sample: for bench/spans.py
                         sample_batch)
-from .kinematics import (DiveProfile, VehicleSpec, check_cost_mode,
-                         choose_profile, profile_times)
+from .kinematics import (INFEASIBLE, DiveProfile, VehicleSpec,
+                         check_cost_mode, choose_profile, profile_times)
 from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
 
 # (from_xy, to_xy, departure_s) -> (profile or None, seconds or INFEASIBLE).
@@ -380,15 +380,19 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     speed_bound (tve_dijkstra's heuristic).
 
     Every leg it times stays in a table keyed by (tail, departure) that
-    maps each head to its profile index and time; a miss times the one
-    leg.  lookup(a, b, depart) reads the table, None for a leg it lacks.
-    The batch entry time_legs(legs) takes (a, b, depart) triples: if the
-    table misses legs[0], it times it with the later legs the table
-    misses in one kernel call of at most MAX_BATCH_LANES lanes, dropping
-    the rest, so offering the legs read next never adds a kernel call.
-    fifo_witness() counts the (tail, head) pairs the table holds at two
-    departures where the later departure arrives earlier: a lower bound
-    on the field's FIFO breaches, not a proof that it has none.
+    maps each head to its profile index and time; a miss goes through
+    time_legs.  lookup(a, b, depart) reads the table, None for a leg it
+    lacks.  The batch entry time_legs(legs) takes (a, b, depart) triples
+    with clear ends: if the table misses legs[0], then with a graph it
+    screens the legs against graph.blocked as build_graph does, in one
+    segments_clear call and each (tail, head) once, and stores a blocked
+    leg as (None, INFEASIBLE).  If the table still misses legs[0], it
+    times it with the later legs the table misses in one kernel call of
+    at most MAX_BATCH_LANES lanes, dropping the rest, so offering the
+    legs read next never adds a kernel call.  fifo_witness() counts the
+    (tail, head) pairs the table holds at two departures where the later
+    departure arrives earlier: a lower bound on the field's FIFO
+    breaches, not a proof that it has none.
 
     With a graph the cost also has prefetch(a, depart, frontier, live)
     for tve_dijkstra: frontier yields (v, t, lead), a heap entry of v at
@@ -402,11 +406,13 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     entries that settle at their present label: terminal edges shorter
     than the spacing, interpolants that overshoot the node speeds and
     legs that head for the goal near speed_bound can break it, which
-    only wastes a fan-out.  Batching never changes a time.
+    only wastes a fan-out.  Batching never changes a time.  The arcs it
+    times are not screened again.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
     table: dict = {}  # (tail, departure) -> {head: (profile index, s)}
+    clear: dict = {}  # (tail, head) -> the leg misses land and keep-outs
 
     def time_fans(keys: list, fans: list) -> None:
         counts = [len(fan) for fan in fans]
@@ -426,6 +432,14 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
         return (profiles[got[0]] if got[0] >= 0 else None), got[1]
 
     def time_legs(legs: list) -> None:
+        if lookup(*legs[0]) is None and graph is not None:
+            new = list(dict.fromkeys(leg[:2] for leg in legs
+                                     if leg[:2] not in clear))
+            if new:
+                clear.update(zip(new, segments_clear(graph.blocked, new)))
+            for a, b, t in legs:
+                if not clear[a, b]:
+                    table.setdefault((a, t), {})[b] = (-1, INFEASIBLE)
         if lookup(*legs[0]) is None:
             fans: dict = {}  # (tail, departure) -> the heads to time
             for a_xy, b_xy, depart in [
@@ -435,11 +449,9 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
             time_fans(list(fans), list(fans.values()))
 
     def cost(a_xy, b_xy, depart: float):
-        got = lookup(a_xy, b_xy, depart)
-        if got is None:
-            time_fans([(a_xy, depart)], [[b_xy]])
-            got = lookup(a_xy, b_xy, depart)
-        return got
+        if lookup(a_xy, b_xy, depart) is None:
+            time_legs([(a_xy, b_xy, depart)])
+        return lookup(a_xy, b_xy, depart)
 
     def fifo_witness() -> int:
         departs: dict = {}  # tail -> the departures its rows hold

@@ -49,16 +49,43 @@ def test_strong_gyre_route_stays_off_land(tmp_path, seed):
     assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
 
+def run_child(mission: str, out, report, *flags) -> None:
+    """Plan mission with bench/child.py into out, its report at report."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "child.py"), "--src",
+         os.path.join(ROOT, "src"), "--mission", mission, "--out", str(out),
+         "--report", str(report), "--t0", "0", *flags],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_traced_child_reports_layers(tmp_path):
     # bench/spans.py wraps planner functions by name: renaming one must
     # fail here, not leave the traced benchmark broken
     mission = write_inputs(make_workload("drift-lattice", 1),
                            str(tmp_path / "in"))
     report = tmp_path / "r.json"
-    proc = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "child.py"), "--src",
-         os.path.join(ROOT, "src"), "--mission", mission, "--out",
-         str(tmp_path / "out"), "--report", str(report), "--t0", "0",
-         "--trace"], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    run_child(mission, tmp_path / "out", report, "--trace")
     assert json.loads(report.read_text(encoding="utf-8"))["layers"]
+
+
+def test_traced_child_plans_the_untraced_route_on_land(tmp_path):
+    # bench/spans.py wraps the edge cost in a plain function; the leg
+    # table inside it still screens smoothing's merges and the baseline
+    # against the island and the keep-out square
+    wl = make_workload("gyre-akima", 1)
+    mission = write_inputs(wl, str(tmp_path / "in"))
+    routes = []
+    for flags in ((), ("--trace",)):
+        out = tmp_path / f"out{len(flags)}"
+        run_child(mission, out, tmp_path / "r.json", *flags)
+        routes.append((out / "waypoints.json").read_bytes())
+    assert routes[0] == routes[1]
+    land = checks.land_rectangles(wl.flow.x, wl.flow.y, *wl.flow.stored(),
+                                  FILL)
+    wp = [(w["x"], w["y"]) for w in json.loads(routes[1])["waypoints"]]
+    assert wl.mission["restricted_areas"]
+    assert [i for i, (a, b) in enumerate(zip(wp, wp[1:]))
+            if checks.segment_hits_rectangles(a, b, land)
+            or any(checks.segment_hits_polygon(a, b, poly)
+                   for poly in wl.mission["restricted_areas"])] == []

@@ -8,10 +8,13 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import gliderplan
-from gliderplan.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+import gliderplan.cli as cli_mod
+from gliderplan.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK,
+                            MAX_SYNTH_NODES, main)
 from gliderplan.errors import FlowFormatError
 from gliderplan.flowfield import load_flow_grid, save_flow_grid
 
@@ -132,6 +135,44 @@ class TestSynth:
         assert code == EXIT_ERROR
         assert err.startswith(f"error: {flag}: must be at least 1")
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("sizes", [
+        (MAX_SYNTH_NODES + 1, 1, 1, 1), (1_000, 1_000, 1, 2),
+        (1_000_000,) * 4])  # numpy refuses the last outright
+    def test_node_count_over_the_cap_exits_1_before_any_axis(
+            self, capsys, tmp_path, monkeypatch, sizes):
+        def no_axis(*args):
+            raise AssertionError("an axis was made")
+
+        monkeypatch.setattr(cli_mod, "_axis", no_axis)
+        out = tmp_path / "x.json"
+        flags = [f"--{k}={n}" for k, n in zip(("nx", "ny", "nz", "nt"), sizes)]
+        code, stdout, err = run_cli(capsys, "synth", "uniform", "--out",
+                                    str(out), *flags)
+        assert code == EXIT_ERROR
+        assert err.startswith("error: --nx * --ny * --nz * --nt: ")
+        assert f"the {MAX_SYNTH_NODES:,} allowed" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--u0=1e39", "--v0=-3.5e38"])
+    def test_value_beyond_float32_in_binary_exits_1_and_writes_nothing(
+            self, capsys, tmp_path, flag):
+        out = tmp_path / "x.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_cli(capsys, "synth", "uniform", "--out",
+                                        str(out), flag, "--encoding", "binary")
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {flag[2]}: a value beyond float32")
+        assert stdout == "" and not out.exists()
+
+    def test_largest_float32_writes_in_binary(self, capsys, tmp_path):
+        out = tmp_path / "x.bin"
+        top = float(np.finfo(np.float32).max)
+        code, _, _ = run_cli(capsys, "synth", "uniform", "--out", str(out),
+                             f"--u0={top!r}", "--encoding", "binary")
+        assert code == EXIT_OK
+        assert float(load_flow_grid(out).u.max()) == top
 
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

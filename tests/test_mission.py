@@ -652,8 +652,10 @@ class TestRunMission:
         _, batched = plan_fast(tmp_path)
         make = mission_mod.make_edge_cost
 
-        def one_leg_at_a_time(*args, graph=None, **kwargs):
-            return make(*args, **kwargs)
+        def one_leg_at_a_time(*args, **kwargs):
+            cost = make(*args, **kwargs)
+            del cost.prefetch
+            return cost
 
         monkeypatch.setattr(mission_mod, "make_edge_cost", one_leg_at_a_time)
         _, single = plan_fast(tmp_path)

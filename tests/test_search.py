@@ -12,8 +12,8 @@ from gliderplan.errors import ConfigError
 from gliderplan.flowfield import (SAMPLE_OK, FlowGrid, InterpScheme,
                                   _nearest, current_bound, sample_batch,
                                   synth_field)
-from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
-                                   make_dive_profiles)
+from gliderplan.kinematics import (INFEASIBLE, DiveProfile, ProfileFamilySpec,
+                                   VehicleSpec, make_dive_profiles)
 from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
                                NEIGHBOR_OFFSETS_16, BlockedRegions, Rect,
                                SearchGraph, build_graph, connect_terminals,
@@ -1065,6 +1065,8 @@ class TestBatchedSmoothing:
            neighbor_set=st.sampled_from([8, 16]),
            mode=st.sampled_from(["fastest", "max_amplitude"]),
            walk=st.booleans(), searched=st.booleans())
+    @example(seed=0, field="bilinear", neighbor_set=8, mode="fastest",
+             walk=True, searched=False)  # a merge across land
     def test_same_smoothing_as_one_leg_per_call_in_no_more_calls(
             self, seed, field, neighbor_set, mode, walk, searched):
         try:
@@ -1089,7 +1091,7 @@ class TestBatchedSmoothing:
         assume(len(waypoints) > 2)
         runs = []
         for batching in (True, False):
-            cost = make_edge_cost(*args, graph=graph if batching else None)
+            cost = make_edge_cost(*args, graph=graph)
             if searched:  # smooth over the search's legs, as missions do
                 tve_dijkstra(graph, start, goal, t0, cost)
             kernel = CountingKernel(search_mod.profile_times)
@@ -1136,6 +1138,84 @@ class TestBatchedSmoothing:
         cost.time_legs([((0.0, 0.0), (100.0, 0.0), 0.0),
                         ((0.0, 0.0), (200.0, 0.0), 0.0)])
         assert counting.calls == [({(0.0, 0.0)}, len(family))]
+
+
+class TestLegScreen:
+    """With a graph, the leg table screens every leg it is asked to time
+    against the graph's land and keep-out polygons, once per (tail,
+    head), and stores a blocked leg as infeasible without timing it."""
+
+    FAMILY = TestPrefetch.FAMILY
+    KEEP_OUT = ((12_000.0, 22_000.0), (18_000.0, 22_000.0),
+                (18_000.0, 28_000.0), (12_000.0, 28_000.0))
+    # make_land_grid's land fills the cells with 25 km < x <= 35 km
+    LAND = ((20_000.0, 5_000.0), (40_000.0, 5_000.0))
+    POLYGON = ((10_000.0, 25_000.0), (20_000.0, 25_000.0))
+    OPEN = ((5_000.0, 5_000.0), (15_000.0, 15_000.0))
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(kernel, screen): the kernel calls and screen calls made."""
+        kernel = CountingKernel(search_mod.profile_times)
+        screens = []
+        screen = search_mod._segments_clear
+
+        def counting(blocked, *ends):
+            screens.append(ends[0].size)
+            return screen(blocked, *ends)
+
+        monkeypatch.setattr(search_mod, "profile_times", kernel)
+        monkeypatch.setattr(search_mod, "_segments_clear", counting)
+        return kernel.calls, screens
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        blocked = BlockedRegions(grid=make_land_grid(),
+                                 polygons=(self.KEEP_OUT,))
+        return build_graph(Rect(0.0, 0.0, 50_000.0, 50_000.0), 10_000.0, 8,
+                           blocked)
+
+    def make_cost(self, graph):
+        return make_edge_cost(make_land_grid(), V03, self.FAMILY, 0.5,
+                              graph=graph)
+
+    @pytest.mark.parametrize("leg", ["LAND", "POLYGON"])
+    def test_a_blocked_leg_reads_infeasible_without_a_kernel_call(
+            self, leg, graph, counted):
+        kernel, _ = counted
+        cost, (a, b) = self.make_cost(graph), getattr(self, leg)
+        assert cost(a, b, 0.0) == (None, INFEASIBLE)
+        cost.time_legs([(a, b, 600.0)])
+        assert cost.lookup(a, b, 600.0) == (None, INFEASIBLE)
+        assert kernel == []
+        assert cost(*self.OPEN, 0.0)[1] < INFEASIBLE
+        assert len(kernel) == 1
+
+    def test_a_batch_led_by_a_blocked_leg_makes_no_kernel_call(
+            self, graph, counted):
+        kernel, screens = counted
+        cost = self.make_cost(graph)
+        cost.time_legs([(*self.LAND, 0.0), (*self.OPEN, 0.0),
+                        (*self.POLYGON, 0.0)])
+        assert screens == [3]  # the offered legs in one call
+        assert kernel == []
+        assert cost.lookup(*self.LAND, 0.0) == (None, INFEASIBLE)
+        assert cost.lookup(*self.POLYGON, 0.0) == (None, INFEASIBLE)
+        assert cost.lookup(*self.OPEN, 0.0) is None
+        cost.time_legs([(*self.OPEN, 0.0), (*self.LAND, 600.0)])
+        assert screens == [3] and len(kernel) == 1
+
+    def test_a_leg_is_screened_once_and_only_with_a_graph(self, graph,
+                                                          counted):
+        _, screens = counted
+        cost = self.make_cost(graph)
+        for depart in (0.0, 600.0, 0.0):
+            assert cost(*self.LAND, depart) == (None, INFEASIBLE)
+        assert screens == [1]
+        cost = self.make_cost(None)
+        cost(*self.LAND, 0.0)
+        cost.time_legs([(*self.POLYGON, 0.0)])
+        assert screens == [1]
 
 
 class TestPathReport:

@@ -660,8 +660,9 @@ def save_flow_grid(grid: FlowGrid, path, encoding: str = "inline") -> None:
     The text variant stores u and v as flat row-major [t][z][y][x]
     JSON arrays and round-trips float64 exactly.  The binary variant
     appends little-endian float32 blocks (u then v) after the header
-    line and records their byte offset in the header; a finite value
-    beyond float32's range raises ConfigError before anything is written.
+    line, records their byte offset in the header and stores the fill
+    sentinel rounded to float32 as well; a finite value or sentinel beyond
+    float32's range raises ConfigError before anything is written.
     """
     if encoding not in ("inline", "binary"):
         raise ConfigError(f'encoding must be "inline" or "binary", got {encoding!r}')
@@ -678,6 +679,16 @@ def save_flow_grid(grid: FlowGrid, path, encoding: str = "inline") -> None:
                 fh.write("]")
             fh.write("}\n")
         return
+    comps = {"u": grid.u, "v": grid.v, "fill_sentinel": grid.fill_sentinel}
+    with np.errstate(over="ignore"):
+        blocks = {name: np.ascontiguousarray(c, dtype="<f4")
+                  for name, c in comps.items()}
+    for name, comp in comps.items():
+        if (np.isinf(blocks[name]) & np.isfinite(comp)).any():
+            raise ConfigError(f"{name}: a value beyond float32's range cannot "
+                              "be stored in a binary archive")
+    # the sentinel as its fill nodes are stored, so that they load as fill
+    header["fill_sentinel"] = float(blocks.pop("fill_sentinel")[0])
     header["data_offset"] = 0
     while True:
         blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -685,17 +696,10 @@ def save_flow_grid(grid: FlowGrid, path, encoding: str = "inline") -> None:
         if header["data_offset"] == offset:
             break
         header["data_offset"] = offset
-    comps = (grid.u, grid.v)
-    with np.errstate(over="ignore"):
-        blocks = [np.ascontiguousarray(c, dtype="<f4") for c in comps]
-    for name, comp, block in zip("uv", comps, blocks):
-        if (np.isinf(block) & np.isfinite(comp)).any():
-            raise ConfigError(f"{name}: a value beyond float32's range cannot "
-                              "be stored in a binary archive")
     with open(path, "wb") as fh:
         fh.write(blob)
         fh.write(b"\n")
-        for block in blocks:
+        for block in blocks.values():
             fh.write(block.tobytes())
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
-                        _axis_knots, _axis_stencil, sample, sample_batch,
-                        space_stage, time_stage)  # sample: for bench/spans.py
+                        _axis_knots, _axis_stencil, sample, space_stage,
+                        time_stage)  # sample: for bench/spans.py
 
 INFEASIBLE = math.inf
 
@@ -124,21 +124,20 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     one shared (x, y); t_start is (H,) or one shared departure.
 
     A run's positions are fixed before it flies; only its clock depends
-    on the field, and the clock only picks the time knots whose values
-    the time stage reads.  So the x-then-y and depth stages
-    (flowfield.space_stage) run once for all sub-steps, each (sub-step,
-    head) a column of its P lanes, over a window of time knots per head:
-    from its departure's first stencil knot to the last knot of the
-    stencil of departure + |leg| / speed_through_water.  The clock loop
-    then runs only the time stage (flowfield.time_stage); a live lane
-    whose stencil leaves its window, its clock set back by the current,
-    is sampled again through sample_batch, alone.  A call with one
-    sub-step, a window wider than twice the time stencil (time cells
-    shorter than a leg) or more than MAX_HOISTED units of series, lanes
-    and layers hoists nothing and calls sample_batch once per sub-step.  Sums
-    keep that order, and a run's time does not depend on the rest of the
-    batch.  Entries are seconds or INFEASIBLE, as is every run of an
-    INFEASIBLE departure.
+    on the field, and the clock only picks the time knots the time stage
+    reads.  So every sample is flowfield.time_stage over a window of time
+    knots per (sub-step, head) column of P lanes that space_stage
+    gathered.  A window opens at the first sub-step, after the last one
+    it covers, and wherever a live lane's time stencil leaves it; each
+    head's starts at the least knot of its live lanes' stencils, so a
+    lane that has failed widens none.  It covers every remaining sub-step
+    up to the stencil of departure + |leg| / speed_through_water if that
+    spans at most twice the time stencil and the call's sub-steps fit in
+    MAX_HOISTED units of series, lanes and layers, else the one
+    sub-step's stencils, as sample_batch would.  Sums keep sample_batch's
+    order, so a run's time does not depend on the rest of the batch.
+    Entries are seconds or INFEASIBLE, as is every run of an INFEASIBLE
+    departure.
     """
     profiles = list(profiles)
     heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
@@ -156,45 +155,34 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     # 1/h is taken with a small backoff so float noise cannot add a segment
     n_seg = math.ceil(1.0 / h - 1e-9)
     n_col = n_seg * n_sub
-    # segment i slants from (xs[i], ys[i], zc) by (sx[i], sy[i], dz), each
-    # (H,) or (P,); its sub-step s starts s / n_sub of the way along, at
-    # depths zc + (s + 0.5) / n_sub * dz
-    (x0, y0), (dx, dy) = tails.T, (heads - tails).T
-    f = np.arange(n_seg + 1)[:, None] / n_seg
-    xs, ys = x0 + f * dx, y0 + f * dy
-    sx, sy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
+    # segment i slants from (ps[i], zc) by (d[i], dz), ps[i] and d[i] (2, H)
+    # and zc and dz (P,); its sub-step s starts at xy[g] = ps[i] + s / n_sub
+    # * d[i], g = i * n_sub + s, at depths z[g] = zc + (s + 0.5) / n_sub * dz
+    span = (heads - tails).T
+    ps = tails.T + np.arange(n_seg + 1)[:, None, None] / n_seg * span
+    d = ps[1:] - ps[:-1]
+    xy = (ps[:-1, None] + (np.arange(n_sub) / n_sub)[:, None, None]
+          * d[:, None]).reshape(n_col, 2, n_h)
     zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in profiles],
                         (-1, 2)).T
     dz = zd - zc
+    z = zc + (np.arange(0.5, n_col) % n_sub / n_sub)[:, None] * dz
 
     ts = grid.t_steps
 
     def clamp(q):  # as sample_batch clamps times
         return np.minimum(np.maximum(q, ts[0]), ts[-1])
 
-    space = None
-    if n_col > 1:  # each head's window, as wide as the widest head's
-        # (an INFEASIBLE or NaN departure's is its departure's stencil)
-        reach = departs + np.hypot(dx, dy) / vehicle.speed_through_water
-        first, last = (_axis_knots(ts, clamp(q), scheme.t_method)
-                       for q in (departs, reach))
-        n_wt = int((last[-1] - first[0]).max()) + 1
-        if n_wt <= 2 * len(first) and n_col * n_h * (
-                n_p * (n_wt + 3) + n_wt * grid.z_levels.size) <= MAX_HOISTED:
-            # column g * H + k is head k at sub-step g = i * n_sub + s
-            f = np.arange(n_sub)[:, None] / n_sub
-            x, y = ((a[:-1, None] + f * b[:, None]).reshape(n_col, n_h)
-                    for a, b in ((xs, sx), (ys, sy)))
-            z = zc + (np.arange(n_col)[:, None] % n_sub + 0.5) / n_sub * dz
-            space = space_stage(grid, x.reshape(-1), y.reshape(-1),
-                                z.repeat(n_h, axis=0),
-                                np.tile(first[0], n_col), n_wt, scheme)
-            lo = first[0].repeat(n_p)  # each lane's first window knot
+    if n_col > 1:  # each head's last knot at its still-water arrival
+        reach = _axis_knots(ts, clamp(departs + np.hypot(*span) /
+                                      vehicle.speed_through_water),
+                            scheme.t_method)[-1]
     n_lanes = n_h * n_p
+    end = 0  # the open window's sub-steps are g0 .. end - 1
     for i in range(n_seg):
         if not alive.any():
             break
-        ddx, ddy = sx[i, :, None], sy[i, :, None]
+        ddx, ddy = d[i, 0, :, None], d[i, 1, :, None]
         length = np.sqrt(ddx * ddx + ddy * ddy + dz * dz)
         inv = 1.0 / length
         ux, uy = ddx * inv, ddy * inv
@@ -203,25 +191,32 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
         t_seg = t
         for s in range(n_sub):
             g = i * n_sub + s
-            if space is None:  # x[g], y[g] and z[g], one sub-step at a time
-                cu, cv, reason = sample_batch(
-                    grid, (xs[i] + s / n_sub * sx[i])[:, None],
-                    (ys[i] + s / n_sub * sy[i])[:, None],
-                    zc + (s + 0.5) / n_sub * dz, t, scheme)
-            else:
-                st_t = _axis_stencil(ts, clamp(t.reshape(-1)),
-                                     scheme.t_method)
-                jt = st_t[0] - lo
-                cu, cv, reason = time_stage(space, st_t, jt, slice(
-                    g * n_lanes, (g + 1) * n_lanes))
-                # a live lane's clock never falls below its departure, and
-                # one past the float range can only end INFEASIBLE
-                miss = (ok & (t < math.inf)).reshape(-1) & (jt[-1] >= n_wt)
-                if miss.any():  # one more gather, for just those lanes
-                    kk, jj = np.divmod(np.flatnonzero(miss), n_p)
-                    cu[miss], cv[miss], reason[miss] = sample_batch(
-                        grid, x[g, kk], y[g, kk], z[g, jj],
-                        t.reshape(-1)[miss], scheme)
+            # the lanes still flying: a clock past the float range can
+            # only end INFEASIBLE
+            live = (ok & (t < math.inf)).reshape(-1)
+            if not live.any():
+                break
+            st_t = _axis_stencil(ts, clamp(t.reshape(-1)), scheme.t_method)
+            knots = st_t[0]
+            if g >= end or (live & ((knots[0] < lo) | (
+                    knots[-1] >= lo + n_wt))).any():
+                first = np.where(live, knots[0], ts.size - 1).reshape(
+                    shape).min(axis=1)
+                last = np.where(live, knots[-1], 0).reshape(shape).max(axis=1)
+                g0, end, n_wt = g, g + 1, int((last - first).max()) + 1
+                if end < n_col:  # every remaining sub-step, if that fits
+                    wide = int((np.maximum(last, reach) - first).max()) + 1
+                    if wide <= 2 * len(knots) and n_col * n_h * (
+                            n_p * (wide + 3) + wide * grid.z_levels.size
+                    ) <= MAX_HOISTED:
+                        end, n_wt = n_col, wide
+                space = space_stage(grid, xy[g:end, 0].reshape(-1),
+                                    xy[g:end, 1].reshape(-1),
+                                    z[g:end].repeat(n_h, axis=0),
+                                    np.tile(first, end - g), n_wt, scheme)
+                lo = first.repeat(n_p)  # each lane's first window knot
+            cu, cv, reason = time_stage(space, st_t, knots - lo, slice(
+                (g - g0) * n_lanes, (g - g0 + 1) * n_lanes))
             v, feasible = over_ground_speed(vehicle, cu.reshape(shape),
                                             cv.reshape(shape), ux, uy)
             ok &= (reason.reshape(shape) == SAMPLE_OK) & feasible

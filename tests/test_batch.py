@@ -349,21 +349,22 @@ def test_leg_kernel_equals_one_sample_batch_call_per_sub_step(case):
 
 
 def count_gathers(monkeypatch):
-    """Record the leg kernel's space stages (their window widths) and its
-    sample_batch gathers (their point counts)."""
-    seen = {"space": [], "extra": []}
-    space, extra = kinematics_mod.space_stage, kinematics_mod.sample_batch
+    """Record the leg kernel's space stages (their window widths and
+    column counts) and any sample_batch call made through flowfield."""
+    seen = {"space": [], "columns": [], "sample_batch": []}
+    space, plain = kinematics_mod.space_stage, flowfield_mod.sample_batch
 
     def spied_space(grid, x, y, z, lo, n_wt, scheme):
         seen["space"].append(n_wt)
+        seen["columns"].append(x.size)
         return space(grid, x, y, z, lo, n_wt, scheme)
 
-    def spied_extra(grid, x, y, z, t, scheme):
-        seen["extra"].append(np.size(t))
-        return extra(grid, x, y, z, t, scheme)
+    def spied_plain(grid, x, y, z, t, scheme):
+        seen["sample_batch"].append(np.size(t))
+        return plain(grid, x, y, z, t, scheme)
 
     monkeypatch.setattr(kinematics_mod, "space_stage", spied_space)
-    monkeypatch.setattr(kinematics_mod, "sample_batch", spied_extra)
+    monkeypatch.setattr(flowfield_mod, "sample_batch", spied_plain)
     return seen
 
 
@@ -383,6 +384,9 @@ def adverse_grid():
 
 def test_clocks_that_leave_the_window_gather_again_and_time_the_same(
         monkeypatch):
+    # the first window holds all 8 sub-steps of the 6 heads up to their
+    # still-water arrivals; the current sets clocks back past it, so a
+    # window opens again from their clocks, and nothing calls sample_batch
     grid = adverse_grid()
     seen = count_gathers(monkeypatch)
     args = ([(2_000.0, 5_000.0 * k) for k in range(1, 7)],
@@ -390,14 +394,17 @@ def test_clocks_that_leave_the_window_gather_again_and_time_the_same(
             np.linspace(0.0, 3_000.0, 6), [DiveProfile(0.0, 10.0)], grid,
             V03, 0.25, InterpScheme("bicubic", "akima", "akima"), 2)
     times = profile_times(*args)
-    assert seen["space"] and seen["extra"] and np.isfinite(times).all()
+    assert seen["columns"][0] == 8 * 6 and len(seen["space"]) > 1
+    assert not seen["sample_batch"] and np.isfinite(times).all()
+    assert not hasattr(kinematics_mod, "sample_batch")
     assert same_bits(times, profile_times_reference(*args))
 
 
 def test_dead_lanes_widen_no_window_and_gather_nothing(monkeypatch):
     # the deep band's cross current leaves its clock NaN after the first
     # sub-step; the INFEASIBLE and NaN departures fly nothing; the last
-    # leg starts outside the domain, and its clock runs on at 0.1 m/s
+    # leg starts outside the domain, and its clock runs on at 0.1 m/s:
+    # the windows open where and as wide as with the live lanes alone
     grid = adverse_grid()
     seen = count_gathers(monkeypatch)
     scheme = InterpScheme("bilinear", "linear", "akima")
@@ -406,14 +413,16 @@ def test_dead_lanes_widen_no_window_and_gather_nothing(monkeypatch):
     shallow, deep = DiveProfile(0.0, 20.0), DiveProfile(70.0, 100.0)
     live = profile_times(tails, heads, 0.0, [shallow], grid, V03, 0.25,
                          scheme, 2)
-    alone = dict(seen)
-    seen["space"], seen["extra"] = [], []
+    alone = {key: list(value) for key, value in seen.items()}
+    for value in seen.values():
+        value.clear()
     mixed = profile_times(
         tails + tails[:2] + [(41_000.0, 5_000.0)],
         heads + heads[:2] + [(69_000.0, 5_000.0)],
         [0.0, 0.0, 0.0, math.inf, math.nan, 0.0], [shallow, deep], grid,
         V03, 0.25, scheme, 2)
-    assert seen == alone and alone["extra"]
+    assert seen["space"] == alone["space"] and len(alone["space"]) > 1
+    assert seen["columns"] == [2 * n for n in alone["columns"]]
     assert same_bits(mixed[:3, 0], live[:, 0])
     assert np.isinf(mixed[:, 1]).all() and np.isinf(mixed[3:]).all()
 
@@ -465,7 +474,7 @@ def test_missions_plan_the_same_with_the_per_point_kernel(tmp_path, capsys,
         calls.append(np.ndim(t))
         return sample_batch_reference(grid, x, y, z, t, scheme)
 
-    for mod in (flowfield_mod, kinematics_mod, search_mod, mission_mod):
+    for mod in (flowfield_mod, search_mod, mission_mod):
         monkeypatch.setattr(mod, "sample_batch", reference)
     # the leg kernel as one sample_batch call per sub-step
     monkeypatch.setattr(search_mod, "profile_times", profile_times_reference)
@@ -476,9 +485,8 @@ def test_missions_plan_the_same_with_the_per_point_kernel(tmp_path, capsys,
 
 
 def count_kernel_work(monkeypatch, mission):
-    """Plan mission in-process; return its leg-kernel calls, hoisted
-    space stages, sample_batch gathers, window-end knot lookups and
-    time-axis stencils."""
+    """Plan mission in-process; return its leg-kernel calls, space
+    stages, still-water arrival knot lookups and time-axis stencils."""
     counts = collections.Counter()
 
     def spy(mod, name, key):
@@ -491,7 +499,6 @@ def count_kernel_work(monkeypatch, mission):
 
     spy(search_mod, "profile_times", "calls")
     spy(kinematics_mod, "space_stage", "space")
-    spy(kinematics_mod, "sample_batch", "sample_batch")
     spy(kinematics_mod, "_axis_knots", "window ends")
     spy(kinematics_mod, "_axis_stencil", "time stencils")
     assert run_mission(parse_mission(mission)).status == "ok"
@@ -501,26 +508,53 @@ def count_kernel_work(monkeypatch, mission):
 def test_one_space_stage_per_leg_kernel_call_on_the_akima_mission(
         tmp_path, monkeypatch):
     # one sample_batch call per sub-step made up to 8 per kernel call here
-    # (h 0.25, n_sub 2), 102 in all; one extra gather covers clocks that
-    # a current set back past their window, and each call looks up the
-    # knots of its heads' departures and window ends and takes one time
-    # stencil per sub-step (102)
+    # (h 0.25, n_sub 2), 102 in all; now each call opens one window for
+    # all its sub-steps and one more opens where a current set clocks
+    # back past theirs; each call looks up the knots of its heads'
+    # still-water arrivals once and takes one time stencil per sub-step
+    # with a live lane (101)
     counts = count_kernel_work(monkeypatch, write_akima_mission(tmp_path))
-    assert counts == {"calls": 13, "space": 13, "sample_batch": 1,
-                      "window ends": 13 * 2, "time stencils": 102}
+    assert not hasattr(kinematics_mod, "sample_batch")
+    assert counts == {"calls": 13, "space": 14, "window ends": 13,
+                      "time stencils": 101}
 
 
 def test_a_one_sub_step_leg_gathers_once_with_no_window_pass(
         tmp_path, monkeypatch):
-    # h 1 and n_sub 1: nothing to hoist, so one sample_batch call and no
-    # window stencil per kernel call
+    # h 1 and n_sub 1: each kernel call opens one window, the knots its
+    # one sub-step's time stencils span, as one sample_batch call would,
+    # and looks up no still-water arrival
     mission = write_gyre_mission(tmp_path)
     doc = json.loads(mission.read_text(encoding="utf-8"))
     doc.update(h=1.0, n_sub=1)
     mission.write_text(json.dumps(doc), encoding="utf-8")
+    calls, windows = [], []
+    kernel, stage = search_mod.profile_times, flowfield_mod.space_stage
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def spied(*args):  # lo and n_wt
+        windows.append((args[4].tolist(), args[5]))
+        return stage(*args)
+    for mod in (flowfield_mod, kinematics_mod):
+        monkeypatch.setattr(mod, "space_stage", spied)
+    monkeypatch.setattr(search_mod, "profile_times", recorded)
     counts = count_kernel_work(monkeypatch, mission)
-    assert counts["calls"] > 0 and counts == {
-        "calls": counts["calls"], "sample_batch": counts["calls"]}
+    assert counts["calls"] == len(calls) > 0 and counts == {
+        "calls": len(calls), "space": len(calls),
+        "time stencils": len(calls)}
+    assert len(windows) == len(calls)
+    kernel_windows, windows[:] = list(windows), []
+    for tails, heads, departs, profiles, grid, _, _, scheme, _ in calls:
+        n_h = len(heads)
+        x, y = np.broadcast_to(np.reshape(tails, (-1, 2)), (n_h, 2)).T
+        zc = np.array([p.z_climb_to for p in profiles])
+        z = zc + 0.5 * (np.array([p.z_dive_to for p in profiles]) - zc)
+        sample_batch(grid, x[:, None], y[:, None], z,
+                     np.broadcast_to(departs, n_h)[:, None], scheme)
+    assert windows == kernel_windows
 
 
 def gyre_akima_grid():
@@ -585,8 +619,8 @@ def test_a_leg_kernel_call_gathers_at_most_twice_the_per_sub_step_windows(
         cell, monkeypatch):
     # 8 heads x 5 profiles of 8 km legs, about 7.4 hours each: on 10-minute
     # time cells a leg's window would span about 50 knots (within
-    # MAX_HOISTED), so the call hoists nothing and runs as one sample_batch
-    # call per sub-step; on 8-hour cells it hoists one space stage
+    # MAX_HOISTED), so each window holds one sub-step's stencils; on
+    # 8-hour cells one window holds every sub-step
     grid = gyre_grid_with_time_cells(cell)
     family = make_dive_profiles(ProfileFamilySpec(0.0, 20.0, 120.0, 20.0, 2, 3))
     rng = np.random.RandomState(1)
@@ -595,7 +629,7 @@ def test_a_leg_kernel_call_gathers_at_most_twice_the_per_sub_step_windows(
     heads = tails + 8_000.0 * np.column_stack([np.cos(angle), np.sin(angle)])
     args = (tails, heads, rng.uniform(3_600.0, 90_000.0, 8), family, grid,
             V03, 0.25, InterpScheme("bicubic", "akima", "akima"), 2)
-    nodes, hoisted = [], []
+    nodes, columns = [], []
     stage = flowfield_mod.space_stage
 
     def spied(*a):  # series entries (lane, time knot) computed
@@ -604,16 +638,17 @@ def test_a_leg_kernel_call_gathers_at_most_twice_the_per_sub_step_windows(
         return space
     monkeypatch.setattr(flowfield_mod, "space_stage", spied)
     monkeypatch.setattr(kinematics_mod, "space_stage",
-                        lambda *a: hoisted.append(a[5]) or spied(*a))
+                        lambda *a: columns.append(a[1].size) or spied(*a))
     times = profile_times(*args)
     work = sum(nodes)
     nodes.clear()
     assert same_bits(times, profile_times_reference(*args))
-    assert bool(hoisted) == (cell > 600.0)
     assert work <= 2 * sum(nodes), (work, sum(nodes))
     monkeypatch.undo()
-    # a hoisted stage keeps at most MAX_HOISTED units of series, lanes and
-    # window nodes, under 20 B each (the MAX_HOISTED comment)
+    # a window of more than one sub-step keeps at most MAX_HOISTED units
+    # of series, lanes and window nodes, under 20 B each (the MAX_HOISTED
+    # comment)
+    hoisted = max(columns) > len(tails)
     peaks = [traced_peak(f, *args)
              for f in (profile_times, profile_times_reference)]
     assert peaks[0] <= peaks[1] + (20 * kinematics_mod.MAX_HOISTED

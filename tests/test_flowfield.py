@@ -385,6 +385,47 @@ class TestArchiveRoundTrip:
         loaded = load_flow_grid(path)
         assert np.array_equal(loaded.land_mask, grid.land_mask)
 
+    @settings(max_examples=60, deadline=None)
+    @given(encoding=st.sampled_from(["inline", "binary"]),
+           fill=st.just(math.nan) | st.floats(3.0, 3e38).flatmap(
+               lambda f: st.sampled_from([f, -f])),
+           seed=st.integers(0, 2**32 - 1))
+    @example(encoding="binary", fill=-9999.1, seed=0)
+    def test_roundtrip_keeps_land_axes_and_values(self, encoding, fill, seed):
+        # currents within 2 m/s, so no data node rounds onto the sentinel;
+        # one land column and one stray fill node
+        rng = np.random.RandomState(seed)
+        axes = [np.cumsum(rng.uniform(0.5, 2.0, n)) for n in (4, 5, 2, 3)]
+        u, v = rng.uniform(-2.0, 2.0, (2, 3, 2, 5, 4))
+        u[:, :, :, 1] = v[:, :, :, 1] = fill
+        v[0, 1, 3, 2] = fill
+        grid = FlowGrid(*axes, u, v, fill_sentinel=fill)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "field")
+            save_flow_grid(grid, path, encoding=encoding)
+            loaded = load_flow_grid(path)
+        for name in ("x_coords", "y_coords", "z_levels", "t_steps"):
+            assert np.array_equal(getattr(loaded, name), getattr(grid, name))
+        assert np.array_equal(loaded.land_mask, grid.land_mask)
+        assert loaded.land_mask.sum() == 5
+        stored = (lambda a: a) if encoding == "inline" else (
+            lambda a: a.astype(np.float32).astype(np.float64))
+        for got, want in ((loaded.u, u), (loaded.v, v)):
+            data = ~(np.isnan(want) | (want == fill))
+            assert np.array_equal(got[data], stored(want[data]))
+            assert (np.isnan(got[~data]) | (got[~data] ==
+                                           loaded.fill_sentinel)).all()
+        data = np.isfinite(u) & np.isfinite(v) & (u != fill) & (v != fill)
+        assert loaded.max_speed() == np.hypot(stored(u), stored(v))[data].max()
+
+    def test_binary_refuses_a_sentinel_beyond_float32(self, tmp_path):
+        grid = make_uniform_grid()
+        grid = FlowGrid(grid.x_coords, grid.y_coords, grid.z_levels,
+                        grid.t_steps, grid.u, grid.v, fill_sentinel=-1e39)
+        with pytest.raises(ConfigError, match="fill_sentinel"):
+            save_flow_grid(grid, tmp_path / "field.bin", encoding="binary")
+        assert not (tmp_path / "field.bin").exists()
+
     def test_load_does_not_modify_file(self, tmp_path):
         grid = small_grid()
         path = tmp_path / "field.json"

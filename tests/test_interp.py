@@ -77,7 +77,7 @@ class TestAkimaAgainstReference:
                 got = interp_1d(xs, ys, float(q), "akima")
                 assert got == pytest.approx(ref, abs=1e-9, rel=1e-9)
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(knots=knot_sets(),
            data=st.data())
     def test_random_data_matches_reference(self, knots, data):
@@ -113,7 +113,7 @@ class TestAkimaAgainstReference:
 
 
 class TestKnotReproduction:
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(knots=knot_sets(min_size=1), data=st.data(),
            method=st.sampled_from(["nearest", "linear", "cubic", "akima"]))
     def test_exact_at_knots(self, knots, data, method):
@@ -126,7 +126,7 @@ class TestKnotReproduction:
 
 
 class TestLinearDataReproduction:
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(knots=knot_sets(), a=st.floats(-100, 100), b=st.floats(-1e4, 1e4),
            data=st.data(),
            method=st.sampled_from(["linear", "cubic", "akima"]))
@@ -162,7 +162,7 @@ class TestLocality:
             bumped[k] -= 42.0
             assert interp_1d(xs, bumped, q, "cubic") == base
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_akima_locality_random(self, data):
         n = data.draw(st.integers(12, 20))
@@ -215,7 +215,7 @@ class TestClampingAndDegradation:
 
 
 class TestPlanarInterpolation:
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_bilinear_matches_reference(self, data):
         nx = data.draw(st.integers(2, 7))
@@ -233,7 +233,7 @@ class TestPlanarInterpolation:
         got = interp_xy(layer, xs, ys, x, y, "bilinear")
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data(),
            method=st.sampled_from(["bilinear", "bicubic"]))
     def test_plane_reproduced_exactly(self, data, method):

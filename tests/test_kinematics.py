@@ -71,7 +71,7 @@ class TestEffectiveSpeed:
         assert speed_lane((0.1, 0.0), EAST) == pytest.approx(
             0.4, abs=1e-12)
 
-    @settings(max_examples=50)
+    @settings(max_examples=50, deadline=None)
     @given(lanes=st.lists(st.tuples(st.floats(-0.6, 0.6),
                                     st.floats(-0.6, 0.6),
                                     st.floats(0.0, 2.0 * math.pi),
@@ -113,7 +113,7 @@ class TestEffectiveSpeed:
                     else min(math.sqrt(delta), delta / (2.0 * math.sqrt(d))))
         return 1e-12 + sqrt_err
 
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @given(cu=st.floats(-0.6, 0.6), cv=st.floats(-0.6, 0.6),
            ang=st.floats(0.0, 2.0 * math.pi))
     # cross current exactly equal to the speed: v = c_par exactly, while
@@ -143,7 +143,7 @@ class TestEffectiveSpeed:
         assert got == pytest.approx(
             ref, abs=self.speed_tolerance(cu, cv, hx, hy))
 
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     @given(cu=st.floats(-0.5, 0.5), cv=st.floats(-0.5, 0.5),
            ang=st.floats(0.0, 2.0 * math.pi),
            rot=st.floats(0.0, 2.0 * math.pi),
@@ -341,7 +341,7 @@ class TestDiveProfileFamily:
         assert climbs == sorted(climbs)
         assert all(p.amplitude >= 30.0 - 1e-9 for p in fam)
 
-    @settings(max_examples=80)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_family_respects_band_everywhere(self, data):
         z_min = data.draw(st.floats(0.0, 50.0))
@@ -432,7 +432,7 @@ class TestProfileSelection:
         assert math.isinf(t)
         assert profile is None
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data(), mode=st.sampled_from(["fastest", "max_amplitude"]))
     def test_row_selection_matches_scalar_pick(self, data, mode):
         # few distinct values, so time and amplitude ties are common;

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -237,7 +236,6 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -131,13 +131,13 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     it covers, and wherever a live lane's time stencil leaves it; each
     head's starts at the least knot of its live lanes' stencils, so a
     lane that has failed widens none.  It covers every remaining sub-step
-    up to the stencil of departure + |leg| / speed_through_water if that
-    spans at most twice the time stencil and the call's sub-steps fit in
-    MAX_HOISTED units of series, lanes and layers, else the one
-    sub-step's stencils, as sample_batch would.  Sums keep sample_batch's
-    order, so a run's time does not depend on the rest of the batch.
-    Entries are seconds or INFEASIBLE, as is every run of an INFEASIBLE
-    departure.
+    up to the stencil of departure + |leg| / speed_through_water if no
+    live clock has passed that stencil, it spans at most twice the time
+    stencil and the call's sub-steps fit in MAX_HOISTED units of series,
+    lanes and layers, else the one sub-step's stencils, as sample_batch
+    would.  Sums keep sample_batch's order, so a run's time does not
+    depend on the rest of the batch.  Entries are seconds or INFEASIBLE,
+    as is every run of an INFEASIBLE departure.
     """
     profiles = list(profiles)
     heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
@@ -204,8 +204,10 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
                     shape).min(axis=1)
                 last = np.where(live, knots[-1], 0).reshape(shape).max(axis=1)
                 g0, end, n_wt = g, g + 1, int((last - first).max()) + 1
-                if end < n_col:  # every remaining sub-step, if that fits
-                    wide = int((np.maximum(last, reach) - first).max()) + 1
+                # every remaining sub-step, if it fits and no clock runs
+                # past its head's still-water end, which then bounds none
+                if end < n_col and (last <= reach).all():
+                    wide = int((reach - first).max()) + 1
                     if wide <= 2 * len(knots) and n_col * n_h * (
                             n_p * (wide + 3) + wide * grid.z_levels.size
                     ) <= MAX_HOISTED:

@@ -11,9 +11,9 @@ lattice spacing.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os.path
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -30,8 +30,6 @@ from .search import (BlockedRegions, PlannedPath, Rect, build_graph,
                      connect_terminals, make_edge_cost, tve_dijkstra)
 from .search import path_report  # noqa: F401  for bench/spans.py
 from .smoothing import SmoothingTrace, smooth_path
-
-log = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6_371_000.0
 MAX_REGION_ASPECT = 1000.0  # plan.svg's height over its fixed width
@@ -331,8 +329,8 @@ def parse_mission(path, values: dict | None = None,
     if f["start_time"] is None:
         f["start_time"] = t0
     elif f["start_time"] < t0:
-        log.warning("start_time %g precedes the first flow step %g; clamped",
-                    f["start_time"], t0)
+        print(f"start_time {f['start_time']:g} precedes the first flow step "
+              f"{t0:g}; clamped", file=sys.stderr)
         f["start_time"] = t0
     if abs(f["start_time"]) >= 2.0 ** 32:  # float64 seconds lose microseconds
         raise ConfigError("start_time: must lie within 2^32 s of 0, got "
@@ -571,13 +569,8 @@ def render_svg(result: MissionResult, grid: FlowGrid, path,
     # land cells, drawn as node-centered squares reaching half way to
     # the neighbouring knots (none past an axis end)
     xs, ys = grid.x_coords, grid.y_coords
-
-    def in_region(cx, cy):  # Rect.contains, on arrays
-        return ((reg.x_min <= cx) & (cx <= reg.x_max)
-                & (reg.y_min <= cy) & (cy <= reg.y_max))
-
     jy, jx = grid.land_mask.nonzero()  # row-major order
-    keep = in_region(xs[jx], ys[jy])
+    keep = reg.contains(xs[jx], ys[jy])
     jx, jy = jx[keep], jy[keep]
     half_x, half_y = (np.concatenate(([0.0], np.diff(a) / 2, [0.0]))
                       for a in (xs, ys))
@@ -599,7 +592,7 @@ def render_svg(result: MissionResult, grid: FlowGrid, path,
     step_x = max(1, xs.size // n_arrows)
     step_y = max(1, ys.size // n_arrows)
     cx, cy = (a.ravel() for a in np.meshgrid(xs[::step_x], ys[::step_y]))
-    keep = in_region(cx, cy)
+    keep = reg.contains(cx, cy)
     cx, cy = cx[keep], cy[keep]
     us, vs, reason = sample_batch(grid, cx, cy, depth, at_time, spec.scheme)
     mag = np.array([math.hypot(cu, cv)

@@ -68,8 +68,10 @@ class Rect(NamedTuple):
     x_max: float
     y_max: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Whether (x, y) lies in the closed rectangle; x, y may be arrays."""
+        return ((self.x_min <= x) & (x <= self.x_max)
+                & (self.y_min <= y) & (y <= self.y_max))
 
 
 @dataclass(frozen=True)
@@ -369,9 +371,11 @@ class PlannedPath:
 def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                    h: float = 0.25, scheme: InterpScheme = DEFAULT_SCHEME,
                    n_sub: int = 4, mode: str = "fastest",
-                   slack_factor: float = 1.1,
-                   graph: SearchGraph | None = None) -> EdgeCostFn:
-    """Edge cost backed by optimal-profile glider travel times.
+                   slack_factor: float = 1.1, *,
+                   graph: SearchGraph) -> EdgeCostFn:
+    """Edge cost backed by optimal-profile glider travel times: the leg
+    table over graph's lattice that the search, smoothing and the
+    straight-line baseline all read.
 
     speed_bound = speed_through_water + current_bound(grid, scheme)
     bounds every leg's over-ground speed: a saw-tooth's horizontal speed
@@ -383,31 +387,32 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     maps each head to its profile index and time; a miss goes through
     time_legs.  lookup(a, b, depart) reads the table, None for a leg it
     lacks.  The batch entry time_legs(legs) takes (a, b, depart) triples
-    with clear ends: if the table misses legs[0], then with a graph it
-    screens the legs against graph.blocked as build_graph does, in one
-    segments_clear call and each (tail, head) once, and stores a blocked
-    leg as (None, INFEASIBLE).  If the table still misses legs[0], it
-    times it with the later legs the table misses in one kernel call of
-    at most MAX_BATCH_LANES lanes, dropping the rest, so offering the
-    legs read next never adds a kernel call.  fifo_witness() counts the
-    (tail, head) pairs the table holds at two departures where the later
+    with clear ends: if the table misses legs[0], it screens the legs
+    against graph.blocked as build_graph does, in one segments_clear
+    call and each (tail, head) once, and stores a blocked leg as (None,
+    INFEASIBLE), so no leg that enters land or meets a keep-out polygon
+    gets a finite time.  If the table still misses legs[0], it times it
+    with the later legs the table misses in one kernel call of at most
+    MAX_BATCH_LANES lanes, dropping the rest, so offering the legs read
+    next never adds a kernel call.  fifo_witness() counts the (tail,
+    head) pairs the table holds at two departures where the later
     departure arrives earlier: a lower bound on the field's FIFO
     breaches, not a proof that it has none.
 
-    With a graph the cost also has prefetch(a, depart, frontier, live)
-    for tve_dijkstra: frontier yields (v, t, lead), a heap entry of v at
-    label t whose key f sorts lead seconds after a's, and live(v, t)
-    lists the heads the search will read when v settles at t.  Unless
-    the table holds a's row at depart or a has no live head, it times
-    a's fan-out (live heads x profiles) in one kernel call with the
-    fan-outs of the frontier entries leading by less than spacing /
-    (speed + max node |c|), up to MAX_BATCH_LANES lanes per call (a's
-    own fan-out always goes).  That window is a heuristic for the
-    entries that settle at their present label: terminal edges shorter
-    than the spacing, interpolants that overshoot the node speeds and
-    legs that head for the goal near speed_bound can break it, which
-    only wastes a fan-out.  Batching never changes a time.  The arcs it
-    times are not screened again.
+    prefetch(a, depart, frontier, live) is for tve_dijkstra: frontier
+    yields (v, t, lead), a heap entry of v at label t whose key f sorts
+    lead seconds after a's, and live(v, t) lists the heads the search
+    will read when v settles at t.  Unless the table holds a's row at
+    depart or a has no live head, it times a's fan-out (live heads x
+    profiles) in one kernel call with the fan-outs of the frontier
+    entries leading by less than spacing / (speed + max node |c|), up
+    to MAX_BATCH_LANES lanes per call (a's own fan-out always goes).
+    That window is a heuristic for the entries that settle at their
+    present label: terminal edges shorter than the spacing, interpolants
+    that overshoot the node speeds and legs that head for the goal near
+    speed_bound can break it, which only wastes a fan-out.  Batching
+    never changes a time.  The arcs it times are graph's, screened by
+    build_graph and connect_terminals, so it screens nothing again.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
@@ -432,7 +437,7 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
         return (profiles[got[0]] if got[0] >= 0 else None), got[1]
 
     def time_legs(legs: list) -> None:
-        if lookup(*legs[0]) is None and graph is not None:
+        if lookup(*legs[0]) is None:
             new = list(dict.fromkeys(leg[:2] for leg in legs
                                      if leg[:2] not in clear))
             if new:
@@ -470,12 +475,6 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                     latest[head] = max(depart + secs, prior)
         return len(pairs)
 
-    cost.lookup, cost.time_legs, cost.fifo_witness = (lookup, time_legs,
-                                                      fifo_witness)
-    cost.speed_bound = (vehicle.speed_through_water
-                        + current_bound(grid, scheme))
-    if graph is None:
-        return cost
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
 
     def prefetch(a: int, depart: float, frontier, live) -> None:
@@ -499,7 +498,10 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                 batch.append((key, [graph.vertex_xy[b] for b in heads]))
         time_fans(*zip(*batch))
 
-    cost.prefetch = prefetch
+    cost.lookup, cost.time_legs, cost.fifo_witness, cost.prefetch = (
+        lookup, time_legs, fifo_witness, prefetch)
+    cost.speed_bound = (vehicle.speed_through_water
+                        + current_bound(grid, scheme))
     return cost
 
 
@@ -522,13 +524,13 @@ def tve_dijkstra(graph: SearchGraph, start: int, goal: int, t_start: float,
     a cost without one.  An edge into a settled vertex is never timed.
     Returns None when the goal is unreachable.
 
-    A cost with a prefetch method (make_edge_cost with a graph) is
-    offered the live heap entries but the goal before each settle,
-    with live(v, t): the heads of v that are not settled and whose key
-    sorts after v's at label t.  The others pop before v, as keys only
-    fall, so the search never reads their legs from v; a leg timed at
-    a departure that is no final label, or toward a head that settles
-    before its tail, is never read.
+    A cost with a prefetch method (make_edge_cost's) is offered the
+    live heap entries but the goal before each settle, with live(v, t):
+    the heads of v that are not settled and whose key sorts after v's
+    at label t.  The others pop before v, as keys only fall, so the
+    search never reads their legs from v; a leg timed at a departure
+    that is no final label, or toward a head that settles before its
+    tail, is never read.
     """
     n = graph.n_vertices
     if not (0 <= start < n and 0 <= goal < n):

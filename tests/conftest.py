@@ -16,6 +16,7 @@ from gliderplan.flowfield import (DEFAULT_SCHEME, SAMPLE_OUT_OF_DOMAIN,
                                   FlowGrid, InterpScheme, sample_batch,
                                   save_flow_grid, synth_field)
 from gliderplan.kinematics import INFEASIBLE
+from gliderplan.search import BlockedRegions, Rect, build_graph, make_edge_cost
 
 from oracles import slant_times_reference
 
@@ -66,23 +67,35 @@ def write_gyre_mission(tmp_path, amplitude=0.035):
     return path
 
 
+def lattice_cost(grid, *args, **kwargs):
+    """make_edge_cost on a 5 x 5, 8-neighbour lattice over the whole
+    grid, so its legs are screened against the grid's land."""
+    x0, y0, x1, y1 = grid.horizontal_bounds()
+    graph = build_graph(Rect(x0, y0, x1, y1), min(x1 - x0, y1 - y0) / 4, 8,
+                        BlockedRegions(grid=grid))
+    return make_edge_cost(grid, *args, graph=graph, **kwargs)
+
+
 def count_kernel_calls(monkeypatch) -> collections.Counter:
-    """Count run_mission's leg-kernel calls by stage: "before", "smoothing"
-    and "after" smooth_path.  Returns the Counter the calls fill."""
+    """Count run_mission's leg-kernel calls by stage, "search" (up to
+    smooth_path), "smoothing" and "baseline" (after it), and their lanes
+    under "search_lanes" and so on.  Returns the Counter the calls fill."""
     calls = collections.Counter()
-    stage = ["before"]
+    stage = ["search"]
     kernel, smooth = search_mod.profile_times, mission_mod.smooth_path
 
     def counted(*args):
+        out = kernel(*args)
         calls[stage[0]] += 1
-        return kernel(*args)
+        calls[stage[0] + "_lanes"] += out.size
+        return out
 
     def smoothing(*args):
         stage[0] = "smoothing"
         try:
             return smooth(*args)
         finally:
-            stage[0] = "after"
+            stage[0] = "baseline"
 
     monkeypatch.setattr(search_mod, "profile_times", counted)
     monkeypatch.setattr(mission_mod, "smooth_path", smoothing)

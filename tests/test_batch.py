@@ -11,6 +11,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -386,7 +387,9 @@ def test_clocks_that_leave_the_window_gather_again_and_time_the_same(
         monkeypatch):
     # the first window holds all 8 sub-steps of the 6 heads up to their
     # still-water arrivals; the current sets clocks back past it, so a
-    # window opens again from their clocks, and nothing calls sample_batch
+    # window opens again from their clocks, and nothing calls sample_batch;
+    # clocks past their still-water end bound no later sub-step, so such
+    # a window holds one sub-step
     grid = adverse_grid()
     seen = count_gathers(monkeypatch)
     args = ([(2_000.0, 5_000.0 * k) for k in range(1, 7)],
@@ -395,6 +398,8 @@ def test_clocks_that_leave_the_window_gather_again_and_time_the_same(
             V03, 0.25, InterpScheme("bicubic", "akima", "akima"), 2)
     times = profile_times(*args)
     assert seen["columns"][0] == 8 * 6 and len(seen["space"]) > 1
+    assert seen["columns"][1:] == [6] * (len(seen["space"]) - 1)
+    assert sum(map(operator.mul, seen["space"], seen["columns"])) == 516
     assert not seen["sample_batch"] and np.isfinite(times).all()
     assert not hasattr(kinematics_mod, "sample_batch")
     assert same_bits(times, profile_times_reference(*args))

@@ -3,7 +3,6 @@
 import copy
 import itertools
 import json
-import logging
 import math
 import os
 import tempfile
@@ -215,12 +214,13 @@ class TestParseMissionDefaults:
         assert back[0] == pytest.approx(10000.0, abs=1e-6)
         assert back[1] == pytest.approx(50000.0, abs=1e-6)
 
-    def test_early_start_time_clamped_with_warning(self, tmp_path, caplog):
+    def test_early_start_time_clamped_with_warning(self, tmp_path, capsys):
         path = write_mission(tmp_path, {"start_time": -500.0})
-        with caplog.at_level(logging.WARNING, logger="gliderplan.mission"):
-            spec = parse_mission(path)
+        capsys.readouterr()
+        spec = parse_mission(path)
         assert spec.start_time == 0.0
-        assert any("clamp" in rec.message for rec in caplog.records)
+        assert capsys.readouterr().err == (
+            "start_time -500 precedes the first flow step 0; clamped\n")
 
     def test_start_time_within_the_clock(self, tmp_path):
         # past 2^32 s a float64 clock no longer holds the microseconds
@@ -677,6 +677,12 @@ class TestSmoothingKernelCalls:
         assert (len(result.planned.waypoints),
                 len(result.smoothed.waypoints)) == (14, 10)
         assert calls["smoothing"] == 15  # 30 one leg per call
+        # kernel calls and lanes (legs x 3 profiles) of every stage: the
+        # search's prefetched fan-outs, smoothing's lockstep merges, and
+        # a baseline the table already holds
+        assert [calls[stage + lanes] for stage in ("search", "smoothing",
+                                                   "baseline")
+                for lanes in ("", "_lanes")] == [21, 3_369, 15, 255, 0, 0]
 
     def test_drift_lattice_mission_and_its_baseline(self, tmp_path,
                                                    monkeypatch):
@@ -699,7 +705,7 @@ class TestSmoothingKernelCalls:
         assert calls["smoothing"] == 7  # 28 one leg per call
         # the baseline is the smoothed route's one leg, read from the
         # table, and the same as a one-leg call gives
-        assert calls["after"] == 0
+        assert calls["baseline"] == 0
         assert (result.straight_line_profile, result.straight_line_time) == \
             optimal_profile_cost(spec.start_xy, spec.goal_xy, spec.start_time,
                                  profiles, grid, spec.vehicle, spec.h,

@@ -21,8 +21,8 @@ from gliderplan.search import (MAX_BATCH_LANES, NEIGHBOR_OFFSETS_8,
                                tve_dijkstra)
 from gliderplan.smoothing import recompute_arrivals, smooth_path
 
-from conftest import (make_gyre_grid, make_land_grid, make_tidal_grid,
-                      make_uniform_grid, random_grid)
+from conftest import (lattice_cost, make_gyre_grid, make_land_grid,
+                      make_tidal_grid, make_uniform_grid, random_grid)
 from oracles import (blocks_reference, brute_force_arrival,
                      build_graph_reference, connect_terminals_reference,
                      path_report_reference, segment_clear_reference,
@@ -701,7 +701,7 @@ class TestDijkstraTimeVarying:
                 heads, np.broadcast_to(departs, len(heads)).tolist())])
 
         monkeypatch.setattr(search_mod, "profile_times", kernel)
-        cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
+        cost = lattice_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
         assert cost.fifo_witness() == 0
         for x, t in secs:
             cost((0.0, 0.0), (x, 0.0), t)
@@ -837,9 +837,10 @@ class TestPrefetch:
         tve_dijkstra(graph, start, goal, 0.0, understated)
         timed = [xy for tails, _ in kernel.calls for xy in tails]
         assert len(timed) > len(set(timed))
+        plain = make_edge_cost(*args, graph=graph)
         assert (plan_and_smooth(graph, start, goal, understated, 0.0)
-                == plan_and_smooth(graph, start, goal, make_edge_cost(*args),
-                                   0.0))
+                == plan_and_smooth(graph, start, goal,
+                                   lambda a, b, t: plain(a, b, t), 0.0))
 
     @staticmethod
     def gyre_lattice():
@@ -870,8 +871,9 @@ class TestPrefetch:
         head, departure), the kernel calls and the settles whose vertex
         had no live head."""
         args = (grid, V03, self.FAMILY, 0.5)
+        plain = make_edge_cost(*args, n_sub=2, graph=graph)
         one_at_a_time = tve_dijkstra(graph, start, goal, 0.0,
-                                     make_edge_cost(*args, n_sub=2))
+                                     lambda a, b, t: plain(a, b, t))
         settled, idle, timed, reads = {}, [], [], []
         counting = CountingKernel(search_mod.profile_times)
 
@@ -998,7 +1000,7 @@ class TestAStar:
         t0 = float(seed % 7_200)
         astar = tve_dijkstra(graph, start, goal, t0,
                              make_edge_cost(*args, graph=graph))
-        plain = make_edge_cost(*args)
+        plain = make_edge_cost(*args, graph=graph)
         dijkstra = tve_dijkstra(graph, start, goal, t0,
                                 lambda a, b, t: plain(a, b, t))
         assert (astar is None) == (dijkstra is None)
@@ -1117,7 +1119,7 @@ class TestBatchedSmoothing:
             lambda tails, heads, departs, profiles, *args:
             np.full((len(heads), len(profiles)), 600.0))
         monkeypatch.setattr(search_mod, "profile_times", counting)
-        cost = make_edge_cost(still_grid, V03, family)
+        cost = lattice_cost(still_grid, V03, family)
         legs = [((0.0, 0.0), (100.0 * k, 50.0), 0.0) for k in range(1, 31)]
         cost.time_legs(legs[:1] + legs)  # a repeat is timed once
         assert counting.calls == [({(0.0, 0.0)}, 13 * len(family))]
@@ -1138,16 +1140,16 @@ class TestBatchedSmoothing:
             lambda tails, heads, departs, profiles, *args:
             np.full((len(heads), len(profiles)), 600.0))
         monkeypatch.setattr(search_mod, "profile_times", counting)
-        cost = make_edge_cost(still_grid, V03, family)
+        cost = lattice_cost(still_grid, V03, family)
         cost.time_legs([((0.0, 0.0), (100.0, 0.0), 0.0),
                         ((0.0, 0.0), (200.0, 0.0), 0.0)])
         assert counting.calls == [({(0.0, 0.0)}, len(family))]
 
 
 class TestLegScreen:
-    """With a graph, the leg table screens every leg it is asked to time
-    against the graph's land and keep-out polygons, once per (tail,
-    head), and stores a blocked leg as infeasible without timing it."""
+    """The leg table screens every leg it is asked to time against the
+    graph's land and keep-out polygons, once per (tail, head), and
+    stores a blocked leg as infeasible without timing it."""
 
     FAMILY = TestPrefetch.FAMILY
     KEEP_OUT = ((12_000.0, 22_000.0), (18_000.0, 22_000.0),
@@ -1209,16 +1211,11 @@ class TestLegScreen:
         cost.time_legs([(*self.OPEN, 0.0), (*self.LAND, 600.0)])
         assert screens == [3] and len(kernel) == 1
 
-    def test_a_leg_is_screened_once_and_only_with_a_graph(self, graph,
-                                                          counted):
+    def test_a_leg_is_screened_once(self, graph, counted):
         _, screens = counted
         cost = self.make_cost(graph)
         for depart in (0.0, 600.0, 0.0):
             assert cost(*self.LAND, depart) == (None, INFEASIBLE)
-        assert screens == [1]
-        cost = self.make_cost(None)
-        cost(*self.LAND, 0.0)
-        cost.time_legs([(*self.POLYGON, 0.0)])
         assert screens == [1]
 
 

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from gliderplan.kinematics import DiveProfile, VehicleSpec
-from gliderplan.search import make_edge_cost
 from gliderplan.smoothing import recompute_arrivals, smooth_path
+
+from conftest import lattice_cost
 
 V03 = VehicleSpec(0.3)
 
@@ -44,7 +45,7 @@ def xline(*xs):
 class TestBasicMerging:
     def test_collinear_points_collapse(self, still_grid):
         wp = [(5_000.0, 5_000.0), (20_000.0, 20_000.0), (35_000.0, 35_000.0)]
-        cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
+        cost = lattice_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
         wp_s, tt_s, trace = smooth_path(wp, 0.0, cost)
         assert wp_s == [wp[0], wp[2]]
         assert trace.merges_accepted == 1
@@ -58,7 +59,7 @@ class TestBasicMerging:
             wp.append(((i + 1) * step, i * step))
             wp.append(((i + 1) * step, (i + 1) * step))
         assert len(wp) == 9
-        cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
+        cost = lattice_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
         wp_s, tt_s, trace = smooth_path(wp, 0.0, cost)
         assert wp_s == [(0.0, 0.0), (20_000.0, 20_000.0)]
         assert trace.merges_accepted == 7
@@ -66,7 +67,7 @@ class TestBasicMerging:
         assert tt_s == [0.0, pytest.approx(direct, rel=1e-9)]
 
     def test_two_waypoints_pass_through(self, still_grid):
-        cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
+        cost = lattice_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
         wp = [(0.0, 0.0), (9_000.0, 0.0)]
         wp_s, tt_s, trace = smooth_path(wp, 100.0, cost)
         assert wp_s == wp
@@ -75,7 +76,7 @@ class TestBasicMerging:
         assert trace.merges_accepted == 0
 
     def test_too_few_waypoints_rejected(self, still_grid):
-        cost = make_edge_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
+        cost = lattice_cost(still_grid, V03, (DiveProfile(0.0, 60.0),))
         with pytest.raises(ValueError):
             smooth_path([(0.0, 0.0)], 0.0, cost)
 
@@ -189,7 +190,7 @@ class TestInvariants:
 class TestRealFieldSmoothing:
     def test_detour_survives_around_land(self):
         # a one-node island sits at (30 km, 10 km); the direct crossing
-        # samples within a cell of it, the dog-leg clears it by a full
+        # cuts a corner of its cell, the dog-leg clears it by a full
         # cell everywhere
         import numpy as np
         from gliderplan.flowfield import FlowGrid
@@ -203,8 +204,8 @@ class TestRealFieldSmoothing:
                         np.array([0.0, 1e6]), u, v)
         wp = [(15_000.0, 10_000.0), (27_000.0, 40_000.0),
               (45_000.0, 22_000.0)]
-        cost = make_edge_cost(grid, V03, (DiveProfile(0.0, 60.0),),
-                              h=0.5, n_sub=4)
+        cost = lattice_cost(grid, V03, (DiveProfile(0.0, 60.0),),
+                            h=0.5, n_sub=4)
         assert math.isinf(cost(wp[0], wp[2], 0.0)[1])
         assert math.isfinite(cost(wp[0], wp[1], 0.0)[1])
         assert math.isfinite(cost(wp[1], wp[2], 0.0)[1])
@@ -217,8 +218,8 @@ class TestRealFieldSmoothing:
         wp = [(6_000.0, 6_000.0), (14_000.0, 6_000.0), (22_000.0, 14_000.0),
               (30_000.0, 14_000.0), (38_000.0, 22_000.0),
               (46_000.0, 30_000.0), (54_000.0, 38_000.0)]
-        cost = make_edge_cost(gyre_grid, V03, (DiveProfile(0.0, 60.0),),
-                              h=0.5, n_sub=2)
+        cost = lattice_cost(gyre_grid, V03, (DiveProfile(0.0, 60.0),),
+                            h=0.5, n_sub=2)
         before = recompute_arrivals(wp, 0.0, cost)
         assert math.isfinite(before[-1])
         wp_s, tt_s, trace = smooth_path(wp, 0.0, cost)

@@ -429,12 +429,14 @@ class SpaceWindow(NamedTuple):
 def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
                 scheme: InterpScheme = DEFAULT_SCHEME) -> SpaceWindow:
     """Part one of the kernel for C columns of K points sharing (x, y),
-    x and y (C,) with z (C, K): the x-then-y stage once per (column,
-    time knot, depth knot) of the column's windows, then each point's
-    depth stage at each of its column's time knots, each stage
-    MAX_GATHER_NODES values at a time.  Column c's time window holds
-    knots lo[c] + s for slots s < n_wt (a slot past the axis end repeats
-    its last knot), its depth window the knots its points' depth
+    x and y (C,) with z (C, K), one chunk of columns at a time: the
+    x-then-y stage once per (column, time knot, depth knot) of the
+    chunk's windows, then each of its points' depth stage at each of its
+    column's time knots.  A chunk gathers at most MAX_GATHER_NODES grid
+    nodes and as many layer values, or is one column, whose points then
+    go as many at a time as one gather holds.  Column c's time window
+    holds knots lo[c] + s for slots s < n_wt (a slot past the axis end
+    repeats its last knot), its depth window the knots its points' depth
     stencils span."""
     n_col, k = z.shape
     xs, ys, zs = grid.x_coords, grid.y_coords, grid.z_levels
@@ -444,12 +446,16 @@ def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
     zq = np.minimum(np.maximum(z, zs[0]), zs[-1]).reshape(-1)
     lo_z, n_wz, jz = _window(_axis_knots(zs, zq, scheme.z_method), (n_col, k))
 
-    # horizontal layers (2, n_wt, n_wz, C) in chunks of columns
+    # a chunk's horizontal layers (2, n_wt, n_wz * Cc), then each point's
+    # depth stage at its depth knots' slots li (Wz, points)
     nt, nz, ny, nx = grid.shape
     yx = ky[:, None, :] * nx + kx  # (Wy, Wx, C)
-    layers = np.empty((2, n_wt, n_wz, n_col))
-    fill = np.zeros(layers.shape[1:], dtype=bool)
-    step = max(1, MAX_GATHER_NODES // (n_wt * n_wz * yx.shape[0] * yx.shape[1]))
+    series = np.empty((2, n_wt, zq.size))
+    land = None if grid._flat_fill is None else np.empty((n_wt, zq.size),
+                                                          dtype=bool)
+    per = max(1, MAX_GATHER_NODES // (n_wt * len(jz)))  # points a gather
+    step = max(1, min(per // k, MAX_GATHER_NODES // (
+        n_wt * n_wz * len(kx) * len(ky))))
     win_t, win_z = (np.arange(n, dtype=np.int32)[:, None] for n in (n_wt, n_wz))
     for c in range(0, n_col, step):
         cs = slice(c, c + step)
@@ -460,25 +466,20 @@ def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
         vals = np.empty((2,) + idx.shape)
         grid._flat_u.take(idx, out=vals[0], mode="clip")
         grid._flat_v.take(idx, out=vals[1], mode="clip")
-        if grid._flat_fill is not None:
-            fill[:, :, cs] = grid._flat_fill.take(idx).any(axis=(2, 3))
-        layers[:, :, :, cs] = _weighted_sum(_weighted_sum(
-            vals, [w[cs] for w in wx]), [w[cs] for w in wy])
-    vals = idx = None  # the last chunk's, before the depth stage's own
-
-    # each lane's depth stage at its depth knots' slots li (Wz, C * K)
-    li = jz * n_col + np.arange(n_col, dtype=jz.dtype).repeat(k)
-    layers, fill = layers.reshape(2, n_wt, -1), fill.reshape(n_wt, -1)
-    series = np.empty((2, n_wt, zq.size))
-    land = None if grid._flat_fill is None else np.empty((n_wt, zq.size),
-                                                          dtype=bool)
-    step = max(1, MAX_GATHER_NODES // (n_wt * len(li)))
-    for p in range(0, zq.size, step):
-        ps = slice(p, p + step)
-        series[:, :, ps] = _stage(layers.take(li[:, ps], axis=2),
-                                  _axis_stencil(zs, zq[ps], scheme.z_method))
+        layers = _weighted_sum(_weighted_sum(vals, [w[cs] for w in wx]),
+                               [w[cs] for w in wy]).reshape(2, n_wt, -1)
         if land is not None:
-            land[:, ps] = fill.take(li[:, ps], axis=1).any(axis=1)
+            fill = grid._flat_fill.take(idx).any(axis=(2, 3)).reshape(n_wt, -1)
+        vals = idx = None  # before the depth stage's own temporaries
+        end = min(c + step, n_col) * k
+        for p in range(c * k, end, per):
+            ps = slice(p, min(p + per, end))
+            li = jz[:, ps] * it.shape[1] + (np.arange(
+                ps.start, ps.stop, dtype=jz.dtype) // k - c)
+            series[:, :, ps] = _stage(layers.take(li, axis=2), _axis_stencil(
+                zs, zq[ps], scheme.z_method))
+            if land is not None:
+                land[:, ps] = fill.take(li, axis=1).any(axis=1)
     reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(
         np.int8).repeat(k)
     return SpaceWindow(series, land, reason)

@@ -54,7 +54,7 @@ MAX_LATTICE_EDGES = 2_000_000
 # call: about 4 MB of temporaries at the measured 62 B per cut.
 MAX_SCREEN_POINTS = 65_536
 
-# Lanes (legs x profiles) per prefetching kernel call: tracemalloc on a
+# Lanes (legs x profiles) per leg-table kernel call: tracemalloc on a
 # 17 x 17 x 4 x 13 grid measured 2.5 KB (bicubic/Akima/Akima) and 0.44
 # KB (bilinear) of kernel temporaries per lane, up to 10 MB per call.
 MAX_BATCH_LANES = 4_096
@@ -384,57 +384,60 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     speed_bound (tve_dijkstra's heuristic).
 
     Every leg it times stays in a table keyed by (tail, departure) that
-    maps each head to its profile index and time; a miss goes through
-    time_legs.  lookup(a, b, depart) reads the table, None for a leg it
-    lacks.  The batch entry time_legs(legs) takes (a, b, depart) triples
-    with clear ends: if the table misses legs[0], it screens the legs
-    against graph.blocked as build_graph does, in one segments_clear
-    call and each (tail, head) once, and stores a blocked leg as (None,
-    INFEASIBLE), so no leg that enters land or meets a keep-out polygon
-    gets a finite time.  If the table still misses legs[0], it times it
-    with the later legs the table misses in one kernel call of at most
-    MAX_BATCH_LANES lanes, dropping the rest, so offering the legs read
-    next never adds a kernel call.  fifo_witness() counts the (tail,
-    head) pairs the table holds at two departures where the later
-    departure arrives earlier: a lower bound on the field's FIFO
-    breaches, not a proof that it has none.
+    maps each head to its profile and time.  One rule turns misses into
+    kernel calls: in the order offered, they are timed in calls of at
+    most MAX_BATCH_LANES lanes, or of one leg when one leg alone has
+    more, and written to their rows.  lookup(a, b, depart) reads the
+    table, None for a leg it lacks.  The batch entry time_legs(legs)
+    takes (a, b, depart) triples with clear ends: if the table misses
+    legs[0], it screens the legs against graph.blocked as build_graph
+    does, in one segments_clear call and each (tail, head) once, and
+    lookup reads a blocked leg as (None, INFEASIBLE) at every departure,
+    so no leg that enters land or meets a keep-out polygon gets a finite
+    time.  If the table still misses legs[0], it times it with the
+    later legs the table misses in one kernel call, dropping those past
+    the cap, so offering the legs read next never adds a kernel call.
+    fifo_witness() counts the (tail, head) pairs the table holds at two
+    departures where the later departure arrives earlier: a lower bound
+    on the field's FIFO breaches, not a proof that it has none.
 
     prefetch(a, depart, frontier, live) is for tve_dijkstra: frontier
     yields (v, t, lead), a heap entry of v at label t whose key f sorts
     lead seconds after a's, and live(v, t) lists the heads the search
     will read when v settles at t.  Unless the table holds a's row at
     depart or a has no live head, it times a's fan-out (live heads x
-    profiles) in one kernel call with the fan-outs of the frontier
-    entries leading by less than spacing / (speed + max node |c|), up
-    to MAX_BATCH_LANES lanes per call (a's own fan-out always goes).
-    That window is a heuristic for the entries that settle at their
-    present label: terminal edges shorter than the spacing, interpolants
-    that overshoot the node speeds and legs that head for the goal near
+    profiles), in as many capped calls as it takes, with the whole
+    fan-outs of the frontier entries leading by less than spacing /
+    (speed + max node |c|) while the offer stays within the cap.  That
+    window is a heuristic for the entries that settle at their present
+    label: terminal edges shorter than the spacing, interpolants that
+    overshoot the node speeds and legs that head for the goal near
     speed_bound can break it, which only wastes a fan-out.  Batching
     never changes a time.  The arcs it times are graph's, screened by
     build_graph and connect_terminals, so it screens nothing again.
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
-    table: dict = {}  # (tail, departure) -> {head: (profile index, s)}
+    choices = [*profiles, None]  # choose_profile's -1 reads None
+    per_call = max(1, MAX_BATCH_LANES // len(profiles))  # legs per call
+    table: dict = {}  # (tail, departure) -> {head: (profile, s)}
     clear: dict = {}  # (tail, head) -> the leg misses land and keep-outs
 
-    def time_fans(keys: list, fans: list) -> None:
-        counts = [len(fan) for fan in fans]
-        pick, secs = choose_profile(profiles, profile_times(
-            np.repeat([tail for tail, _ in keys], counts, axis=0),
-            [xy for fan in fans for xy in fan],
-            np.repeat([depart for _, depart in keys], counts), profiles,
-            grid, vehicle, h, scheme, n_sub), mode, slack_factor)
-        legs = zip(pick.tolist(), secs.tolist())
-        for key, fan in zip(keys, fans):
-            table.setdefault(key, {}).update(zip(fan, legs))
+    def time_misses(legs: list) -> None:
+        for lo in range(0, len(legs), per_call):
+            tails, heads, departs = zip(*legs[lo:lo + per_call])
+            pick, secs = choose_profile(profiles, profile_times(
+                tails, heads, departs, profiles, grid, vehicle, h, scheme,
+                n_sub), mode, slack_factor)
+            for a_xy, b_xy, depart, i, s in zip(tails, heads, departs,
+                                                pick.tolist(), secs.tolist()):
+                table.setdefault((a_xy, depart), {})[b_xy] = (choices[i], s)
 
     def lookup(a_xy, b_xy, depart: float):
         got = table.get((a_xy, depart), {}).get(b_xy)
-        if got is None:
-            return None
-        return (profiles[got[0]] if got[0] >= 0 else None), got[1]
+        if got is None and not clear.get((a_xy, b_xy), True):
+            return None, INFEASIBLE
+        return got
 
     def time_legs(legs: list) -> None:
         if lookup(*legs[0]) is None:
@@ -442,16 +445,9 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                                      if leg[:2] not in clear))
             if new:
                 clear.update(zip(new, segments_clear(graph.blocked, new)))
-            for a, b, t in legs:
-                if not clear[a, b]:
-                    table.setdefault((a, t), {})[b] = (-1, INFEASIBLE)
         if lookup(*legs[0]) is None:
-            fans: dict = {}  # (tail, departure) -> the heads to time
-            for a_xy, b_xy, depart in [
-                    leg for leg in dict.fromkeys(legs) if lookup(*leg) is None
-            ][:max(1, MAX_BATCH_LANES // len(profiles))]:
-                fans.setdefault((a_xy, depart), []).append(b_xy)
-            time_fans(list(fans), list(fans.values()))
+            time_misses([leg for leg in dict.fromkeys(legs)
+                         if lookup(*leg) is None][:per_call])
 
     def cost(a_xy, b_xy, depart: float):
         if lookup(a_xy, b_xy, depart) is None:
@@ -478,25 +474,18 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     horizon = graph.spacing / (vehicle.speed_through_water + grid.max_speed())
 
     def prefetch(a: int, depart: float, frontier, live) -> None:
-        key = (graph.vertex_xy[a], depart)
-        if key in table:
-            return
-        heads = live(a, depart)
-        if not heads:
-            return
-        batch = [(key, [graph.vertex_xy[b] for b in heads])]
-        lanes = len(heads) * len(profiles)
-        for v, t, lead in frontier:
-            key = (graph.vertex_xy[v], t)
-            if lead >= horizon or key in table:
-                continue
-            heads = live(v, t)
-            lanes += len(heads) * len(profiles)
-            if lanes > MAX_BATCH_LANES:
+        def fan(v: int, t: float) -> list:  # v's live legs at t, if unheld
+            xy = graph.vertex_xy[v]
+            return [] if (xy, t) in table else [
+                (xy, graph.vertex_xy[b], t) for b in live(v, t)]
+
+        legs = fan(a, depart)
+        for v, t, lead in frontier if legs else ():
+            more = fan(v, t) if lead < horizon else []
+            if len(legs) + len(more) > per_call:
                 break
-            if heads:
-                batch.append((key, [graph.vertex_xy[b] for b in heads]))
-        time_fans(*zip(*batch))
+            legs += more
+        time_misses(legs)
 
     cost.lookup, cost.time_legs, cost.fifo_witness, cost.prefetch = (
         lookup, time_legs, fifo_witness, prefetch)

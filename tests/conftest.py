@@ -78,17 +78,24 @@ def lattice_cost(grid, *args, **kwargs):
 
 def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Count run_mission's leg-kernel calls by stage, "search" (up to
-    smooth_path), "smoothing" and "baseline" (after it), and their lanes
-    under "search_lanes" and so on.  Returns the Counter the calls fill."""
+    smooth_path), "smoothing" and "baseline" (after it), their lanes
+    under "search_lanes" and so on, and the leg table's segments_clear
+    calls under "search_screens" and so on.  Returns the Counter the
+    calls fill."""
     calls = collections.Counter()
     stage = ["search"]
     kernel, smooth = search_mod.profile_times, mission_mod.smooth_path
+    screen = search_mod.segments_clear
 
     def counted(*args):
         out = kernel(*args)
         calls[stage[0]] += 1
         calls[stage[0] + "_lanes"] += out.size
         return out
+
+    def screened(*args):
+        calls[stage[0] + "_screens"] += 1
+        return screen(*args)
 
     def smoothing(*args):
         stage[0] = "smoothing"
@@ -98,6 +105,7 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
             stage[0] = "baseline"
 
     monkeypatch.setattr(search_mod, "profile_times", counted)
+    monkeypatch.setattr(search_mod, "segments_clear", screened)
     monkeypatch.setattr(mission_mod, "smooth_path", smoothing)
     return calls
 

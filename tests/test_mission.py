@@ -677,12 +677,14 @@ class TestSmoothingKernelCalls:
         assert (len(result.planned.waypoints),
                 len(result.smoothed.waypoints)) == (14, 10)
         assert calls["smoothing"] == 15  # 30 one leg per call
-        # kernel calls and lanes (legs x 3 profiles) of every stage: the
-        # search's prefetched fan-outs, smoothing's lockstep merges, and
-        # a baseline the table already holds
-        assert [calls[stage + lanes] for stage in ("search", "smoothing",
+        # kernel calls, lanes (legs x 3 profiles) and leg screens of
+        # every stage: the search's prefetched fan-outs of screened arcs,
+        # smoothing's lockstep merges, and a baseline the table already
+        # holds
+        assert [calls[stage + count] for stage in ("search", "smoothing",
                                                    "baseline")
-                for lanes in ("", "_lanes")] == [21, 3_369, 15, 255, 0, 0]
+                for count in ("", "_lanes", "_screens")] == \
+            [21, 3_369, 0, 15, 255, 5, 0, 0, 0]
 
     def test_drift_lattice_mission_and_its_baseline(self, tmp_path,
                                                    monkeypatch):

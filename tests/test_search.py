@@ -952,9 +952,10 @@ class TestPrefetch:
         assert graph.n_vertices == 9
         cost = make_edge_cost(still_grid, V03, family, graph=graph)
         assert tve_dijkstra(graph, 0, 8, 0.0, cost) is not None
-        # a fan-out is never split, so only a lone tail may pass the cap
-        assert all(lanes <= MAX_BATCH_LANES or len(tails) == 1
-                   for tails, lanes in counting.calls)
+        # a call passes the cap only to time one leg of a family larger
+        # than the cap; a wider fan-out goes in several calls
+        assert all(lanes <= MAX_BATCH_LANES or lanes == len(family)
+                   for _, lanes in counting.calls)
         widest = max(len(tails) for tails, _ in counting.calls)
         assert widest == (1 if n_climb == 100 else 2)
 
@@ -1148,8 +1149,8 @@ class TestBatchedSmoothing:
 
 class TestLegScreen:
     """The leg table screens every leg it is asked to time against the
-    graph's land and keep-out polygons, once per (tail, head), and
-    stores a blocked leg as infeasible without timing it."""
+    graph's land and keep-out polygons, once per (tail, head), and reads
+    a blocked leg as infeasible at every departure without timing it."""
 
     FAMILY = TestPrefetch.FAMILY
     KEEP_OUT = ((12_000.0, 22_000.0), (18_000.0, 22_000.0),
@@ -1210,6 +1211,21 @@ class TestLegScreen:
         assert cost.lookup(*self.OPEN, 0.0) is None
         cost.time_legs([(*self.OPEN, 0.0), (*self.LAND, 600.0)])
         assert screens == [3] and len(kernel) == 1
+
+    def test_a_blocked_leg_is_read_from_the_screen_at_any_departure(
+            self, graph, counted):
+        kernel, screens = counted
+        cost = self.make_cost(graph)
+        assert cost(*self.LAND, 0.0) == (None, INFEASIBLE)
+        assert cost(*self.OPEN, 0.0)[1] < INFEASIBLE
+        assert (screens, len(kernel)) == ([1, 1], 1)
+        for depart in (600.0, 1_234.5, INFEASIBLE):
+            assert cost.lookup(*self.LAND, depart) == (None, INFEASIBLE)
+            assert cost(*self.LAND, depart) == (None, INFEASIBLE)
+        assert (screens, len(kernel)) == ([1, 1], 1)
+        assert cost(*self.OPEN, 600.0)[1] < INFEASIBLE
+        # a blocked leg holds no row, so it makes no FIFO witness
+        assert cost.fifo_witness() == 0
 
     def test_a_leg_is_screened_once(self, graph, counted):
         _, screens = counted

@@ -154,10 +154,12 @@ class FlowGrid:
                 # those near the final max) gives the same float as hypot
                 # everywhere (less the least normal float, for squares
                 # that underflow)
-                top = max(top, np.max(sq, initial=0.0))
-                near = sq >= top * (1.0 - 1e-12) - np.finfo(float).tiny
-                best = max(best, np.max(np.hypot(u[c][near], v[c][near]),
-                                        initial=0.0))
+                top = max(top, most := np.max(sq, initial=0.0))
+                floor = top * (1.0 - 1e-12) - np.finfo(float).tiny
+                if most >= floor:  # else the chunk holds no such node
+                    near = sq >= floor
+                    best = max(best, np.max(np.hypot(u[c][near], v[c][near]),
+                                            initial=0.0))
             self._max_speed = float(best)
         return self._max_speed
 
@@ -270,18 +272,21 @@ def _nearest(coords: np.ndarray, q: np.ndarray) -> np.ndarray:
     their midpoints, 0.5 * (c_lo + c_hi), a q on a wall reads the lower
     knot, and a NaN q (an infeasible lane's time) reads the last knot.
     search.BlockedRegions.land_cells puts the land screen's walls there."""
-    return np.searchsorted(0.5 * (coords[1:] + coords[:-1]), q, side="left")
+    return _cell_table(coords.tobytes(), "nearest")[1].searchsorted(q, "left")
 
 
 @functools.lru_cache(maxsize=64)
 def _cell_table(raw: bytes, method: str):
-    """The cell-constant parts of _axis_stencil for a method other than
-    nearest, on the axis whose float64 knots are raw, a column per cell:
-    (interior knots, knots, x0 and h then Akima's knot widths or
-    Catmull-Rom's tangent reciprocals, Akima's ghost or Catmull-Rom's end
-    flags).  Callers take copies."""
+    """The axis table of _axis_stencil on the axis whose float64 knots
+    are raw: (effective method, the knots between cells (for nearest,
+    the walls midway between knots), then a column per cell of knots, x0
+    and h then Akima's knot widths or Catmull-Rom's tangent reciprocals,
+    Akima's ghost or Catmull-Rom's end flags).  Callers take copies."""
     coords = np.frombuffer(raw)
     n = coords.size
+    method = effective_method(method, n)
+    if method == "nearest":
+        return method, 0.5 * (coords[1:] + coords[:-1])
     i = np.arange(n - 1, dtype=np.int32)
     lo = {"akima": -2, "cubic": -1, "bicubic": -1}.get(method, 0)
     knots = np.clip(i + np.arange(lo, 2 - lo, dtype=np.int32)[:, None], 0,
@@ -293,38 +298,45 @@ def _cell_table(raw: bytes, method: str):
     elif lo:  # Catmull-Rom
         real += list(1.0 / (coords[knots[2:]] - coords[knots[:2]]))
         flags = [i > 0, i + 2 <= n - 1]
-    return (coords[1:-1], knots, np.array(real),
+    return (method, coords[1:-1], knots, np.array(real),
             np.array(flags, dtype=bool).reshape(-1, n - 1))
 
 
-def _axis_knots(coords: np.ndarray, q: np.ndarray, method: str) -> np.ndarray:
-    """The knots (W, N) of _axis_stencil(coords, q, method)."""
-    method = effective_method(method, coords.size)
+def grid_tables(grid: FlowGrid, scheme: InterpScheme) -> tuple:
+    """The axis tables (_cell_table) of x, y, z and t under scheme."""
+    return tuple(_cell_table(c.tobytes(), m) for c, m in zip(
+        (grid.x_coords, grid.y_coords, grid.z_levels, grid.t_steps),
+        (scheme.xy_method,) * 2 + (scheme.z_method, scheme.t_method)))
+
+
+def _axis_knots(table: tuple, q: np.ndarray) -> np.ndarray:
+    """The knots (W, N) of _axis_stencil(table, q)."""
+    method, inner, *cells = table
     if method == "nearest":
-        return _nearest(coords, q)[None]
-    inner, knots, _, _ = _cell_table(coords.tobytes(), method)
-    return knots.take(np.searchsorted(inner, q, side="right"), axis=1)
+        return inner.searchsorted(q, "left")[None]
+    return cells[0].take(inner.searchsorted(q, "right"), axis=1)
 
 
-def _axis_stencil(coords: np.ndarray, q: np.ndarray, method: str):
-    """Fixed-width stencil of one axis over N queries: (knots, weights,
-    akima), knots (W, N) in ascending knot order.
+def _axis_stencil(table: tuple, q: np.ndarray):
+    """Fixed-width stencil of one axis over N queries, from its axis table
+    (_cell_table): (knots, weights, akima), knots (W, N) in ascending
+    knot order.
 
     Cubic spans knots i-1 .. i+2 and Akima i-2 .. i+3 around the cell i
     of q (clamped to [0, n-2]), clamped to the axis; a clamped slot
     repeats a knot of the stencil and, for cubic, carries weight zero.
     For Akima, weights is None and akima holds what _akima_stage needs.
-    Everything but q's place in its cell comes from _cell_table.
+    Everything but q's place in its cell comes from the axis table.
     """
-    method = effective_method(method, coords.size)
+    method, inner, *cells = table
     if method == "nearest":
-        return _nearest(coords, q)[None], [np.ones(q.shape)], None
-    inner, *table = _cell_table(coords.tobytes(), method)
-    i = np.searchsorted(inner, q, side="right")
-    knots, (x0, h, *real), flags = (a.take(i, axis=1) for a in table)
+        return inner.searchsorted(q, "left")[None], [np.ones(q.shape)], None
+    i = inner.searchsorted(q, "right")
+    knots, (x0, h, *real) = (a.take(i, axis=1) for a in cells[:2])
     s = (q - x0) / h
     if method in ("linear", "bilinear"):
         return knots, [1.0 - s, s], None
+    flags = cells[2].take(i, axis=1)
     s2 = s * s
     s3 = s2 * s
     if method == "akima":
@@ -417,6 +429,20 @@ def _flat(a: np.ndarray, shape) -> np.ndarray:  # broadcast only if need be
     return (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(-1)
 
 
+def depth_stencils(grid: FlowGrid, table: tuple, z) -> list:
+    """space_stage's depth stencils for rows of depths z (R, K), clamped
+    to the grid: each row's first knot (1, R, 1), then each depth's slots
+    in its row's window and its weights or Akima parts, each (m, R, K)."""
+    zs = grid.z_levels
+    knots, weights, akima = _axis_stencil(
+        table, np.minimum(np.maximum(z, zs[0]), zs[-1]).reshape(-1))
+    lo, _, slots = _window(knots, z.shape)
+    parts = [slots, weights] if akima is None else [slots, akima[:1],
+                                                    *akima[1:]]
+    return [lo.reshape(1, -1, 1)] + [np.reshape(a, (len(a), *z.shape))
+                                     for a in parts]
+
+
 class SpaceWindow(NamedTuple):
     """Part one of the kernel (space_stage) for C columns of K points,
     point j of column c being lane c * K + j, over n_wt time slots."""
@@ -426,41 +452,44 @@ class SpaceWindow(NamedTuple):
     reason: np.ndarray  # (C * K,) int8: SAMPLE_OK or SAMPLE_OUT_OF_DOMAIN
 
 
-def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
-                scheme: InterpScheme = DEFAULT_SCHEME) -> SpaceWindow:
+def space_stage(grid: FlowGrid, x, y, depths, lo, n_wt: int,
+                tables: tuple) -> SpaceWindow:
     """Part one of the kernel for C columns of K points sharing (x, y),
-    x and y (C,) with z (C, K), one chunk of columns at a time: the
-    x-then-y stage once per (column, time knot, depth knot) of the
-    chunk's windows, then each of its points' depth stage at each of its
-    column's time knots.  A chunk gathers at most MAX_GATHER_NODES grid
-    nodes and as many layer values, or is one column, whose points then
-    go as many at a time as one gather holds.  Column c's time window
-    holds knots lo[c] + s for slots s < n_wt (a slot past the axis end
-    repeats its last knot), its depth window the knots its points' depth
-    stencils span."""
-    n_col, k = z.shape
-    xs, ys, zs = grid.x_coords, grid.y_coords, grid.z_levels
+    x and y (C,), under grid_tables tables, one chunk of columns at a
+    time: the x-then-y stage once per (column, time knot, depth knot) of
+    the chunk's windows, then each of its points' depth stage at each of
+    its column's time knots.  depths is (rows, stencils): column c's
+    points read row rows[c] of depth_stencils' stencils.  A chunk gathers
+    at most MAX_GATHER_NODES grid nodes and as many layer values, or is
+    one column, whose points then go as many at a time as one gather
+    holds.  Column c's time window holds knots lo[c] + s for slots s <
+    n_wt (a slot past the axis end repeats its last knot), its depth
+    window the knots its points' depth stencils span."""
+    rows, stencils = depths
+    n_col, k = x.size, stencils[1].shape[-1]
+    xs, ys = grid.x_coords, grid.y_coords
     inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
-    kx, wx, _ = _axis_stencil(xs, x, scheme.xy_method)
-    ky, wy, _ = _axis_stencil(ys, y, scheme.xy_method)
-    zq = np.minimum(np.maximum(z, zs[0]), zs[-1]).reshape(-1)
-    lo_z, n_wz, jz = _window(_axis_knots(zs, zq, scheme.z_method), (n_col, k))
+    kx, wx, _ = _axis_stencil(tables[0], x)
+    ky, wy, _ = _axis_stencil(tables[1], y)
+    n_wz = int(stencils[1][-1].take(rows, axis=0).max(initial=0)) + 1
 
     # a chunk's horizontal layers (2, n_wt, n_wz * Cc), then each point's
     # depth stage at its depth knots' slots li (Wz, points)
     nt, nz, ny, nx = grid.shape
     yx = ky[:, None, :] * nx + kx  # (Wy, Wx, C)
-    series = np.empty((2, n_wt, zq.size))
-    land = None if grid._flat_fill is None else np.empty((n_wt, zq.size),
+    series = np.empty((2, n_wt, n_col * k))
+    land = None if grid._flat_fill is None else np.empty((n_wt, n_col * k),
                                                           dtype=bool)
-    per = max(1, MAX_GATHER_NODES // (n_wt * len(jz)))  # points a gather
+    per = max(1, MAX_GATHER_NODES // (n_wt * len(stencils[1])))  # points
     step = max(1, min(per // k, MAX_GATHER_NODES // (
         n_wt * n_wz * len(kx) * len(ky))))
     win_t, win_z = (np.arange(n, dtype=np.int32)[:, None] for n in (n_wt, n_wz))
     for c in range(0, n_col, step):
         cs = slice(c, c + step)
+        (lo_z,), jz, *parts = [a.take(rows[cs], axis=1).reshape(len(a), -1)
+                               for a in stencils]
         it = np.minimum(lo[cs] + win_t, nt - 1)
-        iz = np.minimum(lo_z[cs] + win_z, nz - 1)
+        iz = np.minimum(lo_z + win_z, nz - 1)
         idx = ((it[:, None, :] * nz + iz) * (ny * nx))[:, :, None, None, :] \
             + yx[:, :, cs]  # (n_wt, n_wz, Wy, Wx, Cc)
         vals = np.empty((2,) + idx.shape)
@@ -471,15 +500,16 @@ def space_stage(grid: FlowGrid, x, y, z, lo, n_wt: int,
         if land is not None:
             fill = grid._flat_fill.take(idx).any(axis=(2, 3)).reshape(n_wt, -1)
         vals = idx = None  # before the depth stage's own temporaries
-        end = min(c + step, n_col) * k
-        for p in range(c * k, end, per):
-            ps = slice(p, min(p + per, end))
-            li = jz[:, ps] * it.shape[1] + (np.arange(
-                ps.start, ps.stop, dtype=jz.dtype) // k - c)
-            series[:, :, ps] = _stage(layers.take(li, axis=2), _axis_stencil(
-                zs, zq[ps], scheme.z_method))
+        for p in range(0, jz.shape[1], per):
+            ps = slice(p, min(p + per, jz.shape[1]))
+            li = jz[:, ps] * it.shape[1] + np.arange(
+                ps.start, ps.stop, dtype=jz.dtype) // k
+            out = slice(c * k + ps.start, c * k + ps.stop)
+            part = [a[:, ps] for a in parts]
+            series[:, :, out] = _stage(layers.take(li, axis=2), (
+                None, part[0], None) if len(part) == 1 else (None, None, part))
             if land is not None:
-                land[:, ps] = fill.take(li, axis=1).any(axis=1)
+                land[:, out] = fill.take(li, axis=1).any(axis=1)
     reason = np.where(inside, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN).astype(
         np.int8).repeat(k)
     return SpaceWindow(series, land, reason)
@@ -530,12 +560,14 @@ def sample_batch(grid: FlowGrid, x, y, z, t,
         x, y, z, t = (a.reshape(-1, 1) for a in (x, y, z, t))
         out_shape = (-1,)
     shape = n_col, _ = np.broadcast(x, y, z, t).shape
-    ts = grid.t_steps
-    st_t = _axis_stencil(ts, np.minimum(np.maximum(_flat(t, shape), ts[0]),
-                                        ts[-1]), scheme.t_method)
+    ts, tables = grid.t_steps, grid_tables(grid, scheme)
+    st_t = _axis_stencil(tables[3], np.minimum(np.maximum(
+        _flat(t, shape), ts[0]), ts[-1]))
     lo, n_wt, jt = _window(st_t[0], shape)
     space = space_stage(grid, _flat(x, (n_col, 1)), _flat(y, (n_col, 1)),
-                        np.broadcast_to(z, shape), lo, n_wt, scheme)
+                        (np.arange(n_col), depth_stencils(
+                            grid, tables[2], np.broadcast_to(z, shape))),
+                        lo, n_wt, tables)
     return tuple(a.reshape(out_shape) for a in time_stage(space, st_t, jt))
 
 

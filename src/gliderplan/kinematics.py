@@ -16,17 +16,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
-                        _axis_knots, _axis_stencil, sample, space_stage,
+                        _axis_knots, _axis_stencil, depth_stencils,
+                        grid_tables, sample, space_stage,
                         time_stage)  # sample: for bench/spans.py
 
 INFEASIBLE = math.inf
 
 # Units of 20 B that one profile_times call may hoist into a space stage:
 # one per lane and time slot for its series (u, v and fill, 17 B), three
-# more per lane for its depth, depth slots and reason (under 60 B), and
-# one per node (column, time slot, depth knot) of the transient layers
-# (17 B), so at most about 2.6 MB beside flowfield.MAX_GATHER_NODES'
-# gather chunks
+# more per lane (under 60 B) and one per node (column, time slot, depth
+# knot) of the transient layers (17 B), so at most about 2.6 MB beside
+# flowfield.MAX_GATHER_NODES' gather chunks
 MAX_HOISTED = 1 << 17
 
 
@@ -107,6 +107,35 @@ def over_ground_speed(vehicle: VehicleSpec, cu, cv, ux, uy):
     return v, (s2 >= 0.0) & (v > 0.0)
 
 
+class LegSetup(tuple):
+    """The family, with all of a profile_times call on these arguments
+    that depends on no leg: where a leg's segments and sub-steps start,
+    depth_stencils of each sub-step slot's depths (n_col, P), grid_tables
+    and choose_profile's tie order."""
+
+    def __new__(cls, profiles, grid: FlowGrid, vehicle: VehicleSpec,
+                h=0.25, scheme=DEFAULT_SCHEME, n_sub=4):
+        if not (0.0 < h <= 1.0):
+            raise ConfigError(f"h must lie in (0, 1], got {h!r}")
+        if n_sub < 1:
+            raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
+        self = super().__new__(cls, profiles)
+        self.args = grid, vehicle, h, scheme, n_sub
+        # 1/h is taken with a small backoff so float noise cannot add a
+        # segment; slot g = i * n_sub + s is sub-step s of segment i
+        n_seg = math.ceil(1.0 / h - 1e-9)
+        self.n_col, self.tables = n_seg * n_sub, grid_tables(grid, scheme)
+        self.seg = np.arange(n_seg + 1)[:, None, None] / n_seg
+        self.sub = (np.arange(n_sub) / n_sub)[:, None, None]
+        zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in self],
+                            (-1, 2)).T
+        self.dz = zd - zc
+        self.depths = depth_stencils(grid, self.tables[2], zc + (np.arange(
+            0.5, self.n_col) % n_sub / n_sub)[:, None] * self.dz)
+        self.order = _tie_order(self)
+        return self
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
                   vehicle: VehicleSpec, h: float = 0.25,
@@ -122,6 +151,9 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     starting horizontal position, its mid depth and the clock so far,
     and flies at the over_ground_speed that gives.  tails_2d is (H, 2) or
     one shared (x, y); t_start is (H,) or one shared departure.
+
+    profiles is a LegSetup made with these arguments, whose work the call
+    skips, or a family, for which the call makes one.
 
     A run's positions are fixed before it flies; only its clock depends
     on the field, and the clock only picks the time knots the time stage
@@ -139,34 +171,25 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
     depend on the rest of the batch.  Entries are seconds or INFEASIBLE,
     as is every run of an INFEASIBLE departure.
     """
-    profiles = list(profiles)
+    prep = profiles if isinstance(profiles, LegSetup) and profiles.args == (
+        grid, vehicle, h, scheme, n_sub) else LegSetup(
+            profiles, grid, vehicle, h, scheme, n_sub)
     heads = np.asarray(heads_2d, dtype=np.float64).reshape(-1, 2)
-    tails = np.broadcast_to(np.reshape(tails_2d, (-1, 2)), heads.shape)
-    departs = np.broadcast_to(np.reshape(t_start, -1), heads.shape[:1])
-    shape = n_h, n_p = heads.shape[0], len(profiles)
-    if not (0.0 < h <= 1.0):
-        raise ConfigError(f"h must lie in (0, 1], got {h!r}")
-    if n_sub < 1:
-        raise ConfigError(f"n_sub must be at least 1, got {n_sub!r}")
-    t = t0 = np.repeat(departs, n_p).reshape(shape)
+    tails = np.asarray(tails_2d, dtype=np.float64).reshape(-1, 2)
+    departs = np.asarray(t_start, dtype=np.float64).reshape(-1)
+    shape = n_h, n_p = heads.shape[0], len(prep)
+    t = t0 = np.full(shape, departs[:, None])
     alive = np.isfinite(t0)
     if not alive.any():
         return np.full(shape, INFEASIBLE)
-    # 1/h is taken with a small backoff so float noise cannot add a segment
-    n_seg = math.ceil(1.0 / h - 1e-9)
-    n_col = n_seg * n_sub
     # segment i slants from (ps[i], zc) by (d[i], dz), ps[i] and d[i] (2, H)
     # and zc and dz (P,); its sub-step s starts at xy[g] = ps[i] + s / n_sub
-    # * d[i], g = i * n_sub + s, at depths z[g] = zc + (s + 0.5) / n_sub * dz
+    # * d[i], g = i * n_sub + s, at depths zc + (s + 0.5) / n_sub * dz
+    n_col, dz, t_axis = prep.n_col, prep.dz, prep.tables[3]
     span = (heads - tails).T
-    ps = tails.T + np.arange(n_seg + 1)[:, None, None] / n_seg * span
+    ps = tails.T + prep.seg * span
     d = ps[1:] - ps[:-1]
-    xy = (ps[:-1, None] + (np.arange(n_sub) / n_sub)[:, None, None]
-          * d[:, None]).reshape(n_col, 2, n_h)
-    zc, zd = np.reshape([(p.z_climb_to, p.z_dive_to) for p in profiles],
-                        (-1, 2)).T
-    dz = zd - zc
-    z = zc + (np.arange(0.5, n_col) % n_sub / n_sub)[:, None] * dz
+    xy = (ps[:-1, None] + prep.sub * d[:, None]).reshape(n_col, 2, n_h)
 
     ts = grid.t_steps
 
@@ -174,12 +197,10 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
         return np.minimum(np.maximum(q, ts[0]), ts[-1])
 
     if n_col > 1:  # each head's last knot at its still-water arrival
-        reach = _axis_knots(ts, clamp(departs + np.hypot(*span) /
-                                      vehicle.speed_through_water),
-                            scheme.t_method)[-1]
-    n_lanes = n_h * n_p
+        reach = _axis_knots(t_axis, clamp(departs + np.hypot(*span) /
+                                          vehicle.speed_through_water))[-1]
     end = 0  # the open window's sub-steps are g0 .. end - 1
-    for i in range(n_seg):
+    for i in range(len(d)):
         if not alive.any():
             break
         ddx, ddy = d[i, 0, :, None], d[i, 1, :, None]
@@ -196,7 +217,7 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
             live = (ok & (t < math.inf)).reshape(-1)
             if not live.any():
                 break
-            st_t = _axis_stencil(ts, clamp(t.reshape(-1)), scheme.t_method)
+            st_t = _axis_stencil(t_axis, clamp(t.reshape(-1)))
             knots = st_t[0]
             if g >= end or (live & ((knots[0] < lo) | (
                     knots[-1] >= lo + n_wt))).any():
@@ -212,13 +233,14 @@ def profile_times(tails_2d, heads_2d, t_start, profiles, grid: FlowGrid,
                             n_p * (wide + 3) + wide * grid.z_levels.size
                     ) <= MAX_HOISTED:
                         end, n_wt = n_col, wide
-                space = space_stage(grid, xy[g:end, 0].reshape(-1),
-                                    xy[g:end, 1].reshape(-1),
-                                    z[g:end].repeat(n_h, axis=0),
-                                    np.tile(first, end - g), n_wt, scheme)
+                space = space_stage(
+                    grid, xy[g:end, 0].reshape(-1), xy[g:end, 1].reshape(-1),
+                    (np.arange(g, end).repeat(n_h), prep.depths),
+                    first[None].repeat(end - g, axis=0).reshape(-1), n_wt,
+                    prep.tables)
                 lo = first.repeat(n_p)  # each lane's first window knot
             cu, cv, reason = time_stage(space, st_t, knots - lo, slice(
-                (g - g0) * n_lanes, (g - g0 + 1) * n_lanes))
+                (g - g0) * t.size, (g - g0 + 1) * t.size))
             v, feasible = over_ground_speed(vehicle, cu.reshape(shape),
                                             cv.reshape(shape), ux, uy)
             ok &= (reason.reshape(shape) == SAMPLE_OK) & feasible
@@ -282,27 +304,37 @@ def check_cost_mode(mode: str, profiles) -> None:
         raise ConfigError("profile family is empty")
 
 
+def _tie_order(profiles):  # amplitude descending, then family index
+    amp = np.array([p.amplitude for p in profiles], dtype=np.float64)
+    rank = np.argsort(-amp, kind="stable")
+    return rank, amp[rank]
+
+
 def choose_profile(profiles, times, mode: str = "fastest",
                    slack_factor: float = 1.1):
     """Pick one profile per row of an (R, P) block of family times.
 
     The rules are optimal_profile_cost's.  Returns (index, seconds),
     arrays of shape (R,); a row whose fastest time is INFEASIBLE gets
-    index -1 and INFEASIBLE.  Only comparisons decide, so picks are exact.
+    index -1 and INFEASIBLE.  A pick is the first least time in the tie
+    order, NaN read as +inf.  Only comparisons decide, so picks are exact.
     """
-    times = np.asarray(times, dtype=np.float64).reshape(-1, len(profiles))
-    order = np.broadcast_to(np.arange(len(profiles)), times.shape)
-    neg_amp = np.broadcast_to([-p.amplitude for p in profiles], times.shape)
-    rows = np.arange(times.shape[0])
-    pick = np.lexsort((order, neg_amp, times))[:, 0]
-    fastest = times[rows, pick]
+    rank, amp = (profiles.order if isinstance(profiles, LegSetup)
+                 else _tie_order(profiles))
+    ranked = np.asarray(times, dtype=np.float64).reshape(-1, amp.size)[:, rank]
+    rows = np.arange(ranked.shape[0])
+    best = np.fmin(ranked, INFEASIBLE).argmin(axis=1)  # fmin: NaN -> inf
+    fastest = ranked[rows, best]
     if mode == "max_amplitude":
-        within = times <= (slack_factor * fastest)[:, None]
-        alt = np.lexsort((order, times, neg_amp, ~within))[:, 0]
-        pick = np.where(within[rows, alt], alt, pick)
+        # the first time within the slack has the largest amplitude there
+        within = ranked <= (slack_factor * fastest)[:, None]
+        top = within.argmax(axis=1)
+        alt = np.where(within & (amp == amp[top][:, None]), ranked,
+                       INFEASIBLE).argmin(axis=1)
+        best = np.where(within[rows, top], alt, best)
     feasible = np.isfinite(fastest)
-    return (np.where(feasible, pick, -1),
-            np.where(feasible, times[rows, pick], INFEASIBLE))
+    return (np.where(feasible, rank[best], -1),
+            np.where(feasible, ranked[rows, best], INFEASIBLE))
 
 
 def optimal_profile_cost(p_start_2d, p_end_2d, t_start: float, profiles,

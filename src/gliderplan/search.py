@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .flowfield import (DEFAULT_SCHEME, SAMPLE_OK, FlowGrid, InterpScheme,
                         current_bound, sample,  # sample: for bench/spans.py
                         sample_batch)
-from .kinematics import (INFEASIBLE, DiveProfile, VehicleSpec,
+from .kinematics import (INFEASIBLE, DiveProfile, LegSetup, VehicleSpec,
                          check_cost_mode, choose_profile, profile_times)
 from .kinematics import optimal_profile_cost  # noqa: F401  for bench/spans.py
 
@@ -383,8 +383,9 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     exceeds the bound, so a leg a -> b takes at least |b - a| /
     speed_bound (tve_dijkstra's heuristic).
 
-    Every leg it times stays in a table keyed by (tail, departure) that
-    maps each head to its profile and time.  One rule turns misses into
+    The kernel's set-up (LegSetup) is made once per table.  Every leg
+    it times stays in a table keyed by (tail, departure) that maps each
+    head to its profile and time.  One rule turns misses into
     kernel calls: in the order offered, they are timed in calls of at
     most MAX_BATCH_LANES lanes, or of one leg when one leg alone has
     more, and written to their rows.  lookup(a, b, depart) reads the
@@ -418,23 +419,25 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
     """
     profiles = list(profiles)
     check_cost_mode(mode, profiles)
+    setup = LegSetup(profiles, grid, vehicle, h, scheme, n_sub)
     choices = [*profiles, None]  # choose_profile's -1 reads None
     per_call = max(1, MAX_BATCH_LANES // len(profiles))  # legs per call
     table: dict = {}  # (tail, departure) -> {head: (profile, s)}
     clear: dict = {}  # (tail, head) -> the leg misses land and keep-outs
+    no_row: dict = {}  # lookup's row for a (tail, departure) not held
 
     def time_misses(legs: list) -> None:
         for lo in range(0, len(legs), per_call):
             tails, heads, departs = zip(*legs[lo:lo + per_call])
-            pick, secs = choose_profile(profiles, profile_times(
-                tails, heads, departs, profiles, grid, vehicle, h, scheme,
+            pick, secs = choose_profile(setup, profile_times(
+                tails, heads, departs, setup, grid, vehicle, h, scheme,
                 n_sub), mode, slack_factor)
             for a_xy, b_xy, depart, i, s in zip(tails, heads, departs,
                                                 pick.tolist(), secs.tolist()):
                 table.setdefault((a_xy, depart), {})[b_xy] = (choices[i], s)
 
     def lookup(a_xy, b_xy, depart: float):
-        got = table.get((a_xy, depart), {}).get(b_xy)
+        got = table.get((a_xy, depart), no_row).get(b_xy)
         if got is None and not clear.get((a_xy, b_xy), True):
             return None, INFEASIBLE
         return got
@@ -450,9 +453,11 @@ def make_edge_cost(grid: FlowGrid, vehicle: VehicleSpec, profiles,
                          if lookup(*leg) is None][:per_call])
 
     def cost(a_xy, b_xy, depart: float):
-        if lookup(a_xy, b_xy, depart) is None:
+        got = lookup(a_xy, b_xy, depart)
+        if got is None:
             time_legs([(a_xy, b_xy, depart)])
-        return lookup(a_xy, b_xy, depart)
+            got = lookup(a_xy, b_xy, depart)
+        return got
 
     def fifo_witness() -> int:
         departs: dict = {}  # tail -> the departures its rows hold

@@ -427,7 +427,7 @@ def sample_batch_reference(grid, x, y, z, t, scheme):
     four stages itself.  Takes and returns the kernel's point shapes."""
     from gliderplan.flowfield import (SAMPLE_LAND, SAMPLE_OK,
                                       SAMPLE_OUT_OF_DOMAIN, _axis_stencil,
-                                      _stage)
+                                      _stage, grid_tables)
 
     out_shape = np.broadcast_shapes(*(np.shape(a) for a in (x, y, z, t)))
     x, y, z, t = (np.broadcast_to(np.asarray(a, dtype=np.float64),
@@ -438,10 +438,8 @@ def sample_batch_reference(grid, x, y, z, t, scheme):
     inside = (x >= xs[0]) & (x <= xs[-1]) & (y >= ys[0]) & (y <= ys[-1])
     z = np.minimum(np.maximum(z, zs[0]), zs[-1])
     t = np.minimum(np.maximum(t, ts[0]), ts[-1])
-    st_x = _axis_stencil(xs, x, scheme.xy_method)
-    st_y = _axis_stencil(ys, y, scheme.xy_method)
-    st_z = _axis_stencil(zs, z, scheme.z_method)
-    st_t = _axis_stencil(ts, t, scheme.t_method)
+    st_x, st_y, st_z, st_t = (_axis_stencil(table, q) for table, q in zip(
+        grid_tables(grid, scheme), (x, y, z, t)))
     # flat (z, y, x) stencil node index within a time step, (Wz, Wy, Wx, N)
     _, nz, ny, nx = grid.shape
     zyx = np.stack(st_z[0])[:, None, :] * ny + np.stack(st_y[0])
@@ -593,6 +591,28 @@ def profile_times_reference(tails_2d, heads_2d, t_start, profiles, grid,
         alive &= ok
         t = t + dt
     return np.where(alive, t - t0, INFEASIBLE)
+
+
+def choose_profile_lexsort_reference(profiles, times, mode="fastest",
+                                     slack_factor=1.1):
+    """kinematics.choose_profile as one lexsort (fastest) or two
+    (max_amplitude) over broadcast order and amplitude arrays: NaN sorts
+    last."""
+    from gliderplan.kinematics import INFEASIBLE
+
+    times = np.asarray(times, dtype=np.float64).reshape(-1, len(profiles))
+    order = np.broadcast_to(np.arange(len(profiles)), times.shape)
+    neg_amp = np.broadcast_to([-p.amplitude for p in profiles], times.shape)
+    rows = np.arange(times.shape[0])
+    pick = np.lexsort((order, neg_amp, times))[:, 0]
+    fastest = times[rows, pick]
+    if mode == "max_amplitude":
+        within = times <= (slack_factor * fastest)[:, None]
+        alt = np.lexsort((order, times, neg_amp, ~within))[:, 0]
+        pick = np.where(within[rows, alt], alt, pick)
+    feasible = np.isfinite(fastest)
+    return (np.where(feasible, pick, -1),
+            np.where(feasible, times[rows, pick], INFEASIBLE))
 
 
 def choose_profile_reference(profiles, times, mode, slack_factor):

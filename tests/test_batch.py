@@ -31,11 +31,12 @@ from gliderplan.flowfield import (SAMPLE_LAND, SAMPLE_OK, SAMPLE_OUT_OF_DOMAIN,
                                   XY_METHODS, ZT_METHODS, FlowGrid,
                                   InterpScheme, sample, sample_batch,
                                   save_flow_grid, synth_field)
-from gliderplan.kinematics import (DiveProfile, ProfileFamilySpec, VehicleSpec,
-                                   glider_travel_time, make_dive_profiles,
-                                   profile_times)
+from gliderplan.kinematics import (DiveProfile, LegSetup, ProfileFamilySpec,
+                                   VehicleSpec, glider_travel_time,
+                                   make_dive_profiles, profile_times)
 
-from conftest import random_grid, travel_time, write_gyre_mission
+from conftest import (lattice_cost, random_grid, travel_time,
+                      write_gyre_mission)
 from oracles import (glider_travel_time_reference, profile_times_reference,
                      sample_batch_reference, sample_reference,
                      travel_time_reference)
@@ -349,16 +350,55 @@ def test_leg_kernel_equals_one_sample_batch_call_per_sub_step(case):
     assert same_bits(profile_times(*case), profile_times_reference(*case))
 
 
+def test_one_family_through_two_leg_tables_times_each_grid_its_own(
+        monkeypatch):
+    # one family list makes two leg tables, on grids whose z axes (2
+    # levels, linear; 4 levels, Akima) and t axes differ: each table's
+    # set-up is made for its own grid, and every kernel call equals the
+    # reference on its grid, and the plain-list path, bit for bit; a
+    # set-up handed another grid is not used for it
+    family = make_dive_profiles(ProfileFamilySpec(0.0, 20.0, 100.0, 30.0, 2, 2))
+    x = np.linspace(0.0, 32_000.0, 9)
+    gyre = {"amplitude": 0.03, "period": 86_400.0}
+    grids = [(synth_field("gyre", x, x, (0.0, 100.0),
+                          np.linspace(0.0, 200_000.0, 5), params=gyre),
+              InterpScheme("bilinear", "linear", "linear")),
+             (synth_field("gyre", x, x, (0.0, 30.0, 70.0, 120.0),
+                          np.linspace(0.0, 300_000.0, 13), params=gyre),
+              InterpScheme("bicubic", "akima", "akima"))]
+    calls, kernel = [], search_mod.profile_times
+    monkeypatch.setattr(search_mod, "profile_times",
+                        lambda *a: calls.append((a, kernel(*a))) or calls[-1][1])
+    legs = [((8_000.0, 8_000.0), (16_000.0, 8_000.0)),
+            ((8_000.0, 8_000.0), (16_000.0, 24_000.0)),
+            ((24_000.0, 16_000.0), (16_000.0, 8_000.0))]
+    for grid, scheme in grids:
+        cost = lattice_cost(grid, V03, family, 0.5, scheme, 2)
+        for depart in (0.0, 40_000.0):
+            cost.time_legs([(a, b, depart) for a, b in legs])
+    assert [a[4] for a, _ in calls] == [grids[0][0]] * 2 + [grids[1][0]] * 2
+    for args, times in calls:
+        prep = args[3]
+        assert isinstance(prep, LegSetup) and list(prep) == family
+        assert prep.args == args[4:]
+        assert np.isfinite(times).any()
+        assert same_bits(times, profile_times_reference(*args))
+        assert same_bits(times, profile_times(*args[:3], family, *args[4:]))
+    (first, _), (other, _) = calls[0], calls[-1]
+    assert same_bits(profile_times(*other[:3], first[3], *other[4:]),
+                     profile_times_reference(*other))
+
+
 def count_gathers(monkeypatch):
     """Record the leg kernel's space stages (their window widths and
     column counts) and any sample_batch call made through flowfield."""
     seen = {"space": [], "columns": [], "sample_batch": []}
     space, plain = kinematics_mod.space_stage, flowfield_mod.sample_batch
 
-    def spied_space(grid, x, y, z, lo, n_wt, scheme):
+    def spied_space(grid, x, y, depths, lo, n_wt, tables):
         seen["space"].append(n_wt)
         seen["columns"].append(x.size)
-        return space(grid, x, y, z, lo, n_wt, scheme)
+        return space(grid, x, y, depths, lo, n_wt, tables)
 
     def spied_plain(grid, x, y, z, t, scheme):
         seen["sample_batch"].append(np.size(t))

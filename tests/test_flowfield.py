@@ -143,6 +143,35 @@ class TestMaxSpeed:
                                      grid.z_levels, grid.t_steps, u, v)):
                 assert g.max_speed() == max_speed_reference(g)
 
+    def test_chunks_below_the_running_max_skip_the_hypot_pass(
+            self, monkeypatch):
+        # chunks of 7 nodes over 448: the largest speed first, last, tied
+        # across two chunks (the same vector, and one speed at two
+        # headings), and beside a fill node and a NaN fill node
+        monkeypatch.setattr(flowfield, "MAX_SPEED_CHUNK", 7)
+        hypot, passes = np.hypot, []
+        monkeypatch.setattr(np, "hypot",
+                            lambda *a, **k: passes.append(1) or hypot(*a, **k))
+        rng = np.random.RandomState(3)
+        base = random_grid(rng, 8, 7, 2, 4)
+        fill = base._isfill(base.u)
+        cases = {"first": {0: (3.0, 4.0)}, "last": {447: (-4.0, 3.0)},
+                 "tied": {5: (3.0, 4.0), 400: (3.0, 4.0)},
+                 "headings": {30: (1.5, -2.0), 300: (2.0, 1.5)},
+                 "beside fill": {13: (0.0, 5.0), 15: (0.0, np.nan)}}
+        assert fill.flat[14]
+        for name, nodes in cases.items():
+            u, v = base.u.copy(), base.v.copy()
+            for i, (cu, cv) in nodes.items():
+                u.flat[i], v.flat[i] = cu, cv
+            grid = FlowGrid(base.x_coords, base.y_coords, base.z_levels,
+                            base.t_steps, u, v)
+            passes.clear()
+            got, n_passes = grid.max_speed(), len(passes)
+            assert got == max_speed_reference(grid), name
+            if name == "first":  # no later chunk comes near the max
+                assert n_passes == 1
+
     def test_a_square_that_underflows_keeps_the_hypot_max(self):
         # u*u + v*v is subnormal here: the first node has the larger
         # square but the second the larger hypot

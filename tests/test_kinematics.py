@@ -17,7 +17,8 @@ from gliderplan.kinematics import (INFEASIBLE, DiveProfile,
 
 from conftest import (make_gyre_grid, make_land_grid, make_tidal_grid,
                       make_uniform_grid, travel_time)
-from oracles import (choose_profile_reference, effective_speed,
+from oracles import (choose_profile_lexsort_reference,
+                     choose_profile_reference, effective_speed,
                      effective_speed_reference, glider_travel_time_reference)
 
 V03 = VehicleSpec(speed_through_water=0.3)
@@ -452,6 +453,27 @@ class TestProfileSelection:
                                                     slack)
             assert (int(pick[r]), float(secs[r])) == (
                 -1 if want is None else want, want_t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["fastest", "max_amplitude"]))
+    def test_argmin_picks_equal_the_lexsort_rule(self, data, mode):
+        # (R, P) blocks drawn from few values, so times and amplitudes
+        # tie; NaN entries, whole INFEASIBLE rows and negative times too
+        bands = data.draw(st.lists(st.sampled_from(
+            [(0.0, 30.0), (10.0, 40.0), (0.0, 60.0), (20.0, 80.0),
+             (30.0, 60.0)]), min_size=1, max_size=7))
+        profiles = [DiveProfile(*b) for b in bands]
+        value = st.sampled_from([0.0, -0.0, -5.0, 100.0, 104.0, 110.0,
+                                 121.0, 200.0, math.inf, math.nan])
+        rows = data.draw(st.lists(st.one_of(
+            st.lists(value, min_size=len(profiles), max_size=len(profiles)),
+            st.just([math.inf] * len(profiles)),
+            st.just([math.nan] * len(profiles))), min_size=1, max_size=8))
+        slack = data.draw(st.floats(1.0, 2.0))
+        got = choose_profile(profiles, np.array(rows), mode, slack)
+        want = choose_profile_lexsort_reference(profiles, rows, mode, slack)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].view(np.int64).tolist() == want[1].view(np.int64).tolist()
 
     def test_empty_family_rejected(self, still_grid):
         with pytest.raises(ConfigError):
